@@ -1,28 +1,19 @@
-"""Benchmarks of the fused sweep engine (``repro sweep --store``).
+"""Benchmark of the fused sweep engine (``repro sweep``).
 
-Tracks the throughput of the two sweep execution paths over the same
-grid — the legacy per-point loop (one ``Experiment.run`` + one JSON
-cache fsync + one journal line per point) and the fused
-:class:`~repro.runtime.sweep.SweepPlan` engine (windowed fan-out into
-a columnar store) — plus the acceptance floor on their ratio: the
-fused engine must beat the per-point loop by
-``$REPRO_SWEEP_SPEEDUP_FLOOR`` (default 2.0; the sweep-scale CI job
-sets 5.0 with two workers, where fusion also amortises process
-fan-out the per-point vector path cannot use).
+Tracks the throughput of the :class:`~repro.runtime.sweep.SweepPlan`
+engine — windowed fan-out into a columnar store, journalled per
+window — over a grid of cheap eq1 points, end to end (planning,
+execution, persistence, journal).
 
 The bench-regression CI job runs this file at ``REPRO_BENCH_SCALE``
-0.05 and compares the medians against
+0.05 and compares the median against
 ``benchmarks/results/baseline.json`` via ``tools/bench_compare.py``.
 """
-
-import os
-import time
 
 from conftest import bench_jobs, bench_scale
 
 from repro.runtime import registry
-from repro.runtime.cache import ResultCache
-from repro.runtime.manifest import Manifest, PointRecord, point_id
+from repro.runtime.manifest import Manifest
 from repro.runtime.store import SweepStore
 from repro.runtime.sweep import SweepPlan, run_plan
 
@@ -52,23 +43,6 @@ def _run_fused(experiment, grid, root, jobs):
     assert done == len(grid)
 
 
-def _run_per_point(experiment, grid, root, jobs):
-    """The pre-fusion ``sweep`` loop, faithfully: per-point run,
-    per-point JSON cache entry (one fsync each), per-point journal
-    line."""
-    root.mkdir(parents=True, exist_ok=True)
-    cache = ResultCache(root / "cache")
-    manifest = Manifest.create(root / "manifest.jsonl", "sweep",
-                               experiment.name)
-    for overrides in grid:
-        report = experiment.run(seed=1, overrides=overrides,
-                                backend="auto", jobs=jobs, cache=cache)
-        manifest.record(PointRecord(
-            point_id=point_id(experiment.name, report.kwargs),
-            status="done" if report.result.all_checks_pass
-            else "failed", label=""))
-
-
 def test_fused_sweep_throughput(benchmark, tmp_path):
     """Fused engine over a 400-point grid (scaled)."""
     experiment = registry.get("eq1")
@@ -76,51 +50,3 @@ def test_fused_sweep_throughput(benchmark, tmp_path):
     benchmark.pedantic(
         lambda: _run_fused(experiment, grid, tmp_path, bench_jobs()),
         rounds=1, iterations=1)
-
-
-def test_per_point_sweep_throughput(benchmark, tmp_path):
-    """Legacy per-point loop over the same (scaled) grid."""
-    experiment = registry.get("eq1")
-    grid = _grid(max(50, int(round(400 * bench_scale()))))
-    benchmark.pedantic(
-        lambda: _run_per_point(experiment, grid, tmp_path,
-                               bench_jobs()),
-        rounds=1, iterations=1)
-
-
-def test_fused_sweep_speedup(tmp_path):
-    """Fusion must beat the per-point loop at equal ``--jobs``.
-
-    A ~1000-point vector-capable grid, both paths end to end
-    (planning, execution, persistence, journal).  Deliberately *not*
-    shrunk by ``REPRO_BENCH_SCALE`` below 1000 points in CI's
-    sweep-scale job (which leaves the scale at 1.0): fusion's win is
-    amortisation, so the gate must run a grid big enough to amortise
-    over.  Best of 3 attempts, like every other speedup floor here.
-    """
-    floor = float(os.environ.get("REPRO_SWEEP_SPEEDUP_FLOOR", "2.0"))
-    experiment = registry.get("eq1")
-    grid = _grid(max(200, int(round(1000 * bench_scale()))))
-    jobs = bench_jobs()
-    best, last = 0.0, (0.0, 0.0)
-    for attempt in range(3):
-        root = tmp_path / f"attempt-{attempt}"
-        root.mkdir()
-        start = time.perf_counter()
-        _run_per_point(experiment, grid, root / "legacy", jobs)
-        legacy_s = time.perf_counter() - start
-        start = time.perf_counter()
-        _run_fused(experiment, grid, root / "fused", jobs)
-        fused_s = time.perf_counter() - start
-        last = (legacy_s, fused_s)
-        best = max(best, legacy_s / fused_s)
-        if best >= floor:
-            break
-    legacy_s, fused_s = last
-    print(f"\nfused sweep speedup: {best:.1f}x over {len(grid)} points "
-          f"at jobs={jobs} (last attempt: per-point {legacy_s:.2f}s, "
-          f"fused {fused_s:.2f}s)")
-    assert best >= floor, (
-        f"fused sweep only {best:.1f}x faster than the per-point loop "
-        f"across 3 attempts (floor {floor}; last: per-point "
-        f"{legacy_s:.2f}s vs fused {fused_s:.2f}s at jobs={jobs})")

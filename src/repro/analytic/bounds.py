@@ -131,7 +131,11 @@ def output_gap_bounds(input_gap: float, mu_means: np.ndarray,
 
     # --- upper bound, equation (30).
     if u_fifo > 0:
-        upper_knee = (head + k) / u_fifo
+        # A subnormal u_fifo overflows the knee to inf, which is the
+        # right answer (region 1 is unreachable); it is not worth a
+        # RuntimeWarning.
+        with np.errstate(over="ignore"):
+            upper_knee = (head + k) / u_fifo
     else:
         upper_knee = np.inf
     if input_gap >= upper_knee:

@@ -29,7 +29,6 @@ from repro.backends.base import (
     ProbeTrainVectorBackend,
     SaturatedJitBackend,
     SaturatedVectorBackend,
-    coerce_request,
 )
 from repro.backends.dispatch import (
     BACKENDS,
@@ -75,7 +74,6 @@ __all__ = [
     "SaturatedJitBackend",
     "SaturatedVectorBackend",
     "ScenarioSpec",
-    "coerce_request",
     "eligible",
     "explain",
     "family_names",

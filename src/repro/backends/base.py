@@ -40,9 +40,8 @@ so ``auto`` degrades to the numpy tier without user action.
 from __future__ import annotations
 
 import abc
-import warnings
-from dataclasses import dataclass, replace
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 from repro.backends.spec import Capabilities, ScenarioSpec
 
@@ -59,11 +58,10 @@ KERNEL_FAMILIES = ("vector", "jit")
 class BatchRequest:
     """One repetition batch, described once, executed by any backend.
 
-    The single-object replacement for the old dual-optional
-    ``run_batch(event_task=…, batch_task=…)`` signature: a request
-    names the batch (``repetitions``, ``seed``), the two task forms a
-    backend may consume, the declarative scenario the dispatcher
-    matches capabilities against, and the streaming knobs.
+    The one argument every ``run_batch`` takes: a request names the
+    batch (``repetitions``, ``seed``), the two task forms a backend
+    may consume, the declarative scenario the dispatcher matches
+    capabilities against, and the streaming knobs.
 
     Attributes
     ----------
@@ -95,11 +93,6 @@ class BatchRequest:
         folded into it and ``finalize()`` becomes the run's result.
         ``None`` folds with the batch class's own ``concat``
         (bit-identical to dense, but dense-sized).
-    legacy_scalar_seed:
-        Set by the deprecated-kwarg shim only: marks a ``batch_task``
-        that still expects the *scalar* batch seed and derives the
-        per-repetition seeds itself.  Such kernels cannot be chunked;
-        they always run dense.
     """
 
     repetitions: int
@@ -109,7 +102,6 @@ class BatchRequest:
     spec: Optional[ScenarioSpec] = None
     chunk_reps: Optional[int] = None
     reducer: Optional[Callable[[], Any]] = None
-    legacy_scalar_seed: bool = False
 
     def __post_init__(self) -> None:
         if self.repetitions < 1:
@@ -118,10 +110,6 @@ class BatchRequest:
         if self.chunk_reps is not None and self.chunk_reps < 1:
             raise ValueError(
                 f"chunk_reps must be >= 1, got {self.chunk_reps}")
-
-    def with_chunk_reps(self, chunk_reps: Optional[int]) -> "BatchRequest":
-        """A copy of this request with another chunk size."""
-        return replace(self, chunk_reps=chunk_reps)
 
     def resolved_chunk_reps(self) -> Optional[int]:
         """The effective chunk size (explicit, else the ambient scope).
@@ -168,8 +156,7 @@ class Backend(abc.ABC):
         """
         return None
 
-    def run_batch(self, request: "BatchRequest", *legacy_args,
-                  **legacy_kwargs):
+    def run_batch(self, request: "BatchRequest"):
         """Execute one :class:`BatchRequest` on this backend.
 
         The event backend maps ``request.event_task`` over the derived
@@ -177,12 +164,6 @@ class Backend(abc.ABC):
         per-repetition seed slices of each chunk (the whole array when
         dense) and fold the chunk batches through the request's
         reducer.  Each backend consumes exactly one of the two tasks.
-
-        The old ``run_batch(repetitions, seed, event_task=…,
-        batch_task=…)`` calling convention still works for one release
-        through :func:`coerce_request` (with a ``DeprecationWarning``);
-        legacy ``batch_task`` callables keep receiving the scalar
-        batch seed and always run dense.
         """
         raise NotImplementedError
 
@@ -201,7 +182,7 @@ class EventBackend(Backend):
         """Every scenario axis, every value."""
         return Capabilities()
 
-    def run_batch(self, request, *legacy_args, **legacy_kwargs):
+    def run_batch(self, request):
         """Map the event task over the derived per-repetition seeds.
 
         Fans out across the ambient worker pool
@@ -211,7 +192,6 @@ class EventBackend(Backend):
         is a no-op here — peak memory never exceeds one repetition
         plus the collected results.
         """
-        request = coerce_request(request, *legacy_args, **legacy_kwargs)
         if request.event_task is None:
             raise ValueError("the event backend needs an event_task")
         # Imported lazily: repro.runtime sits above this layer.
@@ -220,52 +200,13 @@ class EventBackend(Backend):
                            derive_seeds(request.seed, request.repetitions))
 
 
-def coerce_request(request, *legacy_args, **legacy_kwargs) -> BatchRequest:
-    """Normalise a ``run_batch`` call to a :class:`BatchRequest`.
-
-    The deprecated-kwarg shim: a caller still using the old
-    ``run_batch(repetitions, seed, event_task=…, batch_task=…)``
-    convention gets a ``DeprecationWarning`` and a request whose
-    ``batch_task`` is marked :attr:`BatchRequest.legacy_scalar_seed`
-    — legacy kernels expect the scalar batch seed and derive the
-    per-repetition seeds themselves, so they run dense, never chunked.
-    """
-    if isinstance(request, BatchRequest):
-        if legacy_args or legacy_kwargs:
-            raise TypeError(
-                "pass either a BatchRequest or the deprecated "
-                "(repetitions, seed, event_task=, batch_task=) "
-                "arguments, not both")
-        return request
-    warnings.warn(
-        "run_batch(repetitions, seed, event_task=..., batch_task=...) "
-        "is deprecated; pass a repro.backends.BatchRequest instead",
-        DeprecationWarning, stacklevel=3)
-    repetitions = int(request)
-    if not legacy_args:
-        raise TypeError("the deprecated calling convention needs "
-                        "(repetitions, seed, ...)")
-    seed = int(legacy_args[0])
-    extras = list(legacy_args[1:])
-    event_task = extras.pop(0) if extras \
-        else legacy_kwargs.pop("event_task", None)
-    batch_task = extras.pop(0) if extras \
-        else legacy_kwargs.pop("batch_task", None)
-    if extras or legacy_kwargs:
-        raise TypeError(f"unexpected run_batch arguments: "
-                        f"{extras or legacy_kwargs}")
-    return BatchRequest(repetitions=repetitions, seed=seed,
-                        event_task=event_task, batch_task=batch_task,
-                        legacy_scalar_seed=batch_task is not None)
-
-
 class _VectorBackend(Backend):
     """Shared chunk-capable ``run_batch`` of the numpy batch kernels."""
 
     name = "vector"
     speed_rank = 10
 
-    def run_batch(self, request, *legacy_args, **legacy_kwargs):
+    def run_batch(self, request):
         """Resolve the batch with the kernel, chunked when requested.
 
         Dense (the default): one ``batch_task(seeds)`` call with the
@@ -278,60 +219,25 @@ class _VectorBackend(Backend):
         The slices are taken from the *dense* derivation, so chunk
         boundaries never change which random universe a repetition
         index maps to — dense and chunked rows are bit-identical.
-
-        Legacy scalar-seed kernels (the deprecated shim) always run
-        dense: ``batch_task(seed)``.
         """
-        request = coerce_request(request, *legacy_args, **legacy_kwargs)
         task = request.batch_task
         if task is None:
             raise ValueError("this batch has no vector kernel; "
                              "run it with backend='event'")
-        if request.legacy_scalar_seed:
-            return task(request.seed)
         # Imported lazily: repro.runtime sits above this layer.
         from repro.runtime.executor import derive_seeds
         seeds = derive_seeds(request.seed, request.repetitions)
         chunk = request.resolved_chunk_reps()
         if chunk is None and request.reducer is None:
             return task(seeds)
-        bounds = _chunk_bounds(request.repetitions,
-                               chunk or request.repetitions)
+        # Imported lazily: repro.core sits above this layer.
+        from repro.core.batch import ConcatReducer, chunk_bounds
         reducer = request.reducer() if request.reducer is not None \
-            else _ConcatFold()
-        for lo, hi in bounds:
+            else ConcatReducer()
+        for lo, hi in chunk_bounds(request.repetitions,
+                                   chunk or request.repetitions):
             reducer.update(task(seeds[lo:hi]), lo, hi)
         return reducer.finalize()
-
-
-def _chunk_bounds(repetitions: int,
-                  chunk_reps: int) -> List[Tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` chunk ranges (tail chunk may be short)."""
-    return [(lo, min(lo + chunk_reps, repetitions))
-            for lo in range(0, repetitions, chunk_reps)]
-
-
-class _ConcatFold:
-    """Duck-typed default reducer: fold chunks with ``concat``.
-
-    Mirrors :class:`repro.core.batch.ConcatReducer` without importing
-    it (``repro.core`` sits above this layer); the fold goes through
-    the chunk class's own ``concat``, so any
-    :class:`repro.core.batch.RepetitionBatch`-conformant object works.
-    """
-
-    def __init__(self) -> None:
-        self._parts: List[Any] = []
-
-    def update(self, batch: Any, lo: int, hi: int) -> None:
-        """Keep one chunk."""
-        self._parts.append(batch)
-
-    def finalize(self) -> Any:
-        """``concat`` the chunks (a single chunk passes through)."""
-        if len(self._parts) == 1:
-            return self._parts[0]
-        return type(self._parts[0]).concat(self._parts)
 
 
 class CallerKernelBackend(_VectorBackend):
@@ -476,13 +382,12 @@ class _JitBackend(_VectorBackend):
         from repro.sim import jit
         return jit.unavailable_reason()
 
-    def run_batch(self, request, *legacy_args, **legacy_kwargs):
+    def run_batch(self, request):
         """Run the numpy kernel's batch path on the jit tier."""
         from repro.sim import jit
         jit.warm_kernels()
         with jit.kernel_tier("jit"):
-            return super().run_batch(request, *legacy_args,
-                                     **legacy_kwargs)
+            return super().run_batch(request)
 
 
 class ProbeTrainJitBackend(_JitBackend, ProbeTrainVectorBackend):

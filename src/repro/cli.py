@@ -8,9 +8,10 @@ Run any of the paper's experiments from a shell::
     python -m repro run ext-saturation --backend vector
     python -m repro run fig8 --explain-backend
     python -m repro run all --scale 0.25 --report summary.json
+    python -m repro run fig6 --profile prof.json --scale 0.2
     python -m repro sweep fig6 --param repetitions=100,400,1600
-    python -m repro sweep fig6 --param rate=2e6,4e6 --manifest m.jsonl
-    python -m repro sweep fig6 --param rate=2e6,4e6 --resume m.jsonl
+    python -m repro sweep fig6 --param repetitions=100,400,1600 \\
+        --resume .repro-cache/sweeps/fig6/manifest.jsonl
     python -m repro sweep ext-saturation --param n_stations=5,10,20,35 \\
         --store atlas/ --adapt 16 --metric throughput_mbps
     python -m repro cache ls
@@ -30,9 +31,10 @@ also bit-identical, with peak memory bounded by the chunk.
 
 The runtime is crash-safe: ``--manifest`` journals per-point progress
 to an append-only JSONL file and ``--resume`` restarts an interrupted
-``sweep``/``run all`` from it, serving completed points bit-identically
-from the checksummed result cache and re-running only pending/failed
-ones.  ``--retries``/``--shard-timeout`` govern worker-shard
+``run all`` or ``sweep`` from it, re-running only pending and failed
+points.  ``run`` serves completed experiments bit-identically from
+the checksummed result cache; ``sweep`` keeps them in its store.
+``--retries``/``--shard-timeout`` govern worker-shard
 supervision: a crashed, killed, or hung worker is retried with
 exponential backoff and finally executed in-process, with every
 recovery recorded in the result metadata — a lost worker degrades
@@ -50,18 +52,19 @@ without numba installed — fails with the structured reason); ``run
 EXPERIMENT --explain-backend`` prints the dispatch decision without
 running anything.  ``run`` (including ``run all``) and ``sweep``
 share the full flag set.  ``run EXPERIMENT --profile`` prints the
-top-25 cumulative cProfile rows, and ``--profile-json PATH`` emits
-the same table as structured JSON.
+top-25 cumulative cProfile rows, and ``--profile PATH`` also writes
+the same table to PATH as structured JSON.
 
-``sweep --store DIR`` engages the fused sweep engine for dense
-parameter atlases: grid points are grouped by resolved backend/kernel
-and executed in fused windows (one worker fan-out per window instead
-of one per point), with results appended to a chunked columnar store
-— parquet when pyarrow is importable, compressed npz otherwise.
-Payloads are bit-identical to standalone ``run`` invocations.
-``--adapt N`` follows the coarse grid with curvature-guided
-refinement waves, and ``cache stats`` reports disk usage for the JSON
-cache and any ``--store`` directories in one JSON document.
+``sweep`` is the fused sweep engine for dense parameter atlases:
+grid points are grouped by resolved backend/kernel and executed in
+fused windows (one worker fan-out per window instead of one per
+point), with results appended to a chunked columnar store — parquet
+when pyarrow is importable, compressed npz otherwise — at ``--store
+DIR``, by default ``<cache dir>/sweeps/<experiment>``.  Payloads are
+bit-identical to standalone ``run`` invocations.  ``--adapt N``
+follows the coarse grid with curvature-guided refinement waves, and
+``cache stats`` reports disk usage for the JSON cache and any
+``--store`` directories in one JSON document.
 """
 
 from __future__ import annotations
@@ -69,7 +72,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pathlib
 import sys
+from contextlib import nullcontext
 from typing import Dict, List, Optional
 
 from repro.analytic.bianchi import BianchiModel
@@ -122,13 +127,6 @@ def cmd_info(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _cache_from(args: argparse.Namespace) -> Optional[ResultCache]:
-    """Build the cache the run/sweep flags ask for (None = disabled)."""
-    if getattr(args, "no_cache", False):
-        return None
-    return ResultCache(root=getattr(args, "cache_dir", None))
-
-
 def _print_report(report: RunReport) -> None:
     """Print one run's table plus its provenance line."""
     print(report.result.table())
@@ -142,31 +140,28 @@ def _print_report(report: RunReport) -> None:
     print()
 
 
-def _open_manifest(args: argparse.Namespace, command: str,
-                   experiment: str) -> Optional[Manifest]:
-    """Build the progress journal the run/sweep flags ask for.
+def _open_manifest(args: argparse.Namespace) -> Optional[Manifest]:
+    """Build the progress journal the ``run`` flags ask for.
 
     ``--resume PATH`` loads (and validates) an existing journal —
-    completed points will be skipped; ``--manifest PATH`` starts a
-    fresh one.  ``None`` means no journal was requested.
+    completed experiments will be served from the cache;
+    ``--manifest PATH`` starts a fresh one.  ``None`` means no journal
+    was requested.
     """
-    resume = getattr(args, "resume", None)
-    if resume is not None:
-        if getattr(args, "no_cache", False):
+    if args.resume is not None:
+        if args.no_cache:
             raise ManifestError(
                 "--resume serves completed points from the result "
                 "cache and cannot work with --no-cache")
-        loaded = Manifest.load(resume)
-        loaded.require(command, experiment)
+        loaded = Manifest.load(args.resume)
+        loaded.require("run", args.experiment)
         return loaded
-    path = getattr(args, "manifest", None)
-    if path is None:
+    if args.manifest is None:
         return None
     return Manifest.create(
-        path, command, experiment,
+        args.manifest, "run", args.experiment,
         invocation={"scale": args.scale, "seed": args.seed,
-                    "backend": args.backend,
-                    "params": list(getattr(args, "param", []) or [])})
+                    "backend": args.backend, "params": []})
 
 
 def _resume_hit(experiment, kwargs: Dict[str, object],
@@ -196,41 +191,37 @@ def _resume_hit(experiment, kwargs: Dict[str, object],
 
 
 def _record_point(manifest: Optional[Manifest], experiment: str,
-                  kwargs: Optional[Dict[str, object]], label: str,
-                  status: str, cache_key: Optional[str] = None,
+                  kwargs: Optional[Dict[str, object]], status: str,
+                  cache_key: Optional[str] = None,
                   error: Optional[str] = None) -> None:
-    """Append one point outcome to the journal (no-op without one).
+    """Journal one experiment's outcome (no-op without a journal).
 
-    A point that failed before its kwargs could even be resolved has
-    no stable identity; it is journalled under a label-derived id so
-    the error is recorded, and re-runs simply never match it.
+    An experiment that failed before its kwargs could even be resolved
+    has no stable identity; it is journalled under a name-derived id
+    so the error is recorded, and re-runs simply never match it.
     """
     if manifest is None:
         return
-    pid = point_id(experiment, kwargs) if kwargs is not None \
-        else point_id(experiment, {"__label__": label})
-    manifest.record(PointRecord(point_id=pid, status=status,
-                                label=label, cache_key=cache_key,
-                                error=error))
+    pid = point_id(experiment, kwargs if kwargs is not None
+                   else {"__label__": experiment})
+    manifest.record_many([PointRecord(point_id=pid, status=status,
+                                      label=experiment,
+                                      cache_key=cache_key, error=error)])
 
 
-def _write_report(path: str, command: str, target: str,
-                  records: List[Dict[str, object]],
-                  extras: Optional[Dict[str, object]] = None) -> None:
-    """Emit the structured per-point summary as JSON (atomically).
-
-    ``extras`` merges additional top-level keys into the payload —
-    the fused sweep engine adds ``store_path``, ``fused_groups`` and
-    ``refinement_waves`` so CI assertions read one file.
-    """
+def _report(command: str, target: str,
+            records: List[Dict[str, object]]) -> Dict[str, object]:
+    """The ``--report`` payload: per-point rows plus a status tally."""
     counts: Dict[str, int] = {}
     for record in records:
         status = str(record["status"])
         counts[status] = counts.get(status, 0) + 1
-    payload = {"command": command, "target": target,
-               "counts": counts, "points": records}
-    if extras:
-        payload.update(extras)
+    return {"command": command, "target": target,
+            "counts": counts, "points": records}
+
+
+def _write_json(path: str, payload: Dict[str, object]) -> None:
+    """Write ``payload`` to ``path`` as indented JSON, atomically."""
     tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "w") as handle:
         json.dump(payload, handle, indent=2)
@@ -240,10 +231,8 @@ def _write_report(path: str, command: str, target: str,
 
 def _run_point(experiment, args: argparse.Namespace,
                cache: Optional[ResultCache],
-               manifest: Optional[Manifest],
-               overrides: Optional[Dict[str, object]],
-               label: str) -> Dict[str, object]:
-    """Execute one point (or serve its resume hit); journal + record.
+               manifest: Optional[Manifest]) -> Dict[str, object]:
+    """Execute one experiment (or serve its resume hit); journal it.
 
     The returned record is the ``--report`` row: experiment, label,
     final status (``done``/``failed``/``error``), provenance
@@ -252,7 +241,7 @@ def _run_point(experiment, args: argparse.Namespace,
     string for crashed points.
     """
     record: Dict[str, object] = {
-        "experiment": experiment.name, "label": label,
+        "experiment": experiment.name, "label": experiment.name,
         "status": "error", "cached": False, "resumed": False,
         "cache_key": None, "elapsed_s": 0.0, "failed_checks": [],
         "failures": [], "error": None,
@@ -260,8 +249,7 @@ def _run_point(experiment, args: argparse.Namespace,
     kwargs: Optional[Dict[str, object]] = None
     try:
         kwargs = experiment.kwargs_for(
-            scale=args.scale, seed=args.seed, overrides=overrides,
-            backend=args.backend)
+            scale=args.scale, seed=args.seed, backend=args.backend)
         report = None if args.refresh else _resume_hit(
             experiment, kwargs, manifest, cache)
         if report is not None:
@@ -271,11 +259,11 @@ def _run_point(experiment, args: argparse.Namespace,
                 scale=args.scale, seed=args.seed, jobs=args.jobs,
                 backend=args.backend, chunk_reps=args.chunk_reps,
                 retries=args.retries, shard_timeout=args.shard_timeout,
-                overrides=overrides, cache=cache, refresh=args.refresh)
+                cache=cache, refresh=args.refresh)
     except Exception as exc:  # aggregate, don't abort the batch
         record["error"] = str(exc)
-        _record_point(manifest, experiment.name, kwargs, label,
-                      "error", error=str(exc))
+        _record_point(manifest, experiment.name, kwargs, "error",
+                      error=str(exc))
         return record
     _print_report(report)
     record.update(
@@ -286,7 +274,7 @@ def _run_point(experiment, args: argparse.Namespace,
         failures=list(report.failures),
         backend=report.result.meta.get("backend"))
     if not record["resumed"]:  # the journal already says done
-        _record_point(manifest, experiment.name, kwargs, label,
+        _record_point(manifest, experiment.name, kwargs,
                       str(record["status"]), cache_key=report.cache_key)
     return record
 
@@ -308,15 +296,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    if getattr(args, "explain_backend", False):
+    if args.explain_backend:
         return _explain_backends(experiments, args.backend)
-    profile_json = getattr(args, "profile_json", None)
-    profile = getattr(args, "profile", False) or profile_json is not None
+    profile = args.profile is not None
     # Profiling a cache read would be meaningless: bypass the cache so
     # the table shows the simulation itself.
-    cache = None if profile else _cache_from(args)
+    cache = None if profile or args.no_cache \
+        else ResultCache(root=args.cache_dir)
     try:
-        manifest = _open_manifest(args, "run", args.experiment)
+        manifest = _open_manifest(args)
     except (ManifestError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -338,8 +326,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 failures[name] = ("checks failed: " + ", ".join(
                     report.result.failed_checks))
             continue
-        record = _run_point(experiment, args, cache, manifest,
-                            overrides=None, label=name)
+        record = _run_point(experiment, args, cache, manifest)
         records.append(record)
         if record["status"] == "error":
             print(f"== {name}: ERROR ==\n   {record['error']}\n",
@@ -349,10 +336,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             failures[name] = ("checks failed: "
                               + ", ".join(record["failed_checks"]))
         faults.maybe_kill_run(len(records))
-    if profile_json is not None:
-        _write_profile_json(profile_json, args.experiment, profiles)
+    if args.profile:
+        _write_json(args.profile, {
+            "target": args.experiment, "sort": "cumulative",
+            "top": _PROFILE_TOP_N, "profiles": profiles})
     if args.report is not None and not profile:
-        _write_report(args.report, "run", args.experiment, records)
+        _write_json(args.report, _report("run", args.experiment, records))
     if failures:
         print(f"{len(failures)}/{len(experiments)} experiments failed:",
               file=sys.stderr)
@@ -376,7 +365,7 @@ def _profiled_run(experiment, args: argparse.Namespace,
     this process (``jobs`` is forced to 1): the profiler cannot see
     into worker processes, and a sharded profile would show only pool
     bookkeeping.  The same top-25 rows are appended to ``profiles`` in
-    structured form for ``--profile-json``.
+    structured form for ``--profile PATH``.
     """
     import cProfile
     import pstats
@@ -412,24 +401,6 @@ def _profiled_run(experiment, args: argparse.Namespace,
     return report
 
 
-def _write_profile_json(path: str, target: str,
-                        profiles: List[Dict[str, object]]) -> None:
-    """Emit the structured profile snapshot as JSON (atomically).
-
-    One record per profiled experiment, each carrying the same top-N
-    cumulative rows the printed table shows — file, line, function,
-    call counts, tottime and cumtime — so perf dashboards and diffing
-    scripts consume the profile without scraping stdout.
-    """
-    payload = {"target": target, "sort": "cumulative",
-               "top": _PROFILE_TOP_N, "profiles": profiles}
-    tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    os.replace(tmp, path)
-
-
 def _explain_backends(experiments, requested: str) -> int:
     """Print the dispatcher's per-scenario decision, without running.
 
@@ -458,22 +429,25 @@ def _explain_backends(experiments, requested: str) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Run one experiment over a parameter grid and summarise.
+    """Run one experiment over a parameter grid into a sweep store.
 
-    With ``--manifest`` every point's outcome is journalled as it
-    completes; after a crash (or Ctrl-C, or SIGKILL) re-running with
-    ``--resume MANIFEST`` skips the completed points — served
-    bit-identically from the verified result cache — and re-runs only
-    pending and failed ones.
+    Grid points are grouped by resolved backend/kernel and executed in
+    fused windows (one worker fan-out per window instead of one per
+    point), with results appended to a columnar store — the path that
+    makes 10^5-point parameter atlases affordable.  The store lives at
+    ``--store DIR``, by default ``<cache dir>/sweeps/<experiment>``;
+    it is the sweep's output, not a cache, so ``--no-cache`` does not
+    skip it.  Every window is journalled to ``--manifest``, by default
+    ``<store>/manifest.jsonl``, so every sweep is resumable: after a
+    crash (or Ctrl-C, or SIGKILL) ``--resume MANIFEST`` reopens the
+    store and skips exactly the points whose journal record *and*
+    store row both say ``done``.  ``--adapt N`` follows the
+    coarse grid with curvature-guided refinement waves along the one
+    multi-valued ``--param`` axis, scoring points by ``--metric`` (a
+    series name; default the first series).
 
-    ``--store DIR`` switches to the fused sweep engine: grid points
-    are grouped by resolved backend/kernel and executed in fused
-    windows, with results landing in an append-only columnar store
-    instead of one JSON cache entry per point — the path that makes
-    10^5-point parameter atlases affordable.  ``--adapt N`` (fused
-    only) follows the coarse grid with curvature-guided refinement
-    waves along the one multi-valued ``--param`` axis, scoring points
-    by ``--metric`` (a series name; default the first series).
+    Progress prints one line per fused window, plus one line per
+    failing point — a dense atlas must not print a million rows.
     """
     try:
         experiment = registry.get(args.experiment)
@@ -486,87 +460,34 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.adapt is not None and args.store is None:
-        print("--adapt requires --store (refinement waves read the "
-              "response curve back from the columnar store)",
-              file=sys.stderr)
-        return 2
-    if args.store is not None:
-        return _cmd_sweep_fused(args, experiment, specs, total)
-    cache = _cache_from(args)
-    try:
-        manifest = _open_manifest(args, "sweep", args.experiment)
-    except (ManifestError, OSError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    records: List[Dict[str, object]] = []
-    summary: List[str] = []
-    failed = 0
-    for overrides in expand_grid(specs):
-        label = ", ".join(f"{k}={v}" for k, v in overrides.items())
-        record = _run_point(experiment, args, cache, manifest,
-                            overrides=overrides, label=label)
-        records.append(record)
-        if record["status"] == "error":
-            print(f"== {args.experiment} [{label}]: ERROR ==\n"
-                  f"   {record['error']}\n", file=sys.stderr)
-            summary.append(f"  {label}: error: {record['error']}")
-            failed += 1
-        elif record["status"] == "failed":
-            summary.append(
-                f"  {label}: FAIL ("
-                + ", ".join(record["failed_checks"]) + ")")
-            failed += 1
-        else:
-            cached = " [cached]" if record["cached"] else ""
-            resumed = " [resumed]" if record["resumed"] else ""
-            summary.append(f"  {label}: PASS{cached}{resumed}")
-        faults.maybe_kill_run(len(records))
-    print(f"== sweep {args.experiment}: "
-          f"{total - failed}/{total} points pass ==")
-    for line in summary:
-        print(line)
-    if args.report is not None:
-        _write_report(args.report, "sweep", args.experiment, records)
-    return 1 if failed else 0
-
-
-def _cmd_sweep_fused(args: argparse.Namespace, experiment,
-                     specs, total: int) -> int:
-    """The ``sweep --store`` engine: plan, fuse, store, refine.
-
-    Progress prints one line per fused window (per-point lines only
-    for failures — a dense atlas must not print a million rows); the
-    journal defaults to ``<store>/manifest.jsonl`` when neither
-    ``--manifest`` nor ``--resume`` names one, so every fused sweep is
-    resumable by construction.
-    """
+    root = pathlib.Path(args.store) if args.store is not None \
+        else ResultCache(args.cache_dir).root / "sweeps" / args.experiment
     try:
         if args.resume is not None:
-            store = SweepStore.open(args.store)
+            # The journal first: resuming the wrong experiment must be
+            # refused as such, not fail on a store it never wrote.
             manifest = Manifest.load(args.resume)
             manifest.require("sweep", args.experiment)
+            store = SweepStore.open(root)
         else:
             store = SweepStore.create(
-                args.store, args.experiment,
-                params=[name for name, _ in specs])
+                root, args.experiment, params=[name for name, _ in specs])
             manifest = Manifest.create(
-                args.manifest or os.path.join(args.store,
-                                              "manifest.jsonl"),
+                args.manifest or root / "manifest.jsonl",
                 "sweep", args.experiment,
                 invocation={"scale": args.scale, "seed": args.seed,
                             "backend": args.backend,
                             "params": list(args.param),
-                            "store": str(args.store)})
+                            "store": str(root)})
     except (StoreError, ManifestError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     chunk_scope = chunked_reps(args.chunk_reps) \
-        if args.chunk_reps is not None else None
+        if args.chunk_reps is not None else nullcontext()
     fault_scope = retry_policy(retries=args.retries,
                                shard_timeout=args.shard_timeout) \
         if args.retries is not None or args.shard_timeout is not None \
-        else None
+        else nullcontext()
     records: List[Dict[str, object]] = []
     group_counts: Dict[str, int] = {}
     waves: Dict[int, Dict[str, object]] = {}
@@ -585,11 +506,7 @@ def _cmd_sweep_fused(args: argparse.Namespace, experiment,
             outcome_stream = run_plan(
                 plan, jobs=args.jobs, store=store, manifest=manifest,
                 refresh=args.refresh)
-        if chunk_scope is not None:
-            chunk_scope.__enter__()
-        if fault_scope is not None:
-            fault_scope.__enter__()
-        try:
+        with chunk_scope, fault_scope:
             for window in outcome_stream:
                 wave_note = f"[wave {window.wave}] " \
                     if args.adapt is not None else ""
@@ -625,7 +542,7 @@ def _cmd_sweep_fused(args: argparse.Namespace, experiment,
                         "experiment": args.experiment,
                         "label": outcome["label"],
                         "status": outcome["status"],
-                        "resumed": bool(outcome.get("resumed")),
+                        "resumed": outcome["resumed"],
                         "point_id": outcome["point_id"],
                         "elapsed_s": outcome["elapsed_s"],
                         "failed_checks": outcome["failed_checks"],
@@ -634,15 +551,11 @@ def _cmd_sweep_fused(args: argparse.Namespace, experiment,
                         "wave": window.wave,
                         "group": window.group,
                     })
-        finally:
-            if fault_scope is not None:
-                fault_scope.__exit__(None, None, None)
-            if chunk_scope is not None:
-                chunk_scope.__exit__(None, None, None)
-            store.close()
     except (ManifestError, StoreError, ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    finally:
+        store.close()
     done = len(records) - failed
     print(f"== sweep {args.experiment}: {done}/{len(records)} points "
           f"pass ({resumed} resumed"
@@ -651,15 +564,11 @@ def _cmd_sweep_fused(args: argparse.Namespace, experiment,
     print(f"   [store {store.root}: {store.stats()['points']} points, "
           f"{store.format}]")
     if args.report is not None:
-        _write_report(
-            args.report, "sweep", args.experiment, records,
-            extras={
-                "store_path": str(store.root),
-                "store": store.stats(),
-                "fused_groups": group_counts,
-                "refinement_waves": [
-                    waves[wave] for wave in sorted(waves)],
-            })
+        _write_json(args.report, dict(
+            _report("sweep", args.experiment, records),
+            store_path=str(store.root), store=store.stats(),
+            fused_groups=group_counts,
+            refinement_waves=[waves[wave] for wave in sorted(waves)]))
     return 1 if failed else 0
 
 
@@ -770,14 +679,15 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help="journal per-point progress to this "
                              "JSONL manifest (append-only, crash-"
                              "safe) so an interrupted invocation can "
-                             "be resumed with --resume")
+                             "be resumed with --resume (sweep default: "
+                             "<store>/manifest.jsonl)")
     parser.add_argument("--resume", default=None, metavar="PATH",
                         help="resume from a progress manifest: "
                              "points it marks done are served bit-"
-                             "identically from the result cache, "
-                             "only pending/failed ones re-run; "
-                             "progress keeps appending to the same "
-                             "manifest")
+                             "identically (run: from the result "
+                             "cache; sweep: from the store), only "
+                             "pending/failed ones re-run; progress "
+                             "keeps appending to the same manifest")
     parser.add_argument("--report", default=None, metavar="PATH",
                         help="write the structured per-point "
                              "success/failure/retry summary as JSON "
@@ -811,16 +721,14 @@ def build_parser() -> argparse.ArgumentParser:
                           "(resolved kernel and any fallback reason) "
                           "for the experiment(s) and exit without "
                           "running anything")
-    run.add_argument("--profile", action="store_true",
+    run.add_argument("--profile", nargs="?", const="", default=None,
+                     metavar="PATH",
                      help="run under cProfile and print the top-25 "
-                          "cumulative hot spots before the report "
-                          "(implies --no-cache and --jobs 1, so the "
-                          "profile measures the simulation in this "
-                          "process)")
-    run.add_argument("--profile-json", default=None, metavar="PATH",
-                     help="write the same top-25 cumulative profile "
-                          "rows as structured JSON to PATH (implies "
-                          "--profile)")
+                          "cumulative hot spots before the report; "
+                          "with PATH, also write the same rows as "
+                          "structured JSON there (implies --no-cache "
+                          "and --jobs 1, so the profile measures the "
+                          "simulation in this process)")
     _add_run_options(run)
     run.set_defaults(func=cmd_run)
     sweep = sub.add_parser(
@@ -831,21 +739,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep values for one runner kwarg "
                             "(repeatable; grid = Cartesian product)")
     sweep.add_argument("--store", default=None, metavar="DIR",
-                       help="run the fused sweep engine: group grid "
-                            "points by resolved backend/kernel, "
-                            "execute them as fused batches, and "
-                            "append results to a columnar store at "
-                            "DIR (parquet when pyarrow is installed, "
-                            "compressed npz otherwise); with --resume "
-                            "the store is reopened and completed "
-                            "points are skipped")
+                       help="columnar store the sweep's results are "
+                            "appended to (parquet when pyarrow is "
+                            "installed, compressed npz otherwise; "
+                            "default <cache dir>/sweeps/EXPERIMENT, "
+                            "written even with --no-cache); with "
+                            "--resume the store is reopened and "
+                            "completed points are skipped")
     sweep.add_argument("--adapt", type=int, default=None, metavar="N",
                        help="after the coarse grid, add up to N "
                             "refinement points where the response "
                             "curve bends hardest (largest second "
                             "difference of --metric along the one "
-                            "multi-valued --param axis); requires "
-                            "--store")
+                            "multi-valued --param axis)")
     sweep.add_argument("--metric", default=None, metavar="SERIES",
                        help="result series scored by --adapt (mean of "
                             "the named series; default: the "

@@ -17,9 +17,9 @@ a structural protocol:
 
 The protocol is *structural* (:func:`typing.runtime_checkable`) on
 purpose: the simulation kernels sit below this layer and must not
-import it — they conform by shape alone, and the chunked execution
-path in :mod:`repro.backends.base` folds chunk results through the
-duck-typed ``concat`` without importing this module either.
+import it — they conform by shape alone.  The chunked execution path
+in :mod:`repro.backends.base` imports :func:`chunk_bounds` and
+:class:`ConcatReducer` lazily, at call time, for the same reason.
 
 ``concat`` is what makes streaming execution bit-identical: a chunked
 run produces exactly the rows a dense run would (same per-repetition

@@ -59,7 +59,7 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional,
 
 import numpy as np
 
-from repro.backends import BatchRequest, ScenarioSpec, dispatch
+from repro.backends import BatchRequest, dispatch
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -210,24 +210,19 @@ def derive_seeds(seed: int, repetitions: int) -> List[int]:
     return [int(s) for s in state]
 
 
-def run_batch(request, repetitions: Optional[int] = None,
-              seed: Optional[int] = None, backend: str = "event",
-              vector_batch: Optional[Callable[[int], T]] = None,
-              spec: Optional[ScenarioSpec] = None,
-              chunk_reps: Optional[int] = None):
+def run_batch(request: BatchRequest, *, backend: str = "event"):
     """Route one repetition batch through the backend dispatcher.
 
-    The first argument is a :class:`repro.backends.BatchRequest`
-    describing the batch once for every backend: the event backend
-    maps ``request.event_task`` (a pure ``rep_seed -> result``
-    function) over the derived per-repetition seeds through
-    :func:`map_ordered`; the vector backends hand
-    ``request.batch_task`` the per-repetition seed array — sliced into
-    contiguous chunks when a chunk size is in effect (the request's
-    ``chunk_reps``, this function's ``chunk_reps`` override, or the
-    ambient :func:`chunked_reps` scope), each chunk folded into the
-    request's reducer.  Dense and chunked runs are bit-identical: a
-    chunk replays exactly the seed slice of the dense derivation.
+    ``request`` is a :class:`repro.backends.BatchRequest` describing
+    the batch once for every backend: the event backend maps
+    ``request.event_task`` (a pure ``rep_seed -> result`` function)
+    over the derived per-repetition seeds through :func:`map_ordered`;
+    the vector backends hand ``request.batch_task`` the per-repetition
+    seed array — sliced into contiguous chunks when a chunk size is in
+    effect (the request's ``chunk_reps``, else the ambient
+    :func:`chunked_reps` scope), each chunk folded into the request's
+    reducer.  Dense and chunked runs are bit-identical: a chunk
+    replays exactly the seed slice of the dense derivation.
 
     ``backend="auto"`` asks :func:`repro.backends.dispatch.resolve` to
     pick the fastest backend eligible for the request's spec (a
@@ -237,33 +232,10 @@ def run_batch(request, repetitions: Optional[int] = None,
     ``vector`` resolves to the synthetic caller-kernel backend (the
     caller vouches for its ``batch_task``), so every run, bypass-free,
     carries a dispatch resolution.
-
-    The old ``run_batch(event_task, repetitions, seed, backend=…,
-    vector_batch=…, spec=…)`` convention still works for one release
-    (with a ``DeprecationWarning``); its ``vector_batch`` keeps
-    receiving the *scalar* batch seed and always runs dense.
     """
-    if isinstance(request, BatchRequest):
-        if repetitions is not None or seed is not None \
-                or vector_batch is not None or spec is not None:
-            raise TypeError(
-                "pass either a BatchRequest or the deprecated "
-                "(event_task, repetitions, seed, vector_batch=, spec=) "
-                "arguments, not both")
-    else:
-        warnings.warn(
-            "run_batch(event_task, repetitions, seed, ...) is "
-            "deprecated; pass a repro.backends.BatchRequest instead",
-            DeprecationWarning, stacklevel=2)
-        if repetitions is None or seed is None:
-            raise TypeError("the deprecated calling convention needs "
-                            "(event_task, repetitions, seed, ...)")
-        request = BatchRequest(
-            repetitions=repetitions, seed=seed, event_task=request,
-            batch_task=vector_batch, spec=spec,
-            legacy_scalar_seed=vector_batch is not None)
-    if chunk_reps is not None:
-        request = request.with_chunk_reps(chunk_reps)
+    if not isinstance(request, BatchRequest):
+        raise TypeError(f"run_batch takes a repro.backends.BatchRequest, "
+                        f"not {type(request).__name__}")
     if backend not in REQUESTABLE:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {REQUESTABLE}")

@@ -11,10 +11,10 @@ Durability contract
 * The header is published atomically (written to a temp file, then
   ``os.replace``) — a manifest either exists with a valid header or
   not at all.
-* Point records are single-line ``O_APPEND`` writes: each record is
-  one ``os.write`` of one ``\\n``-terminated line, so concurrent
-  appenders interleave at line granularity and a crash can tear at
-  most the final line.
+* Point records are ``O_APPEND`` writes of whole lines: each batch of
+  records is one ``os.write`` of ``\\n``-terminated lines, so
+  concurrent appenders interleave at line granularity and a crash can
+  tear at most the final line.
 * :meth:`Manifest.load` detects a torn final line (no trailing
   newline, or un-parsable JSON in the last line) and *drops* it — the
   point simply counts as pending and is re-run.  A malformed line
@@ -23,13 +23,15 @@ Durability contract
 
 Resume safety
 -------------
-A ``done`` record alone never skips work.  The CLI re-derives the
+A ``done`` record alone never skips work.  ``run`` re-derives the
 point's cache key under the *current* code version and only skips
 when it matches the recorded key **and** the cache entry is loadable
 (checksum-verified) — so a resume after a code edit, a cache wipe, or
 cache corruption transparently re-runs the point instead of serving a
-stale or damaged result.  Skipping is therefore bit-identical to an
-uninterrupted cached run by construction.
+stale or damaged result.  ``sweep`` skips only points that also have
+a ``done`` row in its store under the current code version
+(:func:`repro.runtime.sweep.run_plan`).  Skipping is therefore
+bit-identical to an uninterrupted run by construction.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import json
 import os
 import pathlib
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.runtime.cache import canonical_kwargs
 
@@ -201,27 +203,15 @@ class Manifest:
                 f"{self.header.get('experiment')}', not "
                 f"'{command} {experiment}' — refusing to resume")
 
-    def record(self, record: PointRecord) -> None:
-        """Append one point record (atomic single-line append)."""
-        if record.status not in STATUSES:
-            raise ValueError(f"unknown point status {record.status!r}")
-        line = (record.to_json() + "\n").encode()
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT,
-                     0o644)
-        try:
-            os.write(fd, line)
-        finally:
-            os.close(fd)
-        self.records[record.point_id] = record
+    def record_many(self, records: List[PointRecord]) -> None:
+        """Append point records in one ``O_APPEND`` write.
 
-    def record_many(self, records: "List[PointRecord]") -> None:
-        """Append a batch of point records in one ``O_APPEND`` write.
-
-        The fused sweep engine journals one execution *window* at a
-        time; writing the window's lines as a single ``os.write``
-        keeps the per-point journaling cost out of the hot loop and
-        preserves the line-granular durability contract — a crash can
-        still tear at most the final line of the final batch.
+        The sweep engine journals one execution *window* at a time and
+        ``run`` one experiment at a time; writing a batch's lines as a
+        single ``os.write`` keeps the per-point journaling cost out of
+        the hot loop and preserves the line-granular durability
+        contract — a crash can tear at most the final line of the
+        final batch.
         """
         records = list(records)
         for record in records:

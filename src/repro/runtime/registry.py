@@ -298,14 +298,16 @@ class Experiment:
     def _annotate_backend(self, result: ExperimentResult,
                           kwargs: Mapping[str, object],
                           resolution: Optional[Resolution]) -> None:
-        """Record the resolved backend (and any ``auto`` fallback).
+        """Record the resolved backend (and why ``auto`` settled for it).
 
         ``meta["backend"]`` always names the backend that produced the
-        result; ``meta["backend_fallback"]`` carries the structured
-        reason whenever an ``auto`` request settled for something
-        slower than the fastest capable tier — fell back to the event
-        engine, or degraded from an unavailable jit tier to the numpy
-        kernels — instead of the reason being silently swallowed.
+        result.  Two keys carry the structured reason an ``auto``
+        request settled for something slower than the fastest tier,
+        instead of the reason being silently swallowed:
+        ``meta["backend_fallback"]`` when no kernel could run the
+        scenario and the event engine ran, ``meta["backend_degraded"]``
+        when the jit tier was skipped (numba missing) and the numpy
+        kernels ran.
         """
         final = kwargs.get("backend", "event")
         result.meta.setdefault("backend", final)
@@ -314,7 +316,7 @@ class Experiment:
             result.meta["backend_fallback"] = resolution.fallback
         elif resolution is not None and resolution.degraded \
                 and final == resolution.name:
-            result.meta["backend_fallback"] = resolution.degraded
+            result.meta["backend_degraded"] = resolution.degraded
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Columnar result store for dense parameter sweeps.
 
 A million-point sweep cannot afford one JSON cache file (plus one
-fsync) per point.  :class:`SweepStore` replaces the per-point JSON
-sink for ``repro sweep --store``: results are buffered in memory and
-flushed in *chunks* — one columnar file per execution window — with an
-append-only JSONL index recording which points each chunk holds.
+fsync) per point.  :class:`SweepStore` is the sink of ``repro sweep``
+(``--store DIR``, by default ``<cache dir>/sweeps/<experiment>``):
+results are buffered in memory and flushed in *chunks* — one columnar
+file per execution window — with an append-only JSONL index recording
+which points each chunk holds.
 
 Format tiers
 ------------

@@ -1,4 +1,4 @@
-"""Importable test helpers (KS assertion + seed parametrization).
+"""Importable test helpers (KS assertion, seed parametrization, stores).
 
 These live outside ``conftest.py`` because test modules import them by
 name: a full-repo run collects ``benchmarks/`` first, so the bare
@@ -11,6 +11,7 @@ module name ``conftest`` resolves to *benchmarks*' conftest and
 import numpy as np
 import pytest
 
+from repro.runtime.store import SweepStore
 from repro.stats.ks import ks_distance, ks_threshold
 
 
@@ -40,3 +41,10 @@ def ks_assert_impl(a, b, alpha=0.01):
     assert distance <= threshold, (
         f"KS distance {distance:.4f} exceeds the alpha={alpha} "
         f"threshold {threshold:.4f} ({len(a)} vs {len(b)} samples)")
+
+
+def store_payloads(root):
+    """Map point id -> stored payload text for every row of a store."""
+    frame = SweepStore.open(root).frame(columns=["point_id", "payload"])
+    return {str(pid): str(blob)
+            for pid, blob in zip(frame["point_id"], frame["payload"])}

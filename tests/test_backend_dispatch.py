@@ -14,11 +14,14 @@ The load-bearing guarantees:
   decisions without running anything.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.backends import (
     BackendUnavailableError,
+    BatchRequest,
     Capabilities,
     EVENT,
     ScenarioSpec,
@@ -328,32 +331,34 @@ class TestChannelIntegration:
                                   raw.access_delays)
 
 
+def _flavored_request(repetitions, spec=None):
+    """A batch whose results say which task produced them."""
+    return BatchRequest(repetitions=repetitions, seed=9,
+                        event_task=lambda s: ("event", s),
+                        batch_task=lambda seeds: ("vector", seeds),
+                        spec=spec)
+
+
 class TestExecutorDelegation:
     def test_auto_with_spec_picks_kernel(self):
-        out = executor.run_batch(
-            lambda s: ("event", s), 4, 9, backend="auto",
-            vector_batch=lambda s: ("vector", s), spec=WLAN_TRAIN)
-        assert out == ("vector", 9)
+        out = executor.run_batch(_flavored_request(4, WLAN_TRAIN),
+                                 backend="auto")
+        assert out == ("vector", executor.derive_seeds(9, 4))
 
     def test_auto_without_spec_stays_on_event(self):
-        out = executor.run_batch(
-            lambda s: ("event", s), 3, 9, backend="auto",
-            vector_batch=lambda s: ("vector", s))
+        out = executor.run_batch(_flavored_request(3), backend="auto")
         assert [flavor for flavor, _ in out] == ["event"] * 3
 
     def test_forced_vector_without_spec_trusts_caller(self):
-        out = executor.run_batch(
-            lambda s: ("event", s), 3, 9, backend="vector",
-            vector_batch=lambda s: ("vector", s))
-        assert out == ("vector", 9)
+        out = executor.run_batch(_flavored_request(3), backend="vector")
+        assert out == ("vector", executor.derive_seeds(9, 3))
 
     def test_auto_with_ineligible_spec_maps_event(self):
         spec = ScenarioSpec(system="wlan", workload="train",
                             cross_traffic="other",
                             cross_detail=TRACE_DETAIL)
-        out = executor.run_batch(
-            lambda s: ("event", s), 2, 9, backend="auto",
-            vector_batch=lambda s: ("vector", s), spec=spec)
+        out = executor.run_batch(_flavored_request(2, spec),
+                                 backend="auto")
         assert [flavor for flavor, _ in out] == ["event"] * 2
 
 
@@ -473,10 +478,13 @@ class TestCliDispatch:
         assert code == 0
         assert "backend=vector" in capsys.readouterr().out
 
-    def test_sweep_has_backend_parity(self, capsys):
+    def test_sweep_has_backend_parity(self, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
         code = main(["sweep", "fig6", "--backend", "auto", "--param",
                      "repetitions=4,6",
-                     "--seed", "2", "--no-cache"])
+                     "--seed", "2", "--report", str(report_path)])
         out = capsys.readouterr().out
         assert code in (0, 1)
-        assert "backend=vector" in out
+        assert "[vector/probe-train kernel] 2 points" in out
+        report = json.loads(report_path.read_text())
+        assert [p["backend"] for p in report["points"]] == ["vector"] * 2

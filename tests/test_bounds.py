@@ -91,6 +91,17 @@ class TestOutputGapBounds:
         assert bounds.lower <= bounds.upper + 1e-15
         assert bounds.lower > 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_fifo_utilization_does_not_warn(self):
+        """The upper knee ``(head + kappa) / u_fifo`` overflows to inf
+        for a subnormal ``u_fifo``; that is the right knee, not an
+        error (the input hypothesis found)."""
+        mu = np.linspace(0.4, 1.0, 12) * 1e-4
+        bounds = output_gap_bounds(1e-3, mu, 5e-324)
+        assert bounds.upper_region == "region-2"
+        assert bounds.upper == 1e-3 + kappa(mu)
+        assert bounds.lower == bounds.upper
+
 
 class TestStrictBounds:
     def test_ordered(self):

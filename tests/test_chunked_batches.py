@@ -7,13 +7,13 @@ floating point — for all three kernel families (probe-train,
 saturated DCF, Lindley/FIFO).  The reducers stream per-repetition
 reduced quantities at ``O(chunk)`` peak memory; everything except the
 (deliberately random) reservoir sample stays bit-identical.  The
-``BatchRequest`` migration pins cover the deprecated dual-optional
-``run_batch`` shim, the ambient ``chunked_reps`` scope and its
-environment variable, and the caller-kernel resolution that replaced
-the executor's old dispatcher bypass.
+``BatchRequest`` pins cover the request's validation and error
+messages, the ambient ``chunked_reps`` scope and its environment
+variable, and the caller-kernel resolution that replaced the
+executor's old dispatcher bypass.
 """
 
-import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -462,15 +462,15 @@ class TestChunkScope:
         request = BatchRequest(repetitions=10, seed=0, chunk_reps=4)
         with chunked_reps(2):
             assert request.resolved_chunk_reps() == 4
-            assert request.with_chunk_reps(None).resolved_chunk_reps() \
+            assert replace(request, chunk_reps=None).resolved_chunk_reps() \
                 == 2
-        assert request.with_chunk_reps(None).resolved_chunk_reps() \
+        assert replace(request, chunk_reps=None).resolved_chunk_reps() \
             is None
 
     def test_chunk_at_or_past_batch_is_dense(self):
         request = BatchRequest(repetitions=10, seed=0, chunk_reps=10)
         assert request.resolved_chunk_reps() is None
-        assert request.with_chunk_reps(25).resolved_chunk_reps() is None
+        assert replace(request, chunk_reps=25).resolved_chunk_reps() is None
 
 
 class TestBatchRequestAPI:
@@ -479,29 +479,6 @@ class TestBatchRequestAPI:
             BatchRequest(repetitions=0, seed=0)
         with pytest.raises(ValueError, match="chunk_reps"):
             BatchRequest(repetitions=5, seed=0, chunk_reps=0)
-
-    def test_deprecated_convention_warns_and_still_works(self):
-        seen = []
-        with pytest.warns(DeprecationWarning, match="BatchRequest"):
-            out = run_batch(lambda s: seen.append(s) or s * 2,
-                            repetitions=3, seed=7)
-        assert seen == derive_seeds(7, 3)
-        assert out == [s * 2 for s in seen]
-
-    def test_deprecated_vector_batch_gets_scalar_seed(self):
-        seen = []
-        with pytest.warns(DeprecationWarning):
-            with chunked_reps(2):  # legacy kernels must stay dense
-                run_batch(None, repetitions=5, seed=9,
-                          vector_batch=lambda s: seen.append(s) or s,
-                          backend="vector")
-        assert seen == [9]
-
-    def test_mixing_request_and_legacy_args_rejected(self):
-        request = BatchRequest(repetitions=2, seed=0,
-                               event_task=lambda s: s)
-        with pytest.raises(TypeError, match="either a BatchRequest"):
-            run_batch(request, repetitions=2, seed=0)
 
     def test_unknown_backend_message_pinned(self):
         request = BatchRequest(repetitions=2, seed=0,

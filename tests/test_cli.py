@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from helpers import store_payloads
 from repro.cli import build_parser, main
 from repro.runtime import registry
 from repro.runtime.cache import ResultCache
@@ -114,10 +115,10 @@ class TestCommands:
 
     def test_run_profile_json_writes_structured_table(self, tmp_path,
                                                       capsys):
-        """``--profile-json`` (which implies ``--profile``) emits the
-        same top-25 cumulative rows as machine-readable JSON."""
+        """``--profile PATH`` prints the table and also writes the same
+        top-25 cumulative rows to PATH as machine-readable JSON."""
         path = tmp_path / "profile.json"
-        code = main(["run", "fig6", "--profile-json", str(path),
+        code = main(["run", "fig6", "--profile", str(path),
                      "--scale", "0.02", "--seed", "3"])
         out = capsys.readouterr().out
         assert code in (0, 1)
@@ -209,9 +210,13 @@ class TestCommands:
         code = main(["sweep", "fig6", "--param", "repetitions=4,6",
                      "--seed", "2", "--no-cache"])
         out = capsys.readouterr().out
-        assert "sweep fig6" in out
-        assert "repetitions=4" in out and "repetitions=6" in out
         assert code in (0, 1)
+        # One line per fused window, then the summary and the store.
+        assert "[vector/probe-train kernel] 2 points (0 resumed)" in out
+        assert "/2 points pass (0 resumed) ==" in out
+        assert "2 points, npz]" in out or "2 points, parquet]" in out
+        # A passing point prints no series table.
+        assert "mean_access_de" not in out
 
     def test_sweep_rejects_malformed_param(self, capsys):
         assert main(["sweep", "fig6", "--param", "nonsense"]) == 2
@@ -232,6 +237,12 @@ class TestCommands:
             build_parser().parse_args([])
 
 
+def _default_store(tmp_path, experiment="fig6"):
+    """Where a ``sweep`` without ``--store`` writes (see the autouse
+    ``isolated_cache`` fixture)."""
+    return tmp_path / "cache" / "sweeps" / experiment
+
+
 class TestCrashSafety:
     """Manifests, --resume, --report, and damage-tolerant cache ls."""
 
@@ -249,45 +260,76 @@ class TestCrashSafety:
         assert len(manifest.records) == 2
         assert all(r.status in ("done", "failed")
                    for r in manifest.records.values())
+        assert set(store_payloads(_default_store(tmp_path))) \
+            == set(manifest.records)
+
+    def test_sweep_defaults_to_store_under_cache_dir(self, tmp_path,
+                                                     capsys):
+        """No ``--store``: the store and its journal land under the
+        cache dir (``--cache-dir`` wins over the environment), even
+        with ``--no-cache`` — the store is the sweep's output."""
+        cache_dir = tmp_path / "elsewhere"
+        code = main(self._sweep("--cache-dir", str(cache_dir),
+                                "--no-cache"))
+        out = capsys.readouterr().out
+        assert code in (0, 1)
+        root = cache_dir / "sweeps" / "fig6"
+        assert f"[store {root}: 2 points" in out
+        Manifest.load(root / "manifest.jsonl").require("sweep", "fig6")
+        assert len(store_payloads(root)) == 2
+        # The JSON result cache itself stays untouched.
+        assert ResultCache(cache_dir).entries() == []
 
     def test_resume_skips_completed_points(self, tmp_path, capsys):
-        path = tmp_path / "m.jsonl"
-        main(self._sweep("--manifest", str(path)))
+        root = _default_store(tmp_path)
+        main(self._sweep())
         first = capsys.readouterr().out
-        code = main(self._sweep("--resume", str(path)))
+        stored = store_payloads(root)
+        report_path = tmp_path / "report.json"
+        code = main(self._sweep("--resume", str(root / "manifest.jsonl"),
+                                "--report", str(report_path)))
         second = capsys.readouterr().out
         assert code in (0, 1)
-        assert second.count("[resumed]") == 2
-        # Resumed output matches the original, provenance lines aside.
-        strip = lambda text: [
-            line.replace(" [cached]", "").replace(" [resumed]", "")
-            for line in text.splitlines()
-            if not line.startswith("   [")]
-        assert strip(first) == strip(second)
+        assert "[vector/probe-train kernel] 2 points (2 resumed)" \
+            in second
+        # Same summary as the original, every point resumed.
+        summary = [line for line in first.splitlines()
+                   if line.startswith("== sweep")]
+        assert [line.replace("(0 resumed)", "(2 resumed)")
+                for line in summary] == \
+            [line for line in second.splitlines()
+             if line.startswith("== sweep")]
+        report = json.loads(report_path.read_text())
+        assert [p["resumed"] for p in report["points"]] == [True, True]
+        # Nothing re-ran, so the store holds the original payloads.
+        assert store_payloads(root) == stored
 
     def test_resume_does_not_duplicate_journal_lines(self, tmp_path,
                                                      capsys):
-        path = tmp_path / "m.jsonl"
-        main(self._sweep("--manifest", str(path)))
+        path = _default_store(tmp_path) / "manifest.jsonl"
+        main(self._sweep())
         lines_after_run = path.read_text().count("\n")
         main(self._sweep("--resume", str(path)))
         capsys.readouterr()
         assert path.read_text().count("\n") == lines_after_run
 
     def test_resume_refuses_no_cache(self, tmp_path, capsys):
+        """``run --resume`` serves finished experiments from the result
+        cache, so it cannot work with ``--no-cache``."""
         path = tmp_path / "m.jsonl"
-        main(self._sweep("--manifest", str(path)))
+        argv = ["run", "fig6", "--scale", "0.02", "--seed", "2"]
+        main(argv + ["--manifest", str(path)])
         capsys.readouterr()
-        code = main(self._sweep("--resume", str(path), "--no-cache"))
+        code = main(argv + ["--resume", str(path), "--no-cache"])
         assert code == 2
         assert "--no-cache" in capsys.readouterr().err
 
     def test_resume_refuses_wrong_experiment(self, tmp_path, capsys):
-        path = tmp_path / "m.jsonl"
-        main(self._sweep("--manifest", str(path)))
+        main(self._sweep())
         capsys.readouterr()
         code = main(["sweep", "fig7", "--param", "repetitions=4",
-                     "--resume", str(path)])
+                     "--resume",
+                     str(_default_store(tmp_path) / "manifest.jsonl")])
         assert code == 2
         assert "refusing to resume" in capsys.readouterr().err
 
@@ -311,8 +353,14 @@ class TestCrashSafety:
         assert point["experiment"] == "fig6"
         assert point["label"] == "repetitions=4"
         assert point["status"] in ("done", "failed")
-        assert point["cache_key"]
+        assert point["backend"] == "vector"
+        assert point["resumed"] is False
         assert sum(report["counts"].values()) == 2
+        assert report["store_path"] == str(_default_store(tmp_path))
+        assert report["store"]["points"] == 2
+        assert report["fused_groups"] == {"vector/probe-train kernel": 2}
+        assert set(store_payloads(_default_store(tmp_path))) == {
+            p["point_id"] for p in report["points"]}
 
     def test_run_all_report_counts_errors(self, tmp_path, capsys,
                                           monkeypatch):

@@ -10,9 +10,9 @@ contract (see ``repro.runtime.faults``):
   ``cache ls`` reports the damage;
 * a torn manifest tail (mid-crash append) does not poison
   ``--resume``;
-* a sweep SIGKILLed mid-flight and restarted with ``--resume``
-  produces byte-identical cache contents to an uninterrupted sweep,
-  re-executing only the incomplete points.
+* a sweep SIGKILLed mid-flight and restarted with ``--resume`` from
+  its default store re-executes only the incomplete points, and every
+  stored payload is byte-identical to a standalone run of the point.
 
 All tests are ``chaos``-marked: tier-1 skips them, the CI chaos job
 runs them with ``pytest -m chaos``.
@@ -27,6 +27,10 @@ import sys
 
 import pytest
 
+from helpers import store_payloads
+from repro.runtime import registry
+from repro.runtime.manifest import point_id
+
 pytestmark = pytest.mark.chaos
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -39,6 +43,7 @@ def run_cli(args, cache_dir, env_extra=None, timeout=600):
     env = dict(os.environ, PYTHONPATH=str(SRC),
                REPRO_CACHE_DIR=str(cache_dir))
     env.pop("REPRO_FAULTS", None)
+    env.pop("REPRO_SWEEP_WINDOW", None)
     env.update(env_extra or {})
     return subprocess.run(
         [sys.executable, "-m", "repro", *args],
@@ -114,58 +119,62 @@ class TestCacheCorruptionQuarantine:
 class TestTornJournalRecovery:
     def test_resume_survives_torn_manifest_tail(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        manifest = tmp_path / "m.jsonl"
-        full = run_cli(SWEEP + ["--manifest", str(manifest)], cache_dir)
+        journal = cache_dir / "sweeps" / "fig6" / "manifest.jsonl"
+        full = run_cli(SWEEP, cache_dir)
         assert full.returncode == 0, full.stderr
         # Simulate a crash mid-append: a torn, newline-less fragment.
-        with open(manifest, "a") as handle:
+        with open(journal, "a") as handle:
             handle.write('{"kind": "point", "point_id": "t, TORN')
-        resumed = run_cli(SWEEP + ["--resume", str(manifest)],
-                          cache_dir)
+        resumed = run_cli(SWEEP + ["--resume", str(journal)], cache_dir)
         assert resumed.returncode == 0, resumed.stderr
-        assert resumed.stdout.count("[resumed]") == 3
+        assert "3/3 points pass (3 resumed)" in resumed.stdout
 
 
 class TestKillAndResume:
     def test_sigkilled_sweep_resumes_byte_identical(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        manifest = tmp_path / "m.jsonl"
+        store = cache_dir / "sweeps" / "fig6"
+        journal = store / "manifest.jsonl"
         report = tmp_path / "report.json"
 
+        # One point per window, so the kill after the first point
+        # leaves a genuinely partial store and journal.
         killed = run_cli(
-            SWEEP + ["--manifest", str(manifest)], cache_dir,
-            env_extra={"REPRO_FAULTS": "kill-after-points=1"})
+            SWEEP, cache_dir,
+            env_extra={"REPRO_FAULTS": "kill-after-points=1",
+                       "REPRO_SWEEP_WINDOW": "1"})
         assert killed.returncode == -signal.SIGKILL
-        journal = [json.loads(line) for line in
-                   manifest.read_text().splitlines()]
-        assert [r["status"] for r in journal if r["kind"] == "point"] \
+        rows = [json.loads(line) for line in
+                journal.read_text().splitlines()]
+        assert [r["status"] for r in rows if r["kind"] == "point"] \
             == ["done"]
+        assert len(store_payloads(store)) == 1
 
         resumed = run_cli(
-            SWEEP + ["--resume", str(manifest),
-                     "--report", str(report)], cache_dir)
+            SWEEP + ["--resume", str(journal), "--report", str(report)],
+            cache_dir)
         assert resumed.returncode == 0, resumed.stderr
-        # Only the completed point is served from the journal; the
-        # two incomplete ones are (re)computed.
-        assert resumed.stdout.count("[resumed]") == 1
-        assert resumed.stdout.count("computed in") == 2
+        # Only the completed point is served; the two incomplete ones
+        # are executed.
+        assert "3/3 points pass (1 resumed)" in resumed.stdout
         payload = json.loads(report.read_text())
         assert payload["counts"] == {"done": 3}
+        assert [p["resumed"] for p in payload["points"]] \
+            == [True, False, False]
 
-        # Byte-identical cache contents vs an uninterrupted sweep.
-        clean = run_cli(SWEEP, tmp_path / "clean")
-        assert clean.returncode == 0, clean.stderr
-        assert cache_bytes(cache_dir) == cache_bytes(tmp_path / "clean")
+        # Every stored payload is byte-identical to a standalone run.
+        stored = store_payloads(store)
+        experiment = registry.get("fig6")
+        assert len(stored) == 3
+        for repetitions in (4, 6, 8):
+            report_ = experiment.run(
+                seed=2, overrides={"repetitions": repetitions},
+                backend="auto")
+            pid = point_id("fig6", report_.kwargs)
+            assert stored[pid] == json.dumps(report_.result.to_dict())
 
-        # No partially-written cache entries survive the SIGKILL:
-        # every entry on disk parses and passes its checksum.
-        listing = run_cli(["cache", "ls"], cache_dir)
-        assert listing.returncode == 0
-        assert "malformed" not in listing.stdout
-        assert "quarantined" not in listing.stdout
-
-        # A second resume is pure cache/journal service: nothing runs.
-        again = run_cli(SWEEP + ["--resume", str(manifest)], cache_dir)
+        # A second resume is pure store/journal service: nothing runs.
+        again = run_cli(SWEEP + ["--resume", str(journal)], cache_dir)
         assert again.returncode == 0, again.stderr
-        assert again.stdout.count("[resumed]") == 3
-        assert "computed in" not in again.stdout
+        assert "3/3 points pass (3 resumed)" in again.stdout
+        assert store_payloads(store) == stored

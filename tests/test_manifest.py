@@ -48,9 +48,9 @@ class TestCreateAndLoad:
 
     def test_round_trip(self, manifest):
         pid = point_id("fig6", {"repetitions": 4})
-        manifest.record(PointRecord(point_id=pid, status="done",
-                                    label="repetitions=4",
-                                    cache_key="abc123"))
+        manifest.record_many([PointRecord(point_id=pid, status="done",
+                                          label="repetitions=4",
+                                          cache_key="abc123")])
         loaded = Manifest.load(manifest.path)
         record = loaded.get(pid)
         assert record is not None
@@ -60,24 +60,24 @@ class TestCreateAndLoad:
 
     def test_last_record_wins(self, manifest):
         pid = point_id("fig6", {"repetitions": 4})
-        manifest.record(PointRecord(point_id=pid, status="error",
-                                    error="boom"))
-        manifest.record(PointRecord(point_id=pid, status="done",
-                                    cache_key="k"))
+        manifest.record_many([PointRecord(point_id=pid, status="error",
+                                          error="boom")])
+        manifest.record_many([PointRecord(point_id=pid, status="done",
+                                          cache_key="k")])
         loaded = Manifest.load(manifest.path)
         assert loaded.get(pid).status == "done"
 
     def test_counts(self, manifest):
-        manifest.record(PointRecord(point_id="a", status="done"))
-        manifest.record(PointRecord(point_id="b", status="failed"))
-        manifest.record(PointRecord(point_id="c", status="error"))
+        manifest.record_many([PointRecord(point_id="a", status="done"),
+                              PointRecord(point_id="b", status="failed"),
+                              PointRecord(point_id="c", status="error")])
         assert Manifest.load(manifest.path).counts() == {
             "done": 1, "failed": 1, "error": 1}
 
     def test_create_replaces_existing_journal(self, tmp_path):
         path = tmp_path / "m.jsonl"
         first = Manifest.create(path, "sweep", "fig6")
-        first.record(PointRecord(point_id="x", status="done"))
+        first.record_many([PointRecord(point_id="x", status="done")])
         fresh = Manifest.create(path, "sweep", "fig6")
         assert fresh.records == {}
         assert Manifest.load(path).records == {}
@@ -88,7 +88,7 @@ class TestTornTail:
 
     def test_torn_final_line_without_newline_dropped(self, manifest):
         pid = point_id("fig6", {"repetitions": 4})
-        manifest.record(PointRecord(point_id=pid, status="done"))
+        manifest.record_many([PointRecord(point_id=pid, status="done")])
         with open(manifest.path, "a") as handle:
             handle.write('{"kind": "point", "point_id": "t, TORN')
         loaded = Manifest.load(manifest.path)
@@ -96,7 +96,7 @@ class TestTornTail:
         assert len(loaded.records) == 1
 
     def test_torn_final_line_with_newline_dropped(self, manifest):
-        manifest.record(PointRecord(point_id="a", status="done"))
+        manifest.record_many([PointRecord(point_id="a", status="done")])
         with open(manifest.path, "a") as handle:
             handle.write('{"kind": "po\n')
         loaded = Manifest.load(manifest.path)
@@ -155,4 +155,8 @@ class TestValidation:
 
     def test_record_rejects_unknown_status(self, manifest):
         with pytest.raises(ValueError, match="status"):
-            manifest.record(PointRecord(point_id="a", status="shrug"))
+            manifest.record_many([PointRecord(point_id="a", status="done"),
+                                  PointRecord(point_id="b",
+                                              status="shrug")])
+        # A batch with a bad record writes nothing at all.
+        assert Manifest.load(manifest.path).records == {}

@@ -572,12 +572,21 @@ class TestRunAdaptive:
 # ----------------------------------------------------------------------
 
 class TestSweepCli:
-    def test_adapt_without_store_is_an_error(self, capsys):
+    def test_adapt_without_store_uses_default_store(
+            self, tmp_path, npz_only, knee_experiment, monkeypatch,
+            capsys):
+        """Refinement waves read the curve back from the store a sweep
+        always writes — by default under the cache dir."""
         from repro import cli
-        code = cli.main(["sweep", "eq1", "--param", "repetitions=2,3",
-                         "--adapt", "4"])
-        assert code == 2
-        assert "--store" in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        code = cli.main(["sweep", "test-knee",
+                         "--param", "x=0,2,4,6,8,10",
+                         "--adapt", "4", "--metric", "response"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "[wave 0]" in out and "[wave 1]" in out
+        store = SweepStore.open(tmp_path / "cache" / "sweeps" / "test-knee")
+        assert 6 < store.stats()["points"] <= 10
 
     def test_cache_stats_reports_store(self, tmp_path, npz_only,
                                        capsys):

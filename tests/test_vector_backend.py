@@ -16,6 +16,7 @@ import pytest
 
 from helpers import seed_params
 from repro.analysis.saturation import dcf_saturation_study, simulate_saturated
+from repro.backends import BatchRequest
 from repro.mac.frames import AirtimeModel
 from repro.mac.params import PhyParams
 from repro.runtime import executor
@@ -148,22 +149,37 @@ class TestEventEquivalence:
 
 class TestBatchRouting:
     def test_unknown_backend_rejected(self):
+        request = BatchRequest(repetitions=4, seed=0,
+                               event_task=lambda s: s)
         with pytest.raises(ValueError, match="unknown backend"):
-            executor.run_batch(lambda s: s, 4, 0, backend="quantum")
+            executor.run_batch(request, backend="quantum")
 
     def test_vector_requires_kernel(self):
+        request = BatchRequest(repetitions=4, seed=0,
+                               event_task=lambda s: s)
         with pytest.raises(ValueError, match="no vector kernel"):
-            executor.run_batch(lambda s: s, 4, 0, backend="vector")
+            executor.run_batch(request, backend="vector")
 
     def test_event_maps_derived_seeds(self):
-        out = executor.run_batch(lambda s: s, 5, 7, backend="event")
+        out = executor.run_batch(
+            BatchRequest(repetitions=5, seed=7, event_task=lambda s: s),
+            backend="event")
         assert out == executor.derive_seeds(7, 5)
 
-    def test_vector_gets_batch_seed(self):
+    def test_vector_gets_derived_seed_array(self):
         seen = []
-        executor.run_batch(lambda s: seen.append(s), 5, 7, backend="vector",
-                           vector_batch=lambda s: seen.append(s))
-        assert seen == [7]
+        executor.run_batch(
+            BatchRequest(repetitions=5, seed=7,
+                         event_task=lambda s: seen.append(s),
+                         batch_task=lambda seeds: seen.append(seeds)),
+            backend="vector")
+        assert seen == [executor.derive_seeds(7, 5)]
+
+    def test_legacy_positional_call_rejected(self):
+        with pytest.raises(TypeError):
+            executor.run_batch(lambda s: s, 4, 0)
+        with pytest.raises(TypeError, match="BatchRequest"):
+            executor.run_batch(lambda s: s, backend="event")
 
     def test_derive_seeds_validation(self):
         with pytest.raises(ValueError):
