@@ -51,18 +51,21 @@ event`` / ``--backend vector`` / ``--backend jit`` force a family
 without numba installed — fails with the structured reason); ``run
 EXPERIMENT --explain-backend`` prints the dispatch decision without
 running anything.  ``run`` (including ``run all``) and ``sweep``
-share the full flag set.  ``run EXPERIMENT --profile`` prints the
-top-25 cumulative cProfile rows, and ``--profile PATH`` also writes
-the same table to PATH as structured JSON.
+share the execution, journal and report flags; ``--no-cache`` is
+``run``'s alone, since a sweep's store is its output, not a cache.
+``run EXPERIMENT --profile`` prints the top-25 cumulative cProfile
+rows, and ``--profile PATH`` also writes the same table to PATH as
+structured JSON.
 
 ``sweep`` is the fused sweep engine for dense parameter atlases:
 grid points are grouped by resolved backend/kernel and executed in
 fused windows (one worker fan-out per window instead of one per
 point), with results appended to a chunked columnar store — parquet
 when pyarrow is importable, compressed npz otherwise — at ``--store
-DIR``, by default ``<cache dir>/sweeps/<experiment>``.  Payloads are
-bit-identical to standalone ``run`` invocations.  ``--adapt N``
-follows the coarse grid with curvature-guided refinement waves, and
+DIR``, by default ``<cache dir>/sweeps/<experiment>``; a new sweep
+replaces what its store held.  Payloads are bit-identical to
+standalone ``run`` invocations.  ``--adapt N`` follows the coarse
+grid with curvature-guided refinement waves, and
 ``cache stats`` reports disk usage for the JSON cache and any
 ``--store`` directories in one JSON document.
 """
@@ -74,7 +77,7 @@ import json
 import os
 import pathlib
 import sys
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from typing import Dict, List, Optional
 
 from repro.analytic.bianchi import BianchiModel
@@ -435,16 +438,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     fused windows (one worker fan-out per window instead of one per
     point), with results appended to a columnar store — the path that
     makes 10^5-point parameter atlases affordable.  The store lives at
-    ``--store DIR``, by default ``<cache dir>/sweeps/<experiment>``;
-    it is the sweep's output, not a cache, so ``--no-cache`` does not
-    skip it.  Every window is journalled to ``--manifest``, by default
+    ``--store DIR``, by default ``<cache dir>/sweeps/<experiment>``,
+    and a sweep started without ``--resume`` replaces its contents.
+    Every window is journalled to ``--manifest``, by default
     ``<store>/manifest.jsonl``, so every sweep is resumable: after a
     crash (or Ctrl-C, or SIGKILL) ``--resume MANIFEST`` reopens the
-    store and skips exactly the points whose journal record *and*
-    store row both say ``done``.  ``--adapt N`` follows the
-    coarse grid with curvature-guided refinement waves along the one
-    multi-valued ``--param`` axis, scoring points by ``--metric`` (a
-    series name; default the first series).
+    store the journal names and skips exactly the points whose
+    journal record *and* store row both say ``done``.  ``--adapt N``
+    follows the coarse grid with curvature-guided refinement waves
+    along the one multi-valued ``--param`` axis, scoring points by
+    ``--metric`` (a series name; default the first series).
 
     Progress prints one line per fused window, plus one line per
     failing point — a dense atlas must not print a million rows.
@@ -460,20 +463,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    root = pathlib.Path(args.store) if args.store is not None \
-        else ResultCache(args.cache_dir).root / "sweeps" / args.experiment
+    root = args.store or \
+        ResultCache(args.cache_dir).root / "sweeps" / args.experiment
     try:
         if args.resume is not None:
-            # The journal first: resuming the wrong experiment must be
-            # refused as such, not fail on a store it never wrote.
+            # The journal first: it names the store (--store overrides
+            # it), and resuming the wrong experiment must be refused as
+            # such, not fail on a store it never wrote.
             manifest = Manifest.load(args.resume)
             manifest.require("sweep", args.experiment)
+            if args.store is None:
+                root = manifest.header["invocation"].get("store", root)
             store = SweepStore.open(root)
         else:
             store = SweepStore.create(
                 root, args.experiment, params=[name for name, _ in specs])
             manifest = Manifest.create(
-                args.manifest or root / "manifest.jsonl",
+                args.manifest or pathlib.Path(root) / "manifest.jsonl",
                 "sweep", args.experiment,
                 invocation={"scale": args.scale, "seed": args.seed,
                             "backend": args.backend,
@@ -493,20 +499,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     waves: Dict[int, Dict[str, object]] = {}
     failed = resumed = 0
     try:
-        if args.adapt is not None:
-            outcome_stream = run_adaptive(
-                experiment, specs, adapt=args.adapt,
-                metric=args.metric, scale=args.scale, seed=args.seed,
-                backend=args.backend, jobs=args.jobs, store=store,
-                manifest=manifest, refresh=args.refresh)
-        else:
-            plan = SweepPlan(experiment, expand_grid(specs),
-                             scale=args.scale, seed=args.seed,
-                             backend=args.backend)
-            outcome_stream = run_plan(
-                plan, jobs=args.jobs, store=store, manifest=manifest,
-                refresh=args.refresh)
-        with chunk_scope, fault_scope:
+        # closing() inside the try: a flush that fails on close (say,
+        # a full disk) is reported like any other store error.
+        with chunk_scope, fault_scope, closing(store):
+            if args.adapt is not None:
+                outcome_stream = run_adaptive(
+                    experiment, specs, adapt=args.adapt,
+                    metric=args.metric, scale=args.scale,
+                    seed=args.seed, backend=args.backend,
+                    jobs=args.jobs, store=store, manifest=manifest,
+                    refresh=args.refresh)
+            else:
+                plan = SweepPlan(experiment, expand_grid(specs),
+                                 scale=args.scale, seed=args.seed,
+                                 backend=args.backend)
+                outcome_stream = run_plan(
+                    plan, jobs=args.jobs, store=store,
+                    manifest=manifest, refresh=args.refresh)
             for window in outcome_stream:
                 wave_note = f"[wave {window.wave}] " \
                     if args.adapt is not None else ""
@@ -554,8 +563,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except (ManifestError, StoreError, ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    finally:
-        store.close()
     done = len(records) - failed
     print(f"== sweep {args.experiment}: {done}/{len(records)} points "
           f"pass ({resumed} resumed"
@@ -692,8 +699,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help="write the structured per-point "
                              "success/failure/retry summary as JSON "
                              "to PATH")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="neither read nor write the result cache")
     parser.add_argument("--refresh", action="store_true",
                         help="recompute even on a cache hit (and "
                              "store the fresh result)")
@@ -729,6 +734,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "structured JSON there (implies --no-cache "
                           "and --jobs 1, so the profile measures the "
                           "simulation in this process)")
+    run.add_argument("--no-cache", action="store_true",
+                     help="neither read nor write the result cache")
     _add_run_options(run)
     run.set_defaults(func=cmd_run)
     sweep = sub.add_parser(
@@ -740,12 +747,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "(repeatable; grid = Cartesian product)")
     sweep.add_argument("--store", default=None, metavar="DIR",
                        help="columnar store the sweep's results are "
-                            "appended to (parquet when pyarrow is "
+                            "written to (parquet when pyarrow is "
                             "installed, compressed npz otherwise; "
-                            "default <cache dir>/sweeps/EXPERIMENT, "
-                            "written even with --no-cache); with "
-                            "--resume the store is reopened and "
-                            "completed points are skipped")
+                            "default <cache dir>/sweeps/EXPERIMENT). "
+                            "A new sweep replaces the store's earlier "
+                            "results, so pass a DIR of its own to keep "
+                            "one; with --resume the store the journal "
+                            "names is reopened and completed points "
+                            "are skipped")
     sweep.add_argument("--adapt", type=int, default=None, metavar="N",
                        help="after the coarse grid, add up to N "
                             "refinement points where the response "

@@ -208,7 +208,7 @@ class TestCommands:
 
     def test_sweep_prints_summary(self, capsys):
         code = main(["sweep", "fig6", "--param", "repetitions=4,6",
-                     "--seed", "2", "--no-cache"])
+                     "--seed", "2"])
         out = capsys.readouterr().out
         assert code in (0, 1)
         # One line per fused window, then the summary and the store.
@@ -235,6 +235,15 @@ class TestCommands:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_no_cache_is_a_run_option_only(self):
+        """A sweep's store is its output, not a cache: ``sweep`` has
+        no ``--no-cache`` to (not) honour."""
+        parser = build_parser()
+        assert parser.parse_args(["run", "fig6", "--no-cache"]).no_cache
+        with pytest.raises(SystemExit):
+            parser.parse_args(["sweep", "fig6", "--param",
+                               "repetitions=4", "--no-cache"])
 
 
 def _default_store(tmp_path, experiment="fig6"):
@@ -266,11 +275,9 @@ class TestCrashSafety:
     def test_sweep_defaults_to_store_under_cache_dir(self, tmp_path,
                                                      capsys):
         """No ``--store``: the store and its journal land under the
-        cache dir (``--cache-dir`` wins over the environment), even
-        with ``--no-cache`` — the store is the sweep's output."""
+        cache dir (``--cache-dir`` wins over the environment)."""
         cache_dir = tmp_path / "elsewhere"
-        code = main(self._sweep("--cache-dir", str(cache_dir),
-                                "--no-cache"))
+        code = main(self._sweep("--cache-dir", str(cache_dir)))
         out = capsys.readouterr().out
         assert code in (0, 1)
         root = cache_dir / "sweeps" / "fig6"
@@ -312,6 +319,133 @@ class TestCrashSafety:
         main(self._sweep("--resume", str(path)))
         capsys.readouterr()
         assert path.read_text().count("\n") == lines_after_run
+
+    def test_resume_reopens_the_store_its_journal_names(self, tmp_path,
+                                                         capsys):
+        """``--resume`` without ``--store`` finds a ``--store DIR``
+        sweep's store through the journal, not the default path."""
+        atlas = tmp_path / "atlas"
+        main(self._sweep("--store", str(atlas)))
+        capsys.readouterr()
+        stored = store_payloads(atlas)
+        code = main(self._sweep("--resume", str(atlas / "manifest.jsonl")))
+        out = capsys.readouterr().out
+        assert code in (0, 1)
+        assert "2 points (2 resumed)" in out
+        assert f"[store {atlas}: 2 points" in out
+        assert store_payloads(atlas) == stored
+        assert not _default_store(tmp_path).exists()
+
+    def test_new_sweep_replaces_the_default_store(self, tmp_path,
+                                                  capsys):
+        """Without ``--resume`` a sweep starts its store afresh: the
+        default store holds one sweep of each experiment."""
+        main(self._sweep())
+        main(["sweep", "fig6", "--param", "repetitions=8", "--seed", "2"])
+        out = capsys.readouterr().out
+        assert "/1 points pass (0 resumed) ==" in out
+        root = _default_store(tmp_path)
+        assert len(store_payloads(root)) == 1
+        assert len(Manifest.load(root / "manifest.jsonl").records) == 1
+
+    def test_store_close_failure_exits_cleanly(self, tmp_path, capsys,
+                                               monkeypatch):
+        """A store that cannot flush (say, a full disk) fails the sweep
+        with exit 2 and the error, also when the final flush on close
+        fails again."""
+        from repro.runtime.store import SweepStore
+
+        def full_disk(self):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(SweepStore, "flush", full_disk)
+        code = main(self._sweep())
+        assert code == 2
+        assert "No space left on device" in capsys.readouterr().err
+
+    def test_run_resume_serves_done_experiment_from_cache(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "m.jsonl"
+        report_path = tmp_path / "report.json"
+        argv = ["run", "fig6", "--scale", "0.02", "--seed", "2"]
+        assert main(argv + ["--manifest", str(path)]) == 0
+        first = capsys.readouterr().out
+        lines_after_run = path.read_text().count("\n")
+        code = main(argv + ["--resume", str(path),
+                            "--report", str(report_path)])
+        second = capsys.readouterr().out
+        assert code == 0
+        assert "[cache hit " in second
+        (point,) = json.loads(report_path.read_text())["points"]
+        assert point["resumed"] is True and point["cached"] is True
+        assert point["status"] == "done"
+        # The journal already says done: nothing is appended.
+        assert path.read_text().count("\n") == lines_after_run
+        strip = lambda text: [line for line in text.splitlines()
+                              if not line.startswith("   [")]
+        assert strip(first) == strip(second)
+
+    def test_run_resume_reruns_when_cache_entry_is_gone(self, tmp_path,
+                                                        capsys):
+        """The journal alone is not enough: a done experiment whose
+        cache entry is gone re-runs, and is journalled again."""
+        path = tmp_path / "m.jsonl"
+        report_path = tmp_path / "report.json"
+        argv = ["run", "fig6", "--scale", "0.02", "--seed", "2"]
+        main(argv + ["--manifest", str(path)])
+        lines_after_run = path.read_text().count("\n")
+        ResultCache().clear()
+        capsys.readouterr()
+        code = main(argv + ["--resume", str(path),
+                            "--report", str(report_path)])
+        assert code == 0
+        assert "computed in" in capsys.readouterr().out
+        (point,) = json.loads(report_path.read_text())["points"]
+        assert point["resumed"] is False and point["cached"] is False
+        assert path.read_text().count("\n") == lines_after_run + 1
+
+    def test_killed_run_all_resumes_unfinished_experiments(
+            self, tmp_path, capsys, monkeypatch):
+        """``kill-after-points=1`` stops ``run all`` after its first
+        experiment; ``--resume`` serves that one and runs the rest."""
+        import dataclasses
+        import os
+        import signal
+
+        class Killed(BaseException):
+            """Stands in for the SIGKILL, which would end pytest too."""
+
+        real_kill = os.kill
+
+        def kill(pid, sig):
+            if pid == os.getpid() and sig == signal.SIGKILL:
+                raise Killed
+            real_kill(pid, sig)
+
+        fig6 = registry.get("fig6")
+        monkeypatch.setattr(registry, "_EXPERIMENTS", {
+            name: dataclasses.replace(fig6, name=name)
+            for name in ("t-a", "t-b", "t-c")})
+        monkeypatch.setattr(os, "kill", kill)
+        monkeypatch.setenv("REPRO_FAULTS", "kill-after-points=1")
+        path = tmp_path / "m.jsonl"
+        argv = ["run", "all", "--scale", "0.02", "--seed", "2"]
+        with pytest.raises(Killed):
+            main(argv + ["--manifest", str(path)])
+        assert [r.label for r in Manifest.load(path).records.values()] \
+            == ["t-a"]
+        monkeypatch.delenv("REPRO_FAULTS")
+        report_path = tmp_path / "report.json"
+        capsys.readouterr()
+        code = main(argv + ["--resume", str(path),
+                            "--report", str(report_path)])
+        assert code == 0
+        assert capsys.readouterr().out.count("[cache hit ") == 1
+        points = json.loads(report_path.read_text())["points"]
+        assert [(p["experiment"], p["resumed"]) for p in points] \
+            == [("t-a", True), ("t-b", False), ("t-c", False)]
+        assert {r.status for r in Manifest.load(path).records.values()} \
+            == {"done"}
 
     def test_resume_refuses_no_cache(self, tmp_path, capsys):
         """``run --resume`` serves finished experiments from the result

@@ -12,7 +12,9 @@ contract (see ``repro.runtime.faults``):
   ``--resume``;
 * a sweep SIGKILLed mid-flight and restarted with ``--resume`` from
   its default store re-executes only the incomplete points, and every
-  stored payload is byte-identical to a standalone run of the point.
+  stored payload is byte-identical to a standalone run of the point;
+* a ``run`` SIGKILLed after journalling its experiment resumes as a
+  cache hit, journal and cache bytes unchanged.
 
 All tests are ``chaos``-marked: tier-1 skips them, the CI chaos job
 runs them with ``pytest -m chaos``.
@@ -178,3 +180,30 @@ class TestKillAndResume:
         assert again.returncode == 0, again.stderr
         assert "3/3 points pass (3 resumed)" in again.stdout
         assert store_payloads(store) == stored
+
+    def test_sigkilled_run_resumes_from_cache(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        journal = tmp_path / "m.jsonl"
+        report = tmp_path / "report.json"
+        argv = ["run", "fig6", "--scale", "0.05", "--seed", "3"]
+
+        # Killed right after the experiment is journalled.
+        killed = run_cli(argv + ["--manifest", str(journal)], cache_dir,
+                         env_extra={"REPRO_FAULTS": "kill-after-points=1"})
+        assert killed.returncode == -signal.SIGKILL
+        journal_bytes = journal.read_bytes()
+        rows = [json.loads(line) for line in journal_bytes.splitlines()]
+        assert [r["status"] for r in rows if r["kind"] == "point"] \
+            == ["done"]
+
+        resumed = run_cli(argv + ["--resume", str(journal),
+                                  "--report", str(report)], cache_dir)
+        assert resumed.returncode == 0, resumed.stderr
+        assert "[cache hit " in resumed.stdout
+        (point,) = json.loads(report.read_text())["points"]
+        assert point["resumed"] is True
+        assert journal.read_bytes() == journal_bytes
+        # The cache holds exactly what an undisturbed run stores.
+        clean = run_cli(argv, tmp_path / "clean")
+        assert clean.returncode == 0, clean.stderr
+        assert cache_bytes(cache_dir) == cache_bytes(tmp_path / "clean")
