@@ -527,6 +527,8 @@ def test_chunked_probe_batch_memory(benchmark):
     chunk = 1000
     train = ProbeTrain.at_rate(5, 5e6, 1500)
 
+    spec = ScenarioSpec(system="wlan", workload="train")
+
     def batch_task(seeds):
         return simulate_probe_train_batch(
             train.n, train.gap, len(seeds), size_bytes=1500,
@@ -534,7 +536,7 @@ def test_chunked_probe_batch_memory(benchmark):
 
     def dense():
         batch = run_batch(BatchRequest(repetitions=repetitions, seed=1,
-                                       batch_task=batch_task),
+                                       batch_task=batch_task, spec=spec),
                           backend="vector")
         return output_gaps_batch(batch.recv_times)
 
@@ -542,7 +544,7 @@ def test_chunked_probe_batch_memory(benchmark):
         return run_batch(
             BatchRequest(repetitions=repetitions, seed=1,
                          batch_task=batch_task, chunk_reps=chunk,
-                         reducer=OutputGapReducer),
+                         reducer=OutputGapReducer, spec=spec),
             backend="vector")
 
     tracemalloc.start()

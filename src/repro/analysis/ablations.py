@@ -25,11 +25,17 @@ import numpy as np
 from repro.analysis.results import ExperimentResult
 from repro.analytic.bianchi import BianchiModel
 from repro.analytic.rate_response import complete_rate_response
+from repro.backends import BatchRequest, ScenarioSpec, dispatch
 from repro.core.correction import mser_corrected_rate
 from repro.core.estimators import train_dispersion_rate
 from repro.core.transient import DelayMatrix, ks_profile
 from repro.mac.params import PhyParams
 from repro.mac.scenario import StationSpec, WlanScenario
+from repro.sim.probe_vector import (
+    CbrCrossSpec,
+    SteadyBatchResult,
+    simulate_steady_state_batch,
+)
 from repro.stats.warmup import fixed_truncation
 from repro.testbed.channel import SimulatedWlanChannel
 from repro.traffic.generators import CBRGenerator, PoissonGenerator
@@ -50,66 +56,55 @@ def ablation_bianchi_calibration(station_counts: Sequence[int] = (1, 2, 3, 4, 5)
     network is saturated; the simulator's aggregate throughput —
     averaged over ``repetitions`` independent runs per station count —
     must track the analytical prediction within a few percent for
-    every n.  The ``vector`` arm resolves each station count's whole
-    repetition batch through the probe-train kernel's steady-state
-    mode with batched CBR cross-traffic — station 0 carries the CBR
-    flow as the "probe", the remaining n-1 stations contend with
-    identical CBR sample paths, exactly the event scenario's symmetric
-    configuration.
+    every n.  Each station count is one repetition batch on the
+    resolved backend: the event engine runs the symmetric CBR
+    scenario per repetition (fanned out over ``--jobs``), the kernel
+    arm resolves the batch (in ``--chunk-reps`` chunks) through the
+    probe-train kernel's steady-state mode with batched CBR
+    cross-traffic — station 0 carries the CBR flow as the "probe", the
+    remaining n-1 stations contend with identical CBR sample paths,
+    exactly the event scenario's symmetric configuration.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    # Resolve auto against this study's own scenario, like the
-    # steady-state runners do.
-    from repro.backends import ScenarioSpec, dispatch
     spec = ScenarioSpec(system="wlan", workload="steady-cbr",
                         cross_traffic="cbr")
-    backend = dispatch.resolve(spec, backend).name
+    resolution = dispatch.resolve(spec, backend)
 
     counts = list(station_counts)
     bianchi = BianchiModel(phy, size_bytes)
     simulated = np.zeros(len(counts))
     predicted = np.zeros(len(counts))
     offered_bps = 9e6
-    if backend != "event":
-        from repro.sim.jit import tier_scope, warm_kernels
-        from repro.sim.probe_vector import (
-            CbrCrossSpec,
-            simulate_steady_state_batch,
-        )
-        if backend == "jit":
-            warm_kernels()
-        pps = offered_bps / (size_bytes * 8)
-        with tier_scope(backend):
-            for k, n in enumerate(counts):
-                batch = simulate_steady_state_batch(
-                    offered_bps, repetitions, size_bytes=size_bytes,
-                    cross=[CbrCrossSpec(pps, size_bytes)] * (n - 1),
-                    duration=duration, warmup=warmup, phy=phy,
-                    seed=seed + k)
-                simulated[k] = float(np.mean(batch.probe_throughput_bps()
-                                             + batch.cross_throughput_bps()))
-                predicted[k] = bianchi.solve(n).total_throughput_bps
-    else:
-        scenario = WlanScenario(phy)
-        for k, n in enumerate(counts):
-            # Same per-repetition seed scheme as the kernel's batch
-            # (repro.runtime.executor.derive_seeds).
-            rep_seeds = np.random.SeedSequence(seed + k).generate_state(
-                repetitions)
-            totals = np.zeros(repetitions)
-            for j, rep_seed in enumerate(rep_seeds):
-                specs = [StationSpec(f"s{i}",
-                                     generator=CBRGenerator(offered_bps,
-                                                            size_bytes))
-                         for i in range(n)]
-                result = scenario.run(specs, horizon=duration,
-                                      seed=int(rep_seed), until=duration)
-                totals[j] = sum(
-                    result.station(f"s{i}").throughput_bps(warmup, duration)
-                    for i in range(n))
-            simulated[k] = float(totals.mean())
-            predicted[k] = bianchi.solve(n).total_throughput_bps
+    pps = offered_bps / (size_bytes * 8)
+    scenario = WlanScenario(phy)
+    for k, n in enumerate(counts):
+        def event_task(rep_seed: int) -> float:
+            """Aggregate throughput of one saturated repetition."""
+            specs = [StationSpec(f"s{i}",
+                                 generator=CBRGenerator(offered_bps,
+                                                        size_bytes))
+                     for i in range(n)]
+            result = scenario.run(specs, horizon=duration,
+                                  seed=rep_seed, until=duration)
+            return sum(result.station(f"s{i}").throughput_bps(warmup,
+                                                              duration)
+                       for i in range(n))
+
+        def batch_task(seeds) -> SteadyBatchResult:
+            """The steady-state kernel over one (possibly chunked) slice."""
+            return simulate_steady_state_batch(
+                offered_bps, len(seeds), size_bytes=size_bytes,
+                cross=[CbrCrossSpec(pps, size_bytes)] * (n - 1),
+                duration=duration, warmup=warmup, phy=phy, seeds=seeds)
+
+        out = resolution.backend.run_batch(BatchRequest(
+            repetitions=repetitions, seed=seed + k, event_task=event_task,
+            batch_task=batch_task, spec=spec))
+        if isinstance(out, SteadyBatchResult):
+            out = out.probe_throughput_bps() + out.cross_throughput_bps()
+        simulated[k] = float(np.mean(out))
+        predicted[k] = bianchi.solve(n).total_throughput_bps
     result = ExperimentResult(
         experiment="ablation-bianchi",
         title="DCF simulator vs. Bianchi saturation throughput",
@@ -117,7 +112,7 @@ def ablation_bianchi_calibration(station_counts: Sequence[int] = (1, 2, 3, 4, 5)
         x=np.array(counts, dtype=float),
         series={"simulated_bps": simulated, "bianchi_bps": predicted},
         meta={"duration_s": duration, "size_bytes": size_bytes,
-              "repetitions": repetitions, "backend": backend},
+              "repetitions": repetitions, "backend": resolution.name},
     )
     rel_err = np.abs(simulated - predicted) / predicted
     result.add_check("within-5pct", bool(np.all(rel_err <= 0.05)))

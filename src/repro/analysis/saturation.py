@@ -82,12 +82,11 @@ def simulate_saturated(n_stations: int, packets_per_station: int,
     them).
     """
     # Imported lazily: repro.runtime sits above the analysis layer.
-    from repro.backends import BatchRequest, ScenarioSpec, dispatch
+    from repro.backends import BatchRequest, ScenarioSpec
     from repro.runtime.executor import run_batch
     spec = ScenarioSpec(system="wlan", workload="saturated",
                         rts_cts=rts_threshold is not None,
                         retry_limit=retry_limit is not None)
-    backend = dispatch.resolve(spec, backend).name
     event_task = functools.partial(_event_repetition, n_stations,
                                    packets_per_station, size_bytes, phy,
                                    rts_threshold, retry_limit)
@@ -103,7 +102,7 @@ def simulate_saturated(n_stations: int, packets_per_station: int,
                                  event_task=event_task,
                                  batch_task=batch_task, spec=spec),
                     backend=backend)
-    if backend != "event":
+    if isinstance(out, VectorBatchResult):
         return out
     delays, durations, successes, collisions, drops = zip(*out)
     return VectorBatchResult(

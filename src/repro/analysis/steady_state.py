@@ -106,14 +106,13 @@ def steady_state_samples(probe_rate_bps: float,
     throughput distributions with KS tests.
     """
     # Imported lazily: repro.runtime sits above the analysis layer.
-    from repro.backends import BatchRequest, ScenarioSpec, dispatch
+    from repro.backends import BatchRequest, ScenarioSpec
     from repro.runtime.executor import run_batch
 
     spec = ScenarioSpec(
         system="wlan", workload="steady-cbr",
         cross_traffic="poisson" if cross_rate_bps > 0 else "none",
         fifo_cross="poisson" if fifo_rate_bps > 0 else "none")
-    backend = dispatch.resolve(spec, backend).name
 
     def event_task(rep_seed: int) -> Dict[str, float]:
         return steady_state_throughputs(

@@ -18,7 +18,6 @@ it (the event backend reaches the executor through a lazy import).
 from repro.backends.base import (
     Backend,
     BatchRequest,
-    CallerKernelBackend,
     EventBackend,
     FAMILIES,
     KERNEL_FAMILIES,
@@ -33,7 +32,6 @@ from repro.backends.base import (
 from repro.backends.dispatch import (
     BACKENDS,
     BackendUnavailableError,
-    CALLER_KERNEL,
     EVENT,
     REQUESTABLE,
     Resolution,
@@ -41,7 +39,6 @@ from repro.backends.dispatch import (
     explain,
     family_names,
     resolve,
-    vector_mismatch_reason,
 )
 from repro.backends.spec import (
     Capabilities,
@@ -55,8 +52,6 @@ __all__ = [
     "Backend",
     "BackendUnavailableError",
     "BatchRequest",
-    "CALLER_KERNEL",
-    "CallerKernelBackend",
     "Capabilities",
     "CapabilityMismatch",
     "EVENT",
@@ -78,5 +73,4 @@ __all__ = [
     "explain",
     "family_names",
     "resolve",
-    "vector_mismatch_reason",
 ]

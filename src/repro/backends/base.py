@@ -3,9 +3,13 @@
 A :class:`Backend` is one way to resolve a repetition batch: it has a
 CLI-facing ``name`` (the family users select with ``--backend``), a
 human ``kernel`` label, a ``speed_rank`` (smaller = preferred by
-``auto``), a declarative :meth:`Backend.capabilities` statement over
-the :class:`repro.backends.spec.ScenarioSpec` vocabulary, and a
-:meth:`Backend.run_batch` that executes a whole batch.
+``auto``), a declarative :attr:`Backend.capabilities` statement over
+the :class:`repro.backends.spec.ScenarioSpec` vocabulary (a class
+attribute, built once per backend class), and a
+:meth:`Backend.run_batch` that executes a whole batch.  That method is
+the only code that knows how a backend family runs a batch: channels,
+runners and the executor describe the batch as a :class:`BatchRequest`
+and hand it to the backend the dispatcher resolved.
 
 Five backends exist:
 
@@ -136,14 +140,12 @@ class Backend(abc.ABC):
     kernel: str = "event engine"
     #: Dispatch preference; ``auto`` picks the smallest eligible rank.
     speed_rank: int = 100
-
-    @abc.abstractmethod
-    def capabilities(self) -> Capabilities:
-        """What scenarios this backend can execute."""
+    #: What scenarios this backend can execute.
+    capabilities: Capabilities = Capabilities()
 
     def mismatches(self, spec: ScenarioSpec):
         """Structured reasons ``spec`` does not fit (empty = eligible)."""
-        return self.capabilities().mismatches(spec)
+        return self.capabilities.mismatches(spec)
 
     def unavailable_reason(self) -> Optional[str]:
         """Why this backend cannot run *here* (``None`` = it can).
@@ -156,6 +158,7 @@ class Backend(abc.ABC):
         """
         return None
 
+    @abc.abstractmethod
     def run_batch(self, request: "BatchRequest"):
         """Execute one :class:`BatchRequest` on this backend.
 
@@ -165,7 +168,6 @@ class Backend(abc.ABC):
         dense) and fold the chunk batches through the request's
         reducer.  Each backend consumes exactly one of the two tasks.
         """
-        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}/{self.kernel}>"
@@ -177,10 +179,6 @@ class EventBackend(Backend):
     name = "event"
     kernel = "event engine"
     speed_rank = 100
-
-    def capabilities(self) -> Capabilities:
-        """Every scenario axis, every value."""
-        return Capabilities()
 
     def run_batch(self, request):
         """Map the event task over the derived per-repetition seeds.
@@ -240,35 +238,6 @@ class _VectorBackend(Backend):
         return reducer.finalize()
 
 
-class CallerKernelBackend(_VectorBackend):
-    """Synthetic backend behind a forced ``vector`` with no spec.
-
-    A caller forcing ``backend='vector'`` while declaring no
-    :class:`~repro.backends.spec.ScenarioSpec` is trusted to know its
-    ``batch_task`` is a real kernel.  Routing that trust through this
-    backend (instead of bypassing the dispatcher, as the executor once
-    did) keeps the invariant that *every* run flows through a
-    :class:`repro.backends.dispatch.Resolution` — so result metadata
-    always records a backend — and gives caller-supplied kernels the
-    shared chunked execution path for free.  It never competes in
-    ``auto`` scans: the dispatcher constructs its resolution
-    explicitly and it is absent from the ``BACKENDS`` tuple.
-    """
-
-    kernel = "caller-supplied kernel"
-
-    def capabilities(self) -> Capabilities:
-        """Claims nothing — eligibility is asserted by the caller.
-
-        Never consulted in practice (this backend is not scanned), but
-        an empty claim keeps :meth:`mismatches` honest if it ever is.
-        """
-        return Capabilities(
-            systems=frozenset(), workloads=frozenset(),
-            cross_traffic=frozenset(), fifo_cross=frozenset(),
-            rts_cts=False, retry_limit=False, queue_traces=False)
-
-
 class ProbeTrainVectorBackend(_VectorBackend):
     """:mod:`repro.sim.probe_vector` — trains and steady CBR flows
     through contended DCF (FIFO cross-traffic may share the probe
@@ -276,17 +245,15 @@ class ProbeTrainVectorBackend(_VectorBackend):
 
     kernel = "probe-train kernel"
     speed_rank = 10
-
-    def capabilities(self) -> Capabilities:
-        """WLAN trains/steady flows; Poisson, CBR and on-off traffic
-        (mixed across stations), RTS/CTS, retry limits, queue traces."""
-        return Capabilities(
-            systems=frozenset({"wlan"}),
-            workloads=frozenset({"train", "steady-cbr"}),
-            cross_traffic=frozenset(
-                {"none", "poisson", "cbr", "onoff", "mixed"}),
-            fifo_cross=frozenset({"none", "poisson", "cbr", "onoff"}),
-            rts_cts=True, retry_limit=True, queue_traces=True)
+    #: WLAN trains/steady flows; Poisson, CBR and on-off traffic
+    #: (mixed across stations), RTS/CTS, retry limits, queue traces.
+    capabilities = Capabilities(
+        systems=frozenset({"wlan"}),
+        workloads=frozenset({"train", "steady-cbr"}),
+        cross_traffic=frozenset(
+            {"none", "poisson", "cbr", "onoff", "mixed"}),
+        fifo_cross=frozenset({"none", "poisson", "cbr", "onoff"}),
+        rts_cts=True, retry_limit=True, queue_traces=True)
 
 
 class SaturatedVectorBackend(_VectorBackend):
@@ -295,15 +262,13 @@ class SaturatedVectorBackend(_VectorBackend):
 
     kernel = "saturated-DCF kernel"
     speed_rank = 10
-
-    def capabilities(self) -> Capabilities:
-        """Saturated WLAN batches (RTS/CTS and retry caps allowed)."""
-        return Capabilities(
-            systems=frozenset({"wlan"}),
-            workloads=frozenset({"saturated"}),
-            cross_traffic=frozenset({"none"}),
-            fifo_cross=frozenset({"none"}),
-            rts_cts=True, retry_limit=True, queue_traces=False)
+    #: Saturated WLAN batches (RTS/CTS and retry caps allowed).
+    capabilities = Capabilities(
+        systems=frozenset({"wlan"}),
+        workloads=frozenset({"saturated"}),
+        cross_traffic=frozenset({"none"}),
+        fifo_cross=frozenset({"none"}),
+        rts_cts=True, retry_limit=True, queue_traces=False)
 
 
 class LindleyVectorBackend(_VectorBackend):
@@ -316,13 +281,11 @@ class LindleyVectorBackend(_VectorBackend):
 
     kernel = "batched Lindley recursion"
     speed_rank = 10
-
-    def capabilities(self) -> Capabilities:
-        """FIFO-hop trains with any replayable cross-traffic model."""
-        return Capabilities(
-            systems=frozenset({"fifo"}),
-            workloads=frozenset({"train"}),
-            rts_cts=False, retry_limit=False, queue_traces=False)
+    #: FIFO-hop trains with any replayable cross-traffic model.
+    capabilities = Capabilities(
+        systems=frozenset({"fifo"}),
+        workloads=frozenset({"train"}),
+        rts_cts=False, retry_limit=False, queue_traces=False)
 
 
 class PathVectorBackend(_VectorBackend):
@@ -340,23 +303,19 @@ class PathVectorBackend(_VectorBackend):
 
     kernel = "multihop chain kernel"
     speed_rank = 10
-
-    def capabilities(self) -> Capabilities:
-        """Path trains over batch-sampleable hops (RTS/CTS and retry
-        caps allowed).
-
-        Both traffic axes accept ``mixed``: each hop resolves its own
-        generators, so different hops may carry different (individually
-        supported) models — including each hop's own FIFO flow.
-        """
-        return Capabilities(
-            systems=frozenset({"path"}),
-            workloads=frozenset({"train"}),
-            cross_traffic=frozenset(
-                {"none", "poisson", "cbr", "onoff", "mixed"}),
-            fifo_cross=frozenset(
-                {"none", "poisson", "cbr", "onoff", "mixed"}),
-            rts_cts=True, retry_limit=True, queue_traces=False)
+    #: Path trains over batch-sampleable hops (RTS/CTS and retry caps
+    #: allowed).  Both traffic axes accept ``mixed``: each hop resolves
+    #: its own generators, so different hops may carry different
+    #: (individually supported) models — including each hop's own FIFO
+    #: flow.
+    capabilities = Capabilities(
+        systems=frozenset({"path"}),
+        workloads=frozenset({"train"}),
+        cross_traffic=frozenset(
+            {"none", "poisson", "cbr", "onoff", "mixed"}),
+        fifo_cross=frozenset(
+            {"none", "poisson", "cbr", "onoff", "mixed"}),
+        rts_cts=True, retry_limit=True, queue_traces=False)
 
 
 class _JitBackend(_VectorBackend):

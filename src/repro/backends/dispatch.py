@@ -23,6 +23,12 @@ Resolution is a pure function of ``(spec, requested)`` and the
 installed optional dependencies — no clocks, no ambient job count — so
 ``auto`` picks the same backend under any ``--jobs`` value and on
 every worker, which the result-cache key relies on.
+
+Every channel batch pays one resolution, so :func:`resolve` only does
+the work its answer needs: a forced family scans that family's
+kernels, and the per-kernel rejection list is built only when it
+becomes a fallback reason or an error (``--explain-backend`` builds it
+itself, see :func:`explain`).
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.backends.base import (
     Backend,
-    CallerKernelBackend,
     EventBackend,
     FAMILIES,
     KERNEL_FAMILIES,
@@ -55,13 +60,6 @@ REQUESTABLE = ("auto",) + FAMILIES
 
 #: The singleton event backend (the universal fallback).
 EVENT = EventBackend()
-
-#: The synthetic backend behind a forced ``vector`` with no spec: the
-#: caller vouches for its own kernel, but the run still flows through
-#: a :class:`Resolution` (and the shared chunked execution path) so
-#: result metadata always records a backend.  Never scanned by
-#: ``auto`` — it is deliberately absent from :data:`BACKENDS`.
-CALLER_KERNEL = CallerKernelBackend()
 
 #: Every backend; ``auto`` scans these sorted by speed rank (the jit
 #: tier first, then the numpy kernels, then the event engine).  The
@@ -106,8 +104,6 @@ class Resolution:
     #: Why ``auto`` fell back to the event engine (``None`` when a
     #: kernel was picked or the caller forced ``event``).
     fallback: Optional[str]
-    #: Kernel label -> structured mismatches of every rejected kernel.
-    rejected: Tuple[Tuple[str, Tuple[CapabilityMismatch, ...]], ...]
     #: Why ``auto`` skipped a faster-but-unavailable tier for this
     #: pick (e.g. the jit tier without numba); ``None`` when the
     #: fastest capable backend was also available.  Distinct from
@@ -194,40 +190,32 @@ def _closest_reason(rejected) -> str:
     return str(mismatches[0])
 
 
-def resolve(spec: Optional[ScenarioSpec], requested: str = "auto",
-            *, trust_caller_kernel: bool = False) -> Resolution:
+def resolve(spec: Optional[ScenarioSpec],
+            requested: str = "auto") -> Resolution:
     """Pick the backend for ``spec``; see the module docstring.
 
     ``spec=None`` means "nothing declared": only the event engine is
     eligible (an undeclared scenario must never silently ride a
     kernel), so ``auto`` records that as the fallback reason and a
-    forced ``vector`` raises.  ``trust_caller_kernel=True`` (the
-    executor's batch path sets it) changes only the last case: a
-    *forced* ``vector`` with no spec then resolves to the synthetic
-    :data:`CALLER_KERNEL` backend — the caller vouches for the kernel
-    it supplies with the batch, and routing that trust through a
-    resolution (rather than bypassing dispatch, as the executor once
-    did) keeps backend metadata recorded on every run.
+    forced ``vector`` raises.
     """
     if requested not in REQUESTABLE:
         raise ValueError(
             f"unknown backend {requested!r}; "
             f"expected one of {REQUESTABLE}")
     if spec is None:
-        if requested == "vector" and trust_caller_kernel:
-            return Resolution(requested, CALLER_KERNEL, None, ())
         spec = EVENT_ONLY
-    rejected = _rejections(spec)
     if requested == "event":
-        return Resolution(requested, EVENT, None, rejected)
+        return Resolution(requested, EVENT, None)
     if requested in KERNEL_FAMILIES:
-        capable = [backend
-                   for backend in eligible(spec, assume_available=True)
-                   if backend.name == requested]
+        capable = [backend for backend in BACKENDS
+                   if backend.name == requested
+                   and not backend.mismatches(spec)]
         if not capable:
-            reason = _closest_reason(rejected)
+            rejected = _rejections(spec)
             raise BackendUnavailableError(
-                f"no {requested} kernel supports this scenario: {reason}",
+                f"no {requested} kernel supports this scenario: "
+                f"{_closest_reason(rejected)}",
                 dict(rejected))
         ready = [backend for backend in capable
                  if backend.unavailable_reason() is None]
@@ -242,7 +230,7 @@ def resolve(spec: Optional[ScenarioSpec], requested: str = "auto",
             raise BackendUnavailableError(
                 f"the {requested} backend cannot run here: {reason}",
                 unavailable)
-        return Resolution(requested, ready[0], None, rejected)
+        return Resolution(requested, ready[0], None)
     # auto: fastest capable-and-available kernel, else event + reason;
     # a capable-but-unavailable faster tier is recorded as degradation.
     capable = [backend
@@ -255,8 +243,9 @@ def resolve(spec: Optional[ScenarioSpec], requested: str = "auto",
         if capable[0] is not ready[0]:
             degraded = (f"{capable[0].kernel} skipped: "
                         f"{capable[0].unavailable_reason()}")
-        return Resolution(requested, ready[0], None, rejected, degraded)
-    return Resolution(requested, EVENT, _closest_reason(rejected), rejected)
+        return Resolution(requested, ready[0], None, degraded)
+    return Resolution(requested, EVENT,
+                      _closest_reason(_rejections(spec)))
 
 
 def fusion_key(resolution: Resolution) -> Tuple[str, str]:
@@ -267,42 +256,6 @@ def fusion_key(resolution: Resolution) -> Tuple[str, str]:
     the pair the sweep planner groups grid points by.
     """
     return (resolution.name, resolution.kernel)
-
-
-def group_by_resolution(spec: Optional[ScenarioSpec],
-                        requests) -> Dict[Tuple[str, str], List[int]]:
-    """Group request indices by their resolved ``(family, kernel)``.
-
-    ``requests`` is a sequence of requested backend names (one per
-    sweep point, say); each *distinct* request is resolved exactly
-    once — resolution is a pure function of ``(spec, requested)``, so
-    re-resolving per point would be pure overhead on a dense grid —
-    and the result maps each fusion key to the indices it covers.
-    A request no backend can satisfy raises
-    :class:`BackendUnavailableError`, exactly like :func:`resolve`.
-    """
-    memo: Dict[str, Tuple[str, str]] = {}
-    groups: Dict[Tuple[str, str], List[int]] = {}
-    for index, requested in enumerate(requests):
-        key = memo.get(requested)
-        if key is None:
-            key = fusion_key(resolve(spec, requested))
-            memo[requested] = key
-        groups.setdefault(key, []).append(index)
-    return groups
-
-
-def vector_mismatch_reason(spec: ScenarioSpec) -> Optional[str]:
-    """Why no batch kernel runs ``spec`` (``None`` when one does).
-
-    The structured replacement for the channel layer's old string
-    matching: the returned sentence is ``str()`` of the nearest
-    kernel's first :class:`CapabilityMismatch`.
-    """
-    resolution = resolve(spec, "auto")
-    if resolution.name in KERNEL_FAMILIES:
-        return None
-    return resolution.fallback
 
 
 def explain(spec: Optional[ScenarioSpec], requested: str = "auto") -> str:
@@ -323,7 +276,8 @@ def explain(spec: Optional[ScenarioSpec], requested: str = "auto") -> str:
                              f"{mismatch.supported}]")
         return "\n".join(lines)
     lines = [resolution.describe()]
-    for kernel, mismatches in resolution.rejected:
+    for kernel, mismatches in _rejections(
+            EVENT_ONLY if spec is None else spec):
         for mismatch in mismatches:
             lines.append(f"    {kernel}: {mismatch}")
     return "\n".join(lines)

@@ -132,8 +132,7 @@ class Capabilities:
 
         Check order is stable (system, workload, queue traces, RTS,
         retry limit, cross-traffic, FIFO cross-traffic) so the *first*
-        mismatch is deterministic — fallback reasons and legacy
-        ``vector_unsupported_reason`` strings depend on it.
+        mismatch is deterministic — fallback reasons depend on it.
         """
         found: List[CapabilityMismatch] = []
         if spec.system not in self.systems:

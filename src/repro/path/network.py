@@ -7,6 +7,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backends import ScenarioSpec
+from repro.core.batch import resolve_rep_seeds
 from repro.path.hops import PathHop
 from repro.sim.probe_vector import ProbeBatchResult
 from repro.testbed.channel import Channel, RawTrainResult
@@ -158,7 +159,9 @@ class SimulatedPathChannel(Channel):
         )
 
     def send_trains_batch(self, train: ProbeTrain, repetitions: int,
-                          seed: int = 0) -> ProbeBatchResult:
+                          seed: int = 0,
+                          seeds: Optional[np.ndarray] = None
+                          ) -> ProbeBatchResult:
         """One chained-kernel pass over the whole repetition batch.
 
         The multihop vector backend: every hop resolves the batch at
@@ -167,20 +170,23 @@ class SimulatedPathChannel(Channel):
         per-repetition seed mapping is the executor's).  Access delays
         are not observable end-to-end, so the result carries NaNs
         there, like the event path's ``access_delays=None``.
+        ``seeds`` overrides the per-repetition seed derivation (see
+        :meth:`repro.testbed.channel.Channel.send_trains_batch`); each
+        hop derives its streams per repetition, so a chunk's rows are
+        bit-identical to the dense run's.
         """
-        if repetitions < 1:
+        if seeds is None:
+            seeds = resolve_rep_seeds(seed, repetitions)
+        elif len(seeds) != repetitions:
             raise ValueError(
-                f"repetitions must be >= 1, got {repetitions}")
+                f"got {len(seeds)} seeds for {repetitions} repetitions")
         # An ineligible path raises BackendUnavailableError (a
         # ValueError) with the structured capability mismatches.
         self.resolve_backend("vector", train=train)
-        # Same derivation scheme as repro.runtime.executor.derive_seeds
-        # (not imported: repro.runtime sits above the testbed layer).
-        rep_seeds = np.random.SeedSequence(seed).generate_state(repetitions)
         send = np.broadcast_to(train.arrival_times(self.start),
                                (repetitions, train.n)).copy()
         recv = self.path.carry_batch(send, train.size_bytes,
-                                     [int(s) for s in rep_seeds])
+                                     [int(s) for s in seeds])
         return ProbeBatchResult(
             send_times=send,
             recv_times=recv,

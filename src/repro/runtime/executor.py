@@ -1,11 +1,12 @@
 """Repetition sharding across worker processes.
 
 Every heavy experiment in this repository bottoms out in the same hot
-loop: send N independent repetitions of a probing train through a
-fresh channel (``Channel.send_trains``), then compute statistics over
-the collected per-repetition results.  The executor parallelises that
-loop — and *only* that loop — because it is the one place where
-fan-out cannot change the answer:
+loop: run N independent repetitions of a batch — typically a probing
+train through a fresh channel — on the event engine
+(:meth:`repro.backends.EventBackend.run_batch`), then compute
+statistics over the collected per-repetition results.  The executor
+parallelises that loop — and *only* that loop — because it is the one
+place where fan-out cannot change the answer:
 
 * the per-repetition seeds are derived up front from the experiment
   seed (``SeedSequence(seed).generate_state(repetitions)``), so shard
@@ -20,10 +21,13 @@ inputs whether the repetitions ran in one process or eight — the
 property ``python -m repro run fig6 --jobs 4`` relies on.
 
 Sharding is *ambient*: :func:`parallel_jobs` installs a job count for
-the current scope and :meth:`repro.testbed.channel.Channel.send_trains`
-picks it up via :func:`map_ordered`.  Runner code needs no plumbing,
-and nested fan-out (a worker trying to fork its own pool) degrades
-safely to serial execution.
+the current scope and the event backend
+(:meth:`repro.backends.EventBackend.run_batch`, which every channel
+batch and runner batch reaches through its
+:class:`~repro.backends.BatchRequest`) picks it up via
+:func:`map_ordered`.  Runner code needs no plumbing, and nested
+fan-out (a worker trying to fork its own pool) degrades safely to
+serial execution.
 
 Sharding is also *supervised*: each shard runs in its own worker
 process watched over a result pipe, so a worker that is killed,
@@ -63,12 +67,6 @@ from repro.backends import BatchRequest, dispatch
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: Repetition backends an experiment can route batches to.
-BACKENDS = ("event", "vector", "jit")
-
-#: Backend choices a caller may request (concrete backends + ``auto``).
-REQUESTABLE = dispatch.REQUESTABLE
 
 #: Environment variable consulted when no ambient job count is set.
 JOBS_ENV = "REPRO_JOBS"
@@ -227,23 +225,15 @@ def run_batch(request: BatchRequest, *, backend: str = "event"):
     ``backend="auto"`` asks :func:`repro.backends.dispatch.resolve` to
     pick the fastest backend eligible for the request's spec (a
     declarative :class:`~repro.backends.ScenarioSpec`); with no spec
-    declared, ``auto`` always takes the event engine — an undescribed
-    scenario must never silently ride a kernel — while a *forced*
-    ``vector`` resolves to the synthetic caller-kernel backend (the
-    caller vouches for its ``batch_task``), so every run, bypass-free,
-    carries a dispatch resolution.
+    declared only the event engine is eligible — an undescribed
+    scenario must never silently ride a kernel — so ``auto`` takes it
+    and a forced kernel family raises
+    :class:`~repro.backends.BackendUnavailableError`.
     """
     if not isinstance(request, BatchRequest):
         raise TypeError(f"run_batch takes a repro.backends.BatchRequest, "
                         f"not {type(request).__name__}")
-    if backend not in REQUESTABLE:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {REQUESTABLE}")
-    resolution = dispatch.resolve(request.spec, backend,
-                                  trust_caller_kernel=True)
-    # A vector resolution without a kernel raises inside run_batch
-    # (the backend owns that error message).
-    return resolution.backend.run_batch(request)
+    return dispatch.resolve(request.spec, backend).backend.run_batch(request)
 
 
 def shard_bounds(n_items: int, shards: int) -> List[Tuple[int, int]]:

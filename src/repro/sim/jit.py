@@ -31,7 +31,8 @@ Every floating-point operation is performed in the numpy kernel's
 order, so results are bit-identical — not merely statistically
 equivalent — which trivially satisfies the repo's KS pins.
 
-Tier selection is ambient: backends (or tests) enter
+Tier selection is ambient: the jit backends'
+:meth:`~repro.backends.base.Backend.run_batch` (or a test) enters
 :func:`kernel_tier` and the numpy kernels consult :func:`active_tier`
 at their hot-core boundary, keeping all validation, seed derivation
 and setup shared between the tiers.
@@ -41,8 +42,8 @@ from __future__ import annotations
 
 import sys
 import threading
-from contextlib import contextmanager, nullcontext
-from typing import ContextManager, Iterator, Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -106,15 +107,6 @@ def kernel_tier(tier: str) -> Iterator[None]:
         yield
     finally:
         _TIER.value = previous
-
-
-def tier_scope(family: str) -> ContextManager[None]:
-    """The tier scope for a resolved backend family name.
-
-    ``jit`` enters :func:`kernel_tier`; any other family is a no-op
-    (the ambient tier, normally ``numpy``, stays in force).
-    """
-    return kernel_tier("jit") if family == "jit" else nullcontext()
 
 
 def maybe_njit(func):

@@ -27,8 +27,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends import ScenarioSpec, dispatch
-from repro.core.batch import chunk_bounds, resolve_rep_seeds
+from repro.backends import BatchRequest, ScenarioSpec, dispatch
+from repro.core.batch import resolve_rep_seeds
 from repro.mac.params import PhyParams
 from repro.mac.scenario import ScenarioResult, StationSpec, WlanScenario
 from repro.queueing.fifo import FifoHop
@@ -93,6 +93,28 @@ class Channel(abc.ABC):
         """
         return dispatch.resolve(self.scenario_spec(train=train), requested)
 
+    def batch_request(self, train: ProbeTrain, repetitions: int,
+                      seed: int = 0) -> BatchRequest:
+        """``repetitions`` independent trains, described for any backend.
+
+        The event task is :meth:`_train_task` (one repetition per
+        derived seed), the batch task :meth:`send_trains_batch` over a
+        seed slice, and the spec :meth:`scenario_spec` for ``train``.
+        Whichever backend the dispatcher resolves runs the request —
+        fanning repetitions out over ``--jobs`` workers or resolving
+        them in ``--chunk-reps`` kernel chunks — so every channel
+        batch, on every backend, takes its seeds from the same
+        derivation.
+        """
+        def batch_task(seeds) -> ProbeBatchResult:
+            """The channel's kernel over one (possibly chunked) slice."""
+            return self.send_trains_batch(train, len(seeds), seeds=seeds)
+
+        return BatchRequest(
+            repetitions=repetitions, seed=seed,
+            event_task=functools.partial(self._train_task, train),
+            batch_task=batch_task, spec=self.scenario_spec(train))
+
     def send_trains(self, train: ProbeTrain, repetitions: int,
                     seed: int = 0,
                     backend: str = "event") -> List[RawTrainResult]:
@@ -104,7 +126,7 @@ class Channel(abc.ABC):
         :func:`repro.runtime.executor.parallel_jobs`); results come
         back in repetition order, so the output is bit-identical to a
         serial run regardless of the job count.  ``backend="vector"``
-        resolves the whole batch in one numpy pass instead
+        resolves the whole batch with the channel's kernel instead
         (:meth:`send_trains_batch`) — statistically equivalent, no
         worker pool at all; channels without a vector kernel raise
         ``ValueError``.  ``backend="jit"`` runs the same batch path
@@ -114,34 +136,16 @@ class Channel(abc.ABC):
         numba).  ``backend="auto"`` lets the dispatcher pick the
         fastest backend this channel is eligible for.
         """
-        if repetitions < 1:
-            raise ValueError(
-                f"repetitions must be >= 1, got {repetitions}")
-        if backend not in dispatch.REQUESTABLE:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of "
-                f"{dispatch.REQUESTABLE}")
-        if backend == "auto":
-            backend = self.resolve_backend("auto", train=train).name
-        if backend in ("vector", "jit"):
-            from repro.sim.jit import tier_scope, warm_kernels
-            if backend == "jit":
-                # Validates both capability and numba availability
-                # (raises BackendUnavailableError with the reason).
-                self.resolve_backend("jit", train=train)
-                warm_kernels()
-            with tier_scope(backend):
-                batch = self._chunked_trains_batch(train, repetitions,
-                                                   seed=seed)
-            return [RawTrainResult(send_times=batch.send_times[r],
-                                   recv_times=batch.recv_times[r],
-                                   size_bytes=batch.size_bytes,
-                                   access_delays=batch.access_delays[r])
-                    for r in range(repetitions)]
-        # Imported lazily: repro.runtime sits above the testbed layer.
-        from repro.runtime.executor import derive_seeds, map_ordered
-        return map_ordered(functools.partial(self._train_task, train),
-                           derive_seeds(seed, repetitions))
+        request = self.batch_request(train, repetitions, seed)
+        out = dispatch.resolve(request.spec, backend).backend.run_batch(
+            request)
+        if not isinstance(out, ProbeBatchResult):
+            return out
+        return [RawTrainResult(send_times=out.send_times[r],
+                               recv_times=out.recv_times[r],
+                               size_bytes=out.size_bytes,
+                               access_delays=out.access_delays[r])
+                for r in range(repetitions)]
 
     def send_trains_batch(self, train: ProbeTrain, repetitions: int,
                           seed: int = 0,
@@ -153,67 +157,39 @@ class Channel(abc.ABC):
         result's row ``r`` is statistically equivalent to
         ``send_train(train, derive_seeds(seed, repetitions)[r])``.
         ``seeds`` overrides the derivation with explicit
-        per-repetition values — chunked callers pass contiguous slices
-        of the dense derivation, so chunk rows are bit-identical to
-        the dense run's.
+        per-repetition values — the batch task of
+        :meth:`batch_request` passes contiguous slices of the dense
+        derivation, so chunk rows are bit-identical to the dense
+        run's.
         """
         raise ValueError(
             f"{type(self).__name__} has no vector kernel; "
             "run with backend='event'")
-
-    def _chunked_trains_batch(self, train: ProbeTrain, repetitions: int,
-                              seed: int = 0) -> ProbeBatchResult:
-        """The vector batch, honouring the ambient chunk scope.
-
-        Under :func:`repro.runtime.executor.chunked_reps` the batch is
-        resolved in contiguous chunks — each replaying the exact seed
-        slice of the dense derivation — and folded back row-wise, so
-        the result is bit-identical to the dense call at any chunk
-        size.  Without a scope (or with one covering the whole batch)
-        this is exactly :meth:`send_trains_batch`.
-        """
-        # Imported lazily: repro.runtime sits above the testbed layer.
-        from repro.runtime.executor import active_chunk_reps
-        chunk = active_chunk_reps()
-        if chunk is None or chunk >= repetitions:
-            return self.send_trains_batch(train, repetitions, seed=seed)
-        seeds = resolve_rep_seeds(seed, repetitions)
-        parts = [self.send_trains_batch(train, hi - lo, seed=seed,
-                                        seeds=seeds[lo:hi])
-                 for lo, hi in chunk_bounds(repetitions, chunk)]
-        return type(parts[0]).concat(parts)
 
     def send_trains_dense(self, train: ProbeTrain, repetitions: int,
                           seed: int = 0,
                           backend: str = "event") -> ProbeBatchResult:
         """Send a repetition batch and return it in dense batch form.
 
-        The backend-agnostic face of :meth:`send_trains`: the vector
-        path returns the kernel's :class:`ProbeBatchResult` directly,
-        the event path assembles the same shape from the
-        per-repetition results — so runners consume one dense object
-        and never branch on the backend.  The event rows are
-        bit-identical to :meth:`send_trains`'s output.
+        The backend-agnostic face of :meth:`send_trains`: a kernel's
+        :class:`ProbeBatchResult` comes back as is, the event path
+        assembles the same shape from the per-repetition results — so
+        runners consume one dense object and never branch on the
+        backend.  The event rows are bit-identical to
+        :meth:`send_trains`'s output.
         """
-        if backend == "auto":
-            backend = self.resolve_backend("auto", train=train).name
-        if backend in ("vector", "jit"):
-            from repro.sim.jit import tier_scope, warm_kernels
-            if backend == "jit":
-                self.resolve_backend("jit", train=train)
-                warm_kernels()
-            with tier_scope(backend):
-                return self._chunked_trains_batch(train, repetitions,
-                                                  seed=seed)
-        raws = self.send_trains(train, repetitions, seed=seed,
-                                backend=backend)
-        if all(raw.access_delays is not None for raw in raws):
-            delays = np.vstack([raw.access_delays for raw in raws])
+        request = self.batch_request(train, repetitions, seed)
+        out = dispatch.resolve(request.spec, backend).backend.run_batch(
+            request)
+        if isinstance(out, ProbeBatchResult):
+            return out
+        if all(raw.access_delays is not None for raw in out):
+            delays = np.vstack([raw.access_delays for raw in out])
         else:  # end-to-end channels cannot observe access delays
             delays = np.full((repetitions, train.n), np.nan)
         return ProbeBatchResult(
-            send_times=np.vstack([raw.send_times for raw in raws]),
-            recv_times=np.vstack([raw.recv_times for raw in raws]),
+            send_times=np.vstack([raw.send_times for raw in out]),
+            recv_times=np.vstack([raw.recv_times for raw in out]),
             access_delays=delays,
             size_bytes=train.size_bytes,
         )
@@ -221,9 +197,9 @@ class Channel(abc.ABC):
     def _train_task(self, train: ProbeTrain, seed: int) -> RawTrainResult:
         """One batch repetition; subclasses may slim the result.
 
-        ``send_trains`` maps this (not ``send_train``) so that backends
-        can drop bulky diagnostics the batch callers never read before
-        the result crosses a worker-process boundary.
+        :meth:`batch_request` maps this (not ``send_train``) so that
+        channels can drop bulky diagnostics the batch callers never
+        read before the result crosses a worker-process boundary.
         """
         return self.send_train(train, seed)
 
@@ -361,16 +337,6 @@ class SimulatedWlanChannel(Channel):
             fifo_detail=fifo_detail,
         )
 
-    def vector_unsupported_reason(self) -> Optional[str]:
-        """Why this channel cannot run the vector kernel (or ``None``).
-
-        A convenience view over the dispatcher: the returned sentence
-        is the first structured
-        :class:`~repro.backends.CapabilityMismatch` of the probe-train
-        kernel for :meth:`scenario_spec`.
-        """
-        return dispatch.vector_mismatch_reason(self.scenario_spec())
-
     def send_trains_batch(self, train: ProbeTrain, repetitions: int,
                           seed: int = 0,
                           seeds: Optional[np.ndarray] = None
@@ -382,7 +348,7 @@ class SimulatedWlanChannel(Channel):
         ``tests/test_probe_vector_backend.py`` pin the two); the
         per-repetition seed mapping is the executor's, so repetition
         ``r`` refers to the same random universe on either backend.
-        ``seeds`` overrides the derivation (the chunked hook, see
+        ``seeds`` overrides the derivation (see
         :meth:`Channel.send_trains_batch`).
 
         An ineligible channel raises
@@ -516,8 +482,8 @@ class SimulatedFifoChannel(Channel):
         with the event path to float rounding — the per-packet Python
         loop of :class:`repro.queueing.fifo.FifoHop` is simply replaced
         by one ``(repetitions, n)`` cumulative-max pass.  ``seeds``
-        overrides the per-repetition seed derivation (the chunked
-        hook, see :meth:`Channel.send_trains_batch`).
+        overrides the per-repetition seed derivation (see
+        :meth:`Channel.send_trains_batch`).
         """
         if repetitions < 1:
             raise ValueError(

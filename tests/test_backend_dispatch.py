@@ -30,7 +30,6 @@ from repro.backends import (
     explain,
     family_names,
     resolve,
-    vector_mismatch_reason,
 )
 from repro.cli import main
 from repro.runtime import executor, registry
@@ -247,12 +246,12 @@ class TestChannelIntegration:
         channel = SimulatedWlanChannel([("cbr", CBRGenerator(2e6, 1500))])
         spec = channel.scenario_spec()
         assert spec.cross_traffic == "cbr"
-        assert vector_mismatch_reason(spec) is None
+        assert resolve(spec, "auto").fallback is None
         mixed = SimulatedWlanChannel([
             ("cbr", CBRGenerator(2e6, 1500)),
             ("poisson", PoissonGenerator(1e6, 1500))])
         assert mixed.scenario_spec().cross_traffic == "mixed"
-        assert mixed.vector_unsupported_reason() is None
+        assert mixed.resolve_backend("auto").fallback is None
 
     def test_onoff_cross_compiles_and_dispatches(self):
         from repro.traffic.generators import OnOffGenerator
@@ -260,15 +259,15 @@ class TestChannelIntegration:
             [("burst", OnOffGenerator(4e6, 0.1, 0.1, 1500))])
         spec = channel.scenario_spec()
         assert spec.cross_traffic == "onoff"
-        assert vector_mismatch_reason(spec) is None
-        assert channel.vector_unsupported_reason() is None
+        assert resolve(spec, "auto").fallback is None
+        assert channel.resolve_backend("auto").fallback is None
 
     def test_retry_limit_compiles_and_dispatches(self):
         channel = SimulatedWlanChannel(
             [("cross", PoissonGenerator(2e6, 1500))], retry_limit=4)
         spec = channel.scenario_spec()
         assert spec.retry_limit
-        assert vector_mismatch_reason(spec) is None
+        assert resolve(spec, "auto").fallback is None
         assert channel.resolve_backend("auto").name == "vector"
 
     def test_trace_cross_disqualifies_with_detail(self):
@@ -277,9 +276,9 @@ class TestChannelIntegration:
             [("replay", TraceGenerator([(0.1, 1500), (0.2, 1500)]))])
         spec = channel.scenario_spec()
         assert spec.cross_traffic == "other"
-        reason = vector_mismatch_reason(spec)
+        reason = resolve(spec, "auto").fallback
         assert "cross station 'replay'" in reason
-        assert channel.vector_unsupported_reason() == reason
+        assert channel.resolve_backend("auto").fallback == reason
 
     def test_fifo_size_mismatch_falls_back_instead_of_crashing(self):
         """auto must never pick a kernel that will refuse the batch:
@@ -349,8 +348,9 @@ class TestExecutorDelegation:
         out = executor.run_batch(_flavored_request(3), backend="auto")
         assert [flavor for flavor, _ in out] == ["event"] * 3
 
-    def test_forced_vector_without_spec_trusts_caller(self):
-        out = executor.run_batch(_flavored_request(3), backend="vector")
+    def test_forced_vector_with_spec_runs_kernel(self):
+        out = executor.run_batch(_flavored_request(3, WLAN_TRAIN),
+                                 backend="vector")
         assert out == ("vector", executor.derive_seeds(9, 3))
 
     def test_auto_with_ineligible_spec_maps_event(self):

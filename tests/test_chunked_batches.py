@@ -9,10 +9,12 @@ reduced quantities at ``O(chunk)`` peak memory; everything except the
 (deliberately random) reservoir sample stays bit-identical.  The
 ``BatchRequest`` pins cover the request's validation and error
 messages, the ambient ``chunked_reps`` scope and its environment
-variable, and the caller-kernel resolution that replaced the
-executor's old dispatcher bypass.
+variable, and the dispatcher's refusal to run an undeclared batch on a
+kernel.  Every channel batch — queue-traced and multihop ones
+included — reaches its kernel through the same chunk loop.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -22,9 +24,11 @@ from helpers import seed_params
 from repro.backends import (
     BackendUnavailableError,
     BatchRequest,
-    CALLER_KERNEL,
+    EventBackend,
+    ScenarioSpec,
     dispatch,
 )
+from repro.backends.base import _VectorBackend
 from repro.core.batch import (
     ChunkReducer,
     ConcatReducer,
@@ -37,7 +41,13 @@ from repro.core.batch import (
     resolve_rep_seeds,
 )
 from repro.core.dispersion import TrainBatch, output_gaps_batch
-from repro.runtime import executor
+from repro.path import (
+    NetworkPath,
+    SimulatedPathChannel,
+    WiredHop,
+    WlanHop,
+)
+from repro.runtime import executor, registry
 from repro.runtime.executor import (
     active_chunk_reps,
     chunked_reps,
@@ -60,6 +70,8 @@ REPS = 13
 #: The ISSUE's chunk-size grid: singleton chunks, a ragged tail
 #: (13 % 7 != 0), exactly dense, and past-dense (normalised to dense).
 CHUNKS = (1, 7, REPS, REPS + 3)
+#: The spec of the caller-built probe-train batches below.
+WLAN_TRAIN = ScenarioSpec(system="wlan", workload="train")
 
 
 def _probe_batches_equal(a, b):
@@ -194,6 +206,13 @@ class TestChunkedBitIdentity:
             8e6, cross_generator=PoissonGenerator(3e6, L),
             start_jitter=0.0)
 
+    @pytest.fixture(scope="class")
+    def path(self):
+        return SimulatedPathChannel(NetworkPath([
+            WiredHop(50e6, cross_generator=PoissonGenerator(10e6, L)),
+            WlanHop([("neighbour", PoissonGenerator(3e6, L))]),
+        ]))
+
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_probe_train_channel_chunks_bit_identical(self, wlan, chunk):
         train = ProbeTrain.at_rate(10, 5e6, L)
@@ -213,6 +232,42 @@ class TestChunkedBitIdentity:
             chunked = fifo.send_trains_dense(train, REPS, seed=19,
                                              backend="vector")
         _probe_batches_equal(chunked, dense)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_path_channel_chunks_bit_identical(self, path, chunk):
+        train = ProbeTrain.at_rate(8, 3e6, L)
+        dense = path.send_trains_dense(train, REPS, seed=43,
+                                       backend="vector")
+        with chunked_reps(chunk):
+            chunked = path.send_trains_dense(train, REPS, seed=43,
+                                             backend="vector")
+        _probe_batches_equal(chunked, dense)
+
+    def test_queue_traced_batches_chunk(self, monkeypatch):
+        from repro.analysis.transient import collect_delay_matrix
+        from repro.testbed import channel
+        stations = [("cross", PoissonGenerator(3e6, L))]
+
+        def collect():
+            return collect_delay_matrix(
+                4e6, stations, n_packets=12, repetitions=8, warmup=0.05,
+                seed=47, track_queues=True, backend="vector")
+
+        dense = collect()
+        rows = []
+        kernel = channel.simulate_probe_train_batch
+
+        def spy(*args, **kwargs):
+            rows.append(args[2])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(channel, "simulate_probe_train_batch", spy)
+        with chunked_reps(3):
+            chunked = collect()
+        assert rows == [3, 3, 2]
+        assert np.array_equal(chunked.matrix.delays, dense.matrix.delays)
+        assert np.array_equal(chunked.queue_sizes["cross"],
+                              dense.queue_sizes["cross"])
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_saturated_study_chunks_bit_identical(self, chunk):
@@ -251,12 +306,14 @@ class TestChunkedBitIdentity:
                 cross=[PoissonCrossSpec(250.0, L)], seeds=seeds)
 
         dense = run_batch(BatchRequest(repetitions=REPS, seed=31,
-                                       batch_task=batch_task),
+                                       batch_task=batch_task,
+                                       spec=WLAN_TRAIN),
                           backend="vector")
         for chunk in CHUNKS:
             chunked = run_batch(
                 BatchRequest(repetitions=REPS, seed=31,
-                             batch_task=batch_task, chunk_reps=chunk),
+                             batch_task=batch_task, chunk_reps=chunk,
+                             spec=WLAN_TRAIN),
                 backend="vector")
             _probe_batches_equal(chunked, dense)
 
@@ -270,7 +327,8 @@ class TestChunkedBitIdentity:
 
         with chunked_reps(2):
             run_batch(BatchRequest(repetitions=9, seed=1,
-                                   batch_task=batch_task, chunk_reps=4),
+                                   batch_task=batch_task, chunk_reps=4,
+                                   spec=WLAN_TRAIN),
                       backend="vector")
         assert seen == [4, 4, 1]
 
@@ -333,7 +391,7 @@ class TestReducers:
 
         return BatchRequest(repetitions=reps, seed=seed,
                             batch_task=batch_task, chunk_reps=chunk,
-                            reducer=reducer)
+                            reducer=reducer, spec=WLAN_TRAIN)
 
     def test_base_reducer_is_abstract(self):
         reducer = ChunkReducer()
@@ -371,12 +429,14 @@ class TestReducers:
                 warmup=0.05, seeds=seeds, track_queues=True)
 
         dense = run_batch(BatchRequest(repetitions=REPS, seed=41,
-                                       batch_task=batch_task),
+                                       batch_task=batch_task,
+                                       spec=WLAN_TRAIN),
                           backend="vector")
         slim = run_batch(BatchRequest(repetitions=REPS, seed=41,
                                       batch_task=batch_task,
                                       chunk_reps=chunk,
-                                      reducer=ThroughputReducer),
+                                      reducer=ThroughputReducer,
+                                      spec=WLAN_TRAIN),
                          backend="vector")
         assert slim.queue_traces is None  # the memory it saves
         assert dense.queue_traces is not None
@@ -500,23 +560,11 @@ class TestBatchRequestAPI:
 
 
 class TestCallerKernelResolution:
-    """Satellite 3: the executor bypass became a real resolution."""
+    """A caller-built kernel batch runs only under a declared spec."""
 
     def test_direct_resolve_still_guards_by_default(self):
         with pytest.raises(BackendUnavailableError):
             dispatch.resolve(None, "vector")
-
-    def test_trusted_resolve_returns_caller_kernel(self):
-        resolution = dispatch.resolve(None, "vector",
-                                      trust_caller_kernel=True)
-        assert resolution.backend is CALLER_KERNEL
-        assert resolution.name == "vector"
-        assert resolution.backend.kernel == "caller-supplied kernel"
-
-    def test_caller_kernel_never_competes_in_auto(self):
-        assert CALLER_KERNEL not in dispatch.BACKENDS
-        resolution = dispatch.resolve(None, "auto")
-        assert resolution.backend is not CALLER_KERNEL
 
     def test_caller_kernel_chunks_like_any_vector_backend(self):
         sizes = []
@@ -529,7 +577,57 @@ class TestCallerKernelResolution:
 
         out = run_batch(BatchRequest(repetitions=7, seed=0,
                                      batch_task=batch_task,
-                                     chunk_reps=3),
+                                     chunk_reps=3, spec=WLAN_TRAIN),
                         backend="vector")
         assert sizes == [3, 3, 1]
         assert out.repetitions == 7
+
+
+class TestRunnersReachTheBackend:
+    """Every runner's batches — channel, queue-traced, multihop and
+    ablation ones — run through ``Backend.run_batch``, so ``--jobs``
+    and ``--chunk-reps`` apply to all of them without changing a
+    payload byte."""
+
+    #: Runner overrides keeping each case small, with enough
+    #: repetitions for a chunk size of 3 to split every batch.
+    OVERRIDES = {
+        "fig8": {"repetitions": 12},
+        "ablation-bianchi": {"duration": 0.5, "warmup": 0.1,
+                             "repetitions": 4},
+        "ext-multihop": {"repetitions": 5, "probe_rates_bps": [2e6, 5e6]},
+        "eq1": {},
+    }
+
+    @pytest.fixture
+    def families(self, monkeypatch):
+        """The family of every ``run_batch`` call, in call order."""
+        seen = []
+
+        def spy(cls):
+            original = cls.run_batch
+
+            def run_batch(backend, request):
+                seen.append(backend.name)
+                return original(backend, request)
+
+            monkeypatch.setattr(cls, "run_batch", run_batch)
+
+        spy(EventBackend)
+        spy(_VectorBackend)
+        return seen
+
+    @pytest.mark.parametrize("name", sorted(OVERRIDES))
+    def test_jobs_and_chunks_keep_the_payload(self, name, families):
+        experiment = registry.get(name)
+
+        def payload(backend, **options):
+            families.clear()
+            report = experiment.run(scale=0.1, seed=1, backend=backend,
+                                    overrides=self.OVERRIDES[name],
+                                    **options)
+            assert families and set(families) == {backend}
+            return json.dumps(report.result.to_dict(), sort_keys=True)
+
+        assert payload("vector", chunk_reps=3) == payload("vector")
+        assert payload("event", jobs=2) == payload("event", jobs=1)

@@ -95,12 +95,6 @@ class TestTierPlumbing:
             with jit.kernel_tier("cuda"):
                 pass  # pragma: no cover
 
-    def test_tier_scope_only_engages_for_jit(self):
-        with jit.tier_scope("vector"):
-            assert jit.active_tier() == "numpy"
-        with jit.tier_scope("jit"):
-            assert jit.active_tier() == "jit"
-
     def test_availability_probe_matches_import(self, monkeypatch):
         monkeypatch.setattr(jit, "_FORCE_AVAILABLE", None)
         monkeypatch.setitem(sys.modules, "numba", None)

@@ -269,7 +269,7 @@ class TestChannelRouting:
         from repro.traffic.generators import TraceGenerator
         channel = SimulatedWlanChannel(
             [("replay", TraceGenerator([(0.05, L), (0.1, L)]))])
-        assert channel.vector_unsupported_reason() is not None
+        assert channel.resolve_backend("auto").fallback is not None
         with pytest.raises(ValueError, match="no vector kernel"):
             channel.send_trains(ProbeTrain.at_rate(4, 2e6), 2,
                                 backend="vector")
@@ -278,7 +278,7 @@ class TestChannelRouting:
         from repro.traffic.generators import OnOffGenerator
         channel = SimulatedWlanChannel(
             [("burst", OnOffGenerator(4e6, 0.05, 0.05, L))], warmup=0.1)
-        assert channel.vector_unsupported_reason() is None
+        assert channel.resolve_backend("auto").fallback is None
         batch = channel.send_trains_batch(ProbeTrain.at_rate(6, 4e6, L),
                                           4, seed=2)
         assert batch.recv_times.shape == (4, 6)
@@ -287,7 +287,7 @@ class TestChannelRouting:
     def test_cbr_cross_routes_to_kernel(self):
         channel = SimulatedWlanChannel([("cbr", CBRGenerator(2e6, L))],
                                        warmup=0.1)
-        assert channel.vector_unsupported_reason() is None
+        assert channel.resolve_backend("auto").fallback is None
         batch = channel.send_trains_batch(ProbeTrain.at_rate(6, 4e6, L),
                                           4, seed=2)
         assert batch.recv_times.shape == (4, 6)
@@ -297,7 +297,7 @@ class TestChannelRouting:
         channel = SimulatedWlanChannel(
             [("cross", PoissonGenerator(2e6, L))], warmup=0.1,
             log_cross_queues=True)
-        assert channel.vector_unsupported_reason() is None
+        assert channel.resolve_backend("auto").fallback is None
         train = ProbeTrain.at_rate(8, 6e6, L)
         batch = channel.send_trains_batch(train, 5, seed=4)
         assert batch.queue_traces is not None
@@ -308,9 +308,9 @@ class TestChannelRouting:
 
     def test_rts_and_retry_limit_supported(self):
         rts = SimulatedWlanChannel([], rts_threshold=1000)
-        assert rts.vector_unsupported_reason() is None
+        assert rts.resolve_backend("auto").fallback is None
         retry = SimulatedWlanChannel([], retry_limit=7)
-        assert retry.vector_unsupported_reason() is None
+        assert retry.resolve_backend("auto").fallback is None
 
     def test_rts_adds_preamble_on_quiet_channel(self):
         """On an uncontended channel every probe gets immediate access,
@@ -329,7 +329,7 @@ class TestChannelRouting:
         channel = SimulatedWlanChannel(
             [("cross", PoissonGenerator(2e6, L))],
             fifo_cross=PoissonGenerator(1e6, L))
-        assert channel.vector_unsupported_reason() is None
+        assert channel.resolve_backend("auto").fallback is None
 
 
 class TestFifoWiredVector:

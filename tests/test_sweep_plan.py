@@ -167,10 +167,12 @@ class TestPlanStructure:
         auto = exp.resolve_backend("auto")
         event = exp.resolve_backend("event")
         assert dispatch.fusion_key(auto) == (auto.name, auto.kernel)
-        groups = dispatch.group_by_resolution(
-            exp.scenario, ["auto", "auto", "event", "auto"])
-        assert groups[dispatch.fusion_key(auto)] == [0, 1, 3]
-        assert groups[dispatch.fusion_key(event)] == [2]
+        grid = [dict(CHEAP, backend=requested)
+                for requested in ("auto", "auto", "event", "auto")]
+        groups = [point.group for point in
+                  SweepPlan(exp, iter(grid), seed=1).planned()]
+        assert groups == [dispatch.fusion_key(auto)] * 2 + [
+            dispatch.fusion_key(event), dispatch.fusion_key(auto)]
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 
 from helpers import seed_params
 from repro.analysis.saturation import dcf_saturation_study, simulate_saturated
-from repro.backends import BatchRequest
+from repro.backends import BatchRequest, ScenarioSpec
 from repro.mac.frames import AirtimeModel
 from repro.mac.params import PhyParams
 from repro.runtime import executor
@@ -171,7 +171,9 @@ class TestBatchRouting:
         executor.run_batch(
             BatchRequest(repetitions=5, seed=7,
                          event_task=lambda s: seen.append(s),
-                         batch_task=lambda seeds: seen.append(seeds)),
+                         batch_task=lambda seeds: seen.append(seeds),
+                         spec=ScenarioSpec(system="wlan",
+                                           workload="train")),
             backend="vector")
         assert seen == [executor.derive_seeds(7, 5)]
 
