@@ -63,7 +63,9 @@ def ablation_bianchi_calibration(station_counts: Sequence[int] = (1, 2, 3, 4, 5)
     probe-train kernel's steady-state mode with batched CBR
     cross-traffic — station 0 carries the CBR flow as the "probe", the
     remaining n-1 stations contend with identical CBR sample paths,
-    exactly the event scenario's symmetric configuration.
+    exactly the event scenario's symmetric configuration.  Both arms
+    answer in that layout (a :class:`SteadyBatchResult` whose probe
+    flow is station 0), and the aggregate is probe plus cross.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
@@ -79,17 +81,22 @@ def ablation_bianchi_calibration(station_counts: Sequence[int] = (1, 2, 3, 4, 5)
     pps = offered_bps / (size_bytes * 8)
     scenario = WlanScenario(phy)
     for k, n in enumerate(counts):
-        def event_task(rep_seed: int) -> float:
-            """Aggregate throughput of one saturated repetition."""
+        def event_task(rep_seed: int) -> SteadyBatchResult:
+            """One saturated repetition's delivered bits, one row."""
             specs = [StationSpec(f"s{i}",
                                  generator=CBRGenerator(offered_bps,
                                                         size_bytes))
                      for i in range(n)]
             result = scenario.run(specs, horizon=duration,
                                   seed=rep_seed, until=duration)
-            return sum(result.station(f"s{i}").throughput_bps(warmup,
-                                                              duration)
-                       for i in range(n))
+            bits = [result.station(f"s{i}").delivered_bits(warmup,
+                                                           duration)
+                    for i in range(n)]
+            return SteadyBatchResult(
+                probe_bits=np.array(bits[:1], dtype=float),
+                fifo_bits=np.zeros(1),
+                cross_bits=np.array([bits[1:]], dtype=float),
+                warmup=warmup, duration=duration, size_bytes=size_bytes)
 
         def batch_task(seeds) -> SteadyBatchResult:
             """The steady-state kernel over one (possibly chunked) slice."""
@@ -101,9 +108,8 @@ def ablation_bianchi_calibration(station_counts: Sequence[int] = (1, 2, 3, 4, 5)
         out = resolution.backend.run_batch(BatchRequest(
             repetitions=repetitions, seed=seed + k, event_task=event_task,
             batch_task=batch_task, spec=spec))
-        if isinstance(out, SteadyBatchResult):
-            out = out.probe_throughput_bps() + out.cross_throughput_bps()
-        simulated[k] = float(np.mean(out))
+        simulated[k] = float(np.mean(out.probe_throughput_bps()
+                                     + out.cross_throughput_bps()))
         predicted[k] = bianchi.solve(n).total_throughput_bps
     result = ExperimentResult(
         experiment="ablation-bianchi",

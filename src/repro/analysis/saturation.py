@@ -12,7 +12,8 @@ experiment registered with *two* repetition backends:
   numpy pass by :func:`repro.sim.vector.simulate_saturated_batch`.
 
 Both paths return the same :class:`repro.sim.vector.VectorBatchResult`
-shape, so the analysis below is backend-agnostic; the KS-equivalence
+(the event path as one-row batches the event backend concatenates),
+so the analysis below is backend-agnostic; the KS-equivalence
 tests in ``tests/test_vector_backend.py`` pin the two backends to the
 same distributions.
 """
@@ -20,7 +21,7 @@ same distributions.
 from __future__ import annotations
 
 import functools
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,9 +37,9 @@ def _event_repetition(n_stations: int, packets_per_station: int,
                       size_bytes: int, phy: Optional[PhyParams],
                       rts_threshold: Optional[int],
                       retry_limit: Optional[int],
-                      seed: int
-                      ) -> Tuple[np.ndarray, float, int, int, np.ndarray]:
-    """One saturated repetition through the event engine.
+                      seed: int) -> VectorBatchResult:
+    """One saturated repetition through the event engine, as a
+    one-row batch.
 
     Delays come back NaN-padded per station so retry-limited runs —
     where a dropped packet has no access delay — keep the batch shape.
@@ -57,8 +58,16 @@ def _event_repetition(n_stations: int, packets_per_station: int,
                 drops[k] += 1
             elif record.access_delay is not None:
                 delays[k, j] = record.access_delay
-    return delays, result.duration, result.successes, result.collisions, \
-        drops
+    return VectorBatchResult(
+        access_delays=delays[None],
+        durations=np.array([result.duration], dtype=float),
+        successes=np.array([result.successes], dtype=np.int64),
+        collisions=np.array([result.collisions], dtype=np.int64),
+        n_stations=n_stations,
+        packets_per_station=packets_per_station,
+        size_bytes=size_bytes,
+        drops=drops[None] if retry_limit is not None else None,
+    )
 
 
 def simulate_saturated(n_stations: int, packets_per_station: int,
@@ -98,23 +107,10 @@ def simulate_saturated(n_stations: int, packets_per_station: int,
             size_bytes=size_bytes, phy=phy, seeds=seeds,
             rts_threshold=rts_threshold, retry_limit=retry_limit)
 
-    out = run_batch(BatchRequest(repetitions=repetitions, seed=seed,
-                                 event_task=event_task,
-                                 batch_task=batch_task, spec=spec),
-                    backend=backend)
-    if isinstance(out, VectorBatchResult):
-        return out
-    delays, durations, successes, collisions, drops = zip(*out)
-    return VectorBatchResult(
-        access_delays=np.stack(delays),
-        durations=np.array(durations, dtype=float),
-        successes=np.array(successes, dtype=np.int64),
-        collisions=np.array(collisions, dtype=np.int64),
-        n_stations=n_stations,
-        packets_per_station=packets_per_station,
-        size_bytes=size_bytes,
-        drops=np.stack(drops) if retry_limit is not None else None,
-    )
+    return run_batch(BatchRequest(repetitions=repetitions, seed=seed,
+                                  event_task=event_task,
+                                  batch_task=batch_task, spec=spec),
+                     backend=backend)
 
 
 def retry_limit_study(

@@ -7,14 +7,17 @@ a window that skips the warm-up, which is equivalent and cheaper.
 
 Each measurement point is a repetition batch routed through
 :func:`repro.runtime.executor.run_batch`: the ``event`` backend maps
-:func:`steady_state_throughputs` over the derived per-repetition seeds
+one event-engine repetition over the derived per-repetition seeds
 (sharded across the ambient worker pool), the ``vector`` backend hands
 the whole batch to
-:func:`repro.sim.probe_vector.simulate_steady_state_batch`.
+:func:`repro.sim.probe_vector.simulate_steady_state_batch`.  Both
+answer with a :class:`repro.sim.probe_vector.SteadyBatchResult` of
+delivered bits, and the throughputs are read off it.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -37,21 +40,19 @@ def _probe_cbr(rate_bps: float, size_bytes: int) -> CBRGenerator:
     return generator
 
 
-def steady_state_throughputs(probe_rate_bps: float,
-                             cross_rate_bps: float,
-                             fifo_rate_bps: float = 0.0,
-                             phy: Optional[PhyParams] = None,
-                             size_bytes: int = 1500,
-                             duration: float = 4.0,
-                             warmup: float = 0.5,
-                             seed: int = 0) -> Dict[str, float]:
-    """Throughputs of probe / contending / FIFO flows in steady state.
+def _flow_throughputs(batch: SteadyBatchResult) -> Dict[str, np.ndarray]:
+    """Per-repetition probe, FIFO and contending throughputs."""
+    return {"probe": batch.probe_throughput_bps(),
+            "fifo": batch.fifo_throughput_bps(),
+            "cross": batch.cross_throughput_bps()}
 
-    The probe flow is CBR at ``probe_rate_bps`` from the probe station;
-    ``fifo_rate_bps`` of Poisson cross-traffic shares that station's
-    queue; ``cross_rate_bps`` of Poisson traffic contends from a second
-    station.  Throughputs are measured over ``(warmup, duration]``.
-    """
+
+def _event_repetition(probe_rate_bps: float, cross_rate_bps: float,
+                      fifo_rate_bps: float, phy: Optional[PhyParams],
+                      size_bytes: int, duration: float, warmup: float,
+                      seed: int) -> SteadyBatchResult:
+    """One steady-state repetition on the event engine, as a one-row
+    batch of the bits each flow delivered in ``(warmup, duration]``."""
     if duration <= warmup:
         raise ValueError("duration must exceed warmup")
     # FIFO cross-traffic shares the probe station's transmission queue:
@@ -70,15 +71,38 @@ def steady_state_throughputs(probe_rate_bps: float,
     scenario = WlanScenario(phy)
     result = scenario.run(specs, horizon=duration, seed=seed,
                           until=duration)
-    probe_station = result.station("probe")
-    out = {
-        "probe": probe_station.throughput_bps(warmup, duration, flow="probe"),
-        "fifo": (probe_station.throughput_bps(warmup, duration, flow="fifo")
-                 if fifo_rate_bps > 0 else 0.0),
-        "cross": (result.station("cross").throughput_bps(warmup, duration)
-                  if cross_rate_bps > 0 else 0.0),
-    }
-    return out
+
+    def bits(station: str, flow: Optional[str] = None) -> np.ndarray:
+        return np.array([result.station(station).delivered_bits(
+            warmup, duration, flow)], dtype=float)
+
+    return SteadyBatchResult(
+        probe_bits=bits("probe", "probe"), fifo_bits=bits("probe", "fifo"),
+        cross_bits=(bits("cross")[None] if cross_rate_bps > 0
+                    else np.zeros((1, 0))),
+        warmup=warmup, duration=duration, size_bytes=size_bytes)
+
+
+def steady_state_throughputs(probe_rate_bps: float,
+                             cross_rate_bps: float,
+                             fifo_rate_bps: float = 0.0,
+                             phy: Optional[PhyParams] = None,
+                             size_bytes: int = 1500,
+                             duration: float = 4.0,
+                             warmup: float = 0.5,
+                             seed: int = 0) -> Dict[str, float]:
+    """Throughputs of probe / contending / FIFO flows in steady state.
+
+    The probe flow is CBR at ``probe_rate_bps`` from the probe station;
+    ``fifo_rate_bps`` of Poisson cross-traffic shares that station's
+    queue; ``cross_rate_bps`` of Poisson traffic contends from a second
+    station.  Throughputs are measured over ``(warmup, duration]``.
+    """
+    batch = _event_repetition(probe_rate_bps, cross_rate_bps,
+                              fifo_rate_bps, phy, size_bytes, duration,
+                              warmup, seed)
+    return {flow: float(rates[0])
+            for flow, rates in _flow_throughputs(batch).items()}
 
 
 def steady_state_samples(probe_rate_bps: float,
@@ -95,13 +119,12 @@ def steady_state_samples(probe_rate_bps: float,
 
     One measurement point of figures 1/4 as a repetition batch:
     returns ``flow -> (repetitions,)`` arrays for the probe, FIFO and
-    contending flows.  The event path maps
-    :func:`steady_state_throughputs` over the canonical per-repetition
-    seeds (honouring the ambient ``--jobs`` scope); the vector path
-    resolves the whole batch in the steady-state mode of the
-    probe-train kernel; ``backend="auto"`` lets the dispatcher decide
-    from this measurement's own scenario spec.  The backends are
-    statistically equivalent —
+    contending flows.  The event path maps one event-engine repetition
+    over the canonical per-repetition seeds (honouring the ambient
+    ``--jobs`` scope); the vector path resolves the whole batch in the
+    steady-state mode of the probe-train kernel; ``backend="auto"``
+    lets the dispatcher decide from this measurement's own scenario
+    spec.  The backends are statistically equivalent —
     ``tests/test_auto_backend_equivalence.py`` pins the per-flow
     throughput distributions with KS tests.
     """
@@ -114,18 +137,12 @@ def steady_state_samples(probe_rate_bps: float,
         cross_traffic="poisson" if cross_rate_bps > 0 else "none",
         fifo_cross="poisson" if fifo_rate_bps > 0 else "none")
 
-    def event_task(rep_seed: int) -> Dict[str, float]:
-        return steady_state_throughputs(
-            probe_rate_bps, cross_rate_bps, fifo_rate_bps, phy,
-            size_bytes, duration, warmup, seed=rep_seed)
+    event_task = functools.partial(
+        _event_repetition, probe_rate_bps, cross_rate_bps, fifo_rate_bps,
+        phy, size_bytes, duration, warmup)
 
     def batch_task(seeds) -> SteadyBatchResult:
-        """The steady-state kernel over one (possibly chunked) slice.
-
-        Returns the protocol-conformant :class:`SteadyBatchResult`
-        (not a dict) so chunked execution can fold slices with
-        ``concat``; the throughput dict is read off afterwards.
-        """
+        """The steady-state kernel over one (possibly chunked) slice."""
         return simulate_steady_state_batch(
             probe_rate_bps, len(seeds), size_bytes=size_bytes,
             cross=[PoissonCrossSpec(cross_rate_bps / (size_bytes * 8),
@@ -136,16 +153,11 @@ def steady_state_samples(probe_rate_bps: float,
             if fifo_rate_bps > 0 else None,
             duration=duration, warmup=warmup, phy=phy, seeds=seeds)
 
-    out = run_batch(BatchRequest(repetitions=repetitions, seed=seed,
-                                 event_task=event_task,
-                                 batch_task=batch_task, spec=spec),
-                    backend=backend)
-    if isinstance(out, SteadyBatchResult):
-        return {"probe": out.probe_throughput_bps(),
-                "fifo": out.fifo_throughput_bps(),
-                "cross": out.cross_throughput_bps()}
-    return {flow: np.array([sample[flow] for sample in out])
-            for flow in ("probe", "fifo", "cross")}
+    return _flow_throughputs(run_batch(
+        BatchRequest(repetitions=repetitions, seed=seed,
+                     event_task=event_task, batch_task=batch_task,
+                     spec=spec),
+        backend=backend))
 
 
 def fig1_rate_response(probe_rates_bps: Optional[Sequence[float]] = None,

@@ -16,14 +16,12 @@ import numpy as np
 
 from repro.analysis.results import ExperimentResult
 from repro.analytic.bianchi import BianchiModel
-from repro.backends import dispatch
 from repro.core.transient import (
     DelayMatrix,
     ks_profile,
     transient_duration,
 )
 from repro.mac.params import PhyParams
-from repro.sim.probe_vector import ProbeBatchResult
 from repro.stats.descriptive import histogram
 from repro.testbed.channel import SimulatedWlanChannel
 from repro.traffic.generators import PoissonGenerator
@@ -65,41 +63,26 @@ def collect_delay_matrix(
     :meth:`repro.testbed.channel.Channel.send_trains_dense`, so the
     delay matrix comes back in the same dense shape on every backend
     (``vector`` resolves it in one :mod:`repro.sim.probe_vector` pass,
-    ``auto`` lets the dispatcher choose).  Queue tracking works on
-    both backends: the channel's request runs on the resolved backend
-    and the two result forms are read here — the event path samples
-    the scenario traces, the vector path counts the kernel's
-    arrival/departure sample paths
-    (:class:`repro.sim.probe_vector.QueueTraceBatch`) — statistically
-    equivalent backlog-at-send-time matrices either way.
+    ``auto`` lets the dispatcher choose).  With ``track_queues`` the
+    batch carries one :class:`repro.sim.probe_vector.QueueTraceBatch`
+    per cross station on every backend (the kernel's arrival/departure
+    sample paths, or the event stations' queue logs), sampled here at
+    the probe send instants.
     """
     channel = SimulatedWlanChannel(
         cross_stations, phy=phy, warmup=warmup,
         drain_rate_floor=drain_rate_floor,
         log_cross_queues=track_queues)
     train = ProbeTrain.at_rate(n_packets, probe_rate_bps, size_bytes)
-    if track_queues:
-        request = channel.batch_request(train, repetitions, seed)
-        out = dispatch.resolve(request.spec, backend).backend.run_batch(
-            request)
-        if isinstance(out, ProbeBatchResult):
-            queue_sizes = {
-                name: out.queue_traces[k].size_at(out.send_times)
-                for k, (name, _) in enumerate(cross_stations)}
-            return DelayCollection(matrix=DelayMatrix(out.delay_matrix()),
-                                   queue_sizes=queue_sizes)
-        delays = np.vstack([raw.access_delays for raw in out])
-        queue_sizes: Dict[str, np.ndarray] = {}
-        for name, _ in cross_stations:
-            per_rep = [raw.scenario.station(name).queue_size_at(raw.send_times)
-                       for raw in out]
-            queue_sizes[name] = np.vstack(per_rep)
-        return DelayCollection(matrix=DelayMatrix(delays),
-                               queue_sizes=queue_sizes)
     batch = channel.send_trains_dense(train, repetitions, seed=seed,
                                       backend=backend)
+    queue_sizes: Dict[str, np.ndarray] = {}
+    if track_queues:
+        queue_sizes = {
+            name: batch.queue_traces[k].size_at(batch.send_times)
+            for k, (name, _) in enumerate(cross_stations)}
     return DelayCollection(matrix=DelayMatrix(batch.delay_matrix()),
-                           queue_sizes={})
+                           queue_sizes=queue_sizes)
 
 
 # ----------------------------------------------------------------------

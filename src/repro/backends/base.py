@@ -73,8 +73,9 @@ class BatchRequest:
         Batch size and the master seed the canonical per-repetition
         seeds derive from (``SeedSequence(seed).generate_state``).
     event_task:
-        Pure ``rep_seed -> result`` function; the event backend maps
-        it over the derived seeds.
+        Pure ``rep_seed -> one-row batch`` function (of the class
+        ``batch_task`` returns); the event backend maps it over the
+        derived seeds and folds the rows like kernel chunks.
     batch_task:
         ``seeds -> RepetitionBatch`` kernel entry: receives the
         per-repetition seed slice of the chunk it must resolve (the
@@ -93,10 +94,11 @@ class BatchRequest:
         of cache keys — an execution detail, like ``--jobs``.
     reducer:
         Zero-argument factory of a
-        :class:`repro.core.batch.ChunkReducer`; each chunk's batch is
-        folded into it and ``finalize()`` becomes the run's result.
-        ``None`` folds with the batch class's own ``concat``
-        (bit-identical to dense, but dense-sized).
+        :class:`repro.core.batch.ChunkReducer`; each chunk's batch
+        (or one-row event batch) is folded into it and ``finalize()``
+        becomes the run's result.  ``None`` folds with the batch
+        class's own ``concat`` (bit-identical to dense, but
+        dense-sized).
     """
 
     repetitions: int
@@ -165,12 +167,25 @@ class Backend(abc.ABC):
         The event backend maps ``request.event_task`` over the derived
         per-repetition seeds; kernels hand ``request.batch_task`` the
         per-repetition seed slices of each chunk (the whole array when
-        dense) and fold the chunk batches through the request's
-        reducer.  Each backend consumes exactly one of the two tasks.
+        dense).  Both fold their parts through the request's reducer
+        (:func:`_fold`), so every backend returns the request's dense
+        batch.  Each backend consumes exactly one of the two tasks.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}/{self.kernel}>"
+
+
+def _fold(request: BatchRequest, parts):
+    """Fold ``(batch, lo, hi)`` parts, in repetition order, through
+    the request's reducer (default: the batch class's ``concat``)."""
+    # Imported lazily: repro.core sits above this layer.
+    from repro.core.batch import ConcatReducer
+    reducer = request.reducer() if request.reducer is not None \
+        else ConcatReducer()
+    for batch, lo, hi in parts:
+        reducer.update(batch, lo, hi)
+    return reducer.finalize()
 
 
 class EventBackend(Backend):
@@ -181,21 +196,21 @@ class EventBackend(Backend):
     speed_rank = 100
 
     def run_batch(self, request):
-        """Map the event task over the derived per-repetition seeds.
+        """Map the event task over the seeds and fold the rows.
 
         Fans out across the ambient worker pool
-        (:func:`repro.runtime.executor.parallel_jobs`); results come
-        back in repetition order, bit-identical for any job count.
-        The event engine is already per-repetition, so ``chunk_reps``
-        is a no-op here — peak memory never exceeds one repetition
-        plus the collected results.
+        (:func:`repro.runtime.executor.parallel_jobs`); the one-row
+        batches come back in repetition order, so the folded batch is
+        bit-identical for any job count.  ``chunk_reps`` is a no-op.
         """
         if request.event_task is None:
             raise ValueError("the event backend needs an event_task")
         # Imported lazily: repro.runtime sits above this layer.
         from repro.runtime.executor import derive_seeds, map_ordered
-        return map_ordered(request.event_task,
+        rows = map_ordered(request.event_task,
                            derive_seeds(request.seed, request.repetitions))
+        return _fold(request, ((row, r, r + 1)
+                               for r, row in enumerate(rows)))
 
 
 class _VectorBackend(Backend):
@@ -212,8 +227,8 @@ class _VectorBackend(Backend):
         (``chunk_reps`` on the request, or the ambient
         :func:`repro.runtime.executor.chunked_reps` scope): the seed
         array is sliced into contiguous chunks, each resolved by its
-        own ``batch_task(seeds[lo:hi])`` call and folded into the
-        request's reducer (default: the batch class's own ``concat``).
+        own ``batch_task(seeds[lo:hi])`` call and folded through
+        :func:`_fold` (default: the batch class's own ``concat``).
         The slices are taken from the *dense* derivation, so chunk
         boundaries never change which random universe a repetition
         index maps to — dense and chunked rows are bit-identical.
@@ -229,13 +244,11 @@ class _VectorBackend(Backend):
         if chunk is None and request.reducer is None:
             return task(seeds)
         # Imported lazily: repro.core sits above this layer.
-        from repro.core.batch import ConcatReducer, chunk_bounds
-        reducer = request.reducer() if request.reducer is not None \
-            else ConcatReducer()
-        for lo, hi in chunk_bounds(request.repetitions,
-                                   chunk or request.repetitions):
-            reducer.update(task(seeds[lo:hi]), lo, hi)
-        return reducer.finalize()
+        from repro.core.batch import chunk_bounds
+        return _fold(request, ((task(seeds[lo:hi]), lo, hi)
+                               for lo, hi in chunk_bounds(
+                                   request.repetitions,
+                                   chunk or request.repetitions)))
 
 
 class ProbeTrainVectorBackend(_VectorBackend):

@@ -1,7 +1,6 @@
 """The ``RepetitionBatch`` protocol and chunk-folding reducers.
 
-Every dense batch object in the repository — ``TrainBatch``
-(:mod:`repro.core.dispersion`), ``ProbeBatchResult`` /
+Every dense batch object in the repository — ``ProbeBatchResult`` /
 ``SteadyBatchResult`` / ``QueueTraceBatch``
 (:mod:`repro.sim.probe_vector`) and ``VectorBatchResult``
 (:mod:`repro.sim.vector`) — carries one repetition per row and keeps
@@ -10,15 +9,19 @@ across rows.  :class:`RepetitionBatch` freezes that shared shape into
 a structural protocol:
 
 * ``repetitions`` — the row count;
-* ``per_rep()`` — the batch as single-repetition objects of the same
-  class;
-* ``concat(parts)`` — the inverse: fold row-compatible batches back
-  into one (``concat(list(b.per_rep()))`` round-trips ``b``).
+* ``concat(parts)`` — fold row-compatible batches into one, in row
+  order.
+
+Every backend's ``run_batch`` answers with such a batch.  The kernels
+resolve a batch (or a chunk of one) at a time; the event engine runs
+one repetition at a time and returns it as a one-row batch of the
+same class.  Both fold their parts through the same reducer, so a
+caller reads one object whichever backend ran.
 
 The protocol is *structural* (:func:`typing.runtime_checkable`) on
 purpose: the simulation kernels sit below this layer and must not
-import it — they conform by shape alone.  The chunked execution path
-in :mod:`repro.backends.base` imports :func:`chunk_bounds` and
+import it — they conform by shape alone.  The fold in
+:mod:`repro.backends.base` imports :func:`chunk_bounds` and
 :class:`ConcatReducer` lazily, at call time, for the same reason.
 
 ``concat`` is what makes streaming execution bit-identical: a chunked
@@ -54,10 +57,6 @@ class RepetitionBatch(Protocol):
     @property
     def repetitions(self) -> int:
         """Number of repetitions in the batch (rows)."""
-        ...
-
-    def per_rep(self) -> List["RepetitionBatch"]:
-        """The batch as single-repetition objects of the same class."""
         ...
 
     @classmethod
@@ -100,11 +99,12 @@ def chunk_bounds(repetitions: int, chunk_reps: int) -> List[tuple]:
 class ChunkReducer:
     """Base class of online chunk reducers.
 
-    The vector backend's chunk loop calls :meth:`update` once per
-    chunk, in repetition order, and :meth:`finalize` once at the end.
-    Subclasses accumulate per-repetition *reduced* quantities (never
-    the chunk matrices themselves), so peak memory is the largest
-    chunk plus ``O(repetitions)`` of reduced values.
+    A backend's fold calls :meth:`update` once per part (a kernel
+    chunk, or a one-row event batch), in repetition order, and
+    :meth:`finalize` once at the end.  Subclasses accumulate
+    per-repetition *reduced* quantities (never the chunk matrices
+    themselves), so peak memory is the largest chunk plus
+    ``O(repetitions)`` of reduced values.
     """
 
     def update(self, batch, lo: int, hi: int) -> None:
@@ -142,16 +142,16 @@ class ConcatReducer(ChunkReducer):
 
 
 class OutputGapReducer(ChunkReducer):
-    """Per-repetition output gaps, streamed over the TrainBatch seam.
+    """Per-repetition output gaps, streamed over the train-batch seam.
 
     Folds each chunk through equation (16)
     (:func:`repro.core.dispersion.output_gaps_batch` — any batch with
-    a ``recv_times`` matrix qualifies: ``TrainBatch`` or
-    ``ProbeBatchResult``) and keeps only the resulting
-    ``(chunk,)`` gap vectors.  ``finalize`` concatenates them into the
-    exact per-repetition gap vector a dense run would compute — the
-    quantity every dispersion/rate-response estimator starts from —
-    at ``O(repetitions)`` floats instead of ``O(repetitions * n)``
+    a ``recv_times`` matrix qualifies, such as ``ProbeBatchResult``)
+    and keeps only the resulting ``(chunk,)`` gap vectors.
+    ``finalize`` concatenates them into the exact per-repetition gap
+    vector a dense run would compute — the quantity every
+    dispersion/rate-response estimator starts from — at
+    ``O(repetitions)`` floats instead of ``O(repetitions * n)``
     timestamps.
     """
 
@@ -170,33 +170,23 @@ class OutputGapReducer(ChunkReducer):
         return np.concatenate(self._gaps)
 
 
-class ThroughputReducer(ChunkReducer):
+class ThroughputReducer(ConcatReducer):
     """Delivered-bits accumulation over the steady-state seam.
 
     Each ``SteadyBatchResult`` chunk already carries per-repetition
     delivered bits (scalars per flow per repetition); this reducer
     keeps exactly those and the window metadata, dropping queue traces
-    and every intermediate matrix.  ``finalize`` rebuilds a
-    ``SteadyBatchResult`` whose throughput accessors are bit-identical
-    to the dense run's.
+    and every intermediate matrix.  ``finalize`` (the ``concat`` fold)
+    rebuilds a ``SteadyBatchResult`` whose throughput accessors are
+    bit-identical to the dense run's.
     """
-
-    def __init__(self) -> None:
-        self._parts: List[object] = []
 
     def update(self, batch, lo: int, hi: int) -> None:
         """Keep only the chunk's per-repetition bit counters."""
-        slim = type(batch)(
+        super().update(type(batch)(
             probe_bits=batch.probe_bits, fifo_bits=batch.fifo_bits,
             cross_bits=batch.cross_bits, warmup=batch.warmup,
-            duration=batch.duration, size_bytes=batch.size_bytes)
-        self._parts.append(slim)
-
-    def finalize(self):
-        """One ``SteadyBatchResult`` over every repetition seen."""
-        if not self._parts:
-            raise ValueError("no chunks were reduced")
-        return type(self._parts[0]).concat(self._parts)
+            duration=batch.duration, size_bytes=batch.size_bytes), lo, hi)
 
 
 class ReservoirSampleReducer(ChunkReducer):

@@ -126,109 +126,6 @@ class TrainMeasurement:
         return self.recv_times - self.send_times
 
 
-@dataclass(frozen=True)
-class TrainBatch:
-    """Timestamps of a whole repetition batch of probing trains.
-
-    The dense, 2-D counterpart of a list of
-    :class:`TrainMeasurement`: row ``r`` holds the send/receive
-    instants of repetition ``r``.  Estimators in
-    :mod:`repro.core.estimators` accept either form and compute the
-    batch variant with array arithmetic instead of a per-train loop;
-    the two paths produce identical values because every per-train
-    quantity is the same expression evaluated row-wise.
-
-    Conforms to :class:`repro.core.batch.RepetitionBatch`: ``per_rep``
-    and ``concat`` slice and fold row-wise, so chunked execution can
-    stream train batches through the same estimator call sites.
-    """
-
-    send_times: np.ndarray
-    recv_times: np.ndarray
-    size_bytes: int
-
-    def __post_init__(self) -> None:
-        send = np.asarray(self.send_times, dtype=float)
-        recv = np.asarray(self.recv_times, dtype=float)
-        object.__setattr__(self, "send_times", send)
-        object.__setattr__(self, "recv_times", recv)
-        if send.shape != recv.shape or send.ndim != 2:
-            raise ValueError("timestamp arrays must be equal-shape 2-D")
-        if send.shape[0] < 1 or send.shape[1] < 2:
-            raise ValueError("need >= 1 repetition of >= 2 packets")
-        if self.size_bytes <= 0:
-            raise ValueError(f"size must be positive, got {self.size_bytes}")
-        if np.any(np.diff(send, axis=1) < -1e-12):
-            raise ValueError("send times must be non-decreasing")
-        if np.any(np.diff(recv, axis=1) < -1e-12):
-            raise ValueError("receive times must be non-decreasing")
-
-    @property
-    def repetitions(self) -> int:
-        """Number of trains in the batch (rows)."""
-        return self.send_times.shape[0]
-
-    @property
-    def n(self) -> int:
-        """Packets per train (columns)."""
-        return self.send_times.shape[1]
-
-    @property
-    def output_gaps(self) -> np.ndarray:
-        """Per-train output gap vector (equation (16), row-wise)."""
-        return output_gaps_batch(self.recv_times)
-
-    @classmethod
-    def from_measurements(cls,
-                          measurements: Sequence["TrainMeasurement"],
-                          ) -> "TrainBatch":
-        """Stack equal-length measurements into one dense batch."""
-        if len(measurements) == 0:
-            raise ValueError("need at least one measurement")
-        sizes = {m.size_bytes for m in measurements}
-        if len(sizes) != 1:
-            raise ValueError(f"mixed probe sizes {sorted(sizes)}")
-        lengths = {m.n for m in measurements}
-        if len(lengths) != 1:
-            raise ValueError(f"mixed train lengths {sorted(lengths)}")
-        return cls(
-            send_times=np.vstack([m.send_times for m in measurements]),
-            recv_times=np.vstack([m.recv_times for m in measurements]),
-            size_bytes=sizes.pop(),
-        )
-
-    def measurements(self) -> list:
-        """The batch as per-train :class:`TrainMeasurement` objects."""
-        return [TrainMeasurement(send_times=self.send_times[r],
-                                 recv_times=self.recv_times[r],
-                                 size_bytes=self.size_bytes)
-                for r in range(self.repetitions)]
-
-    def per_rep(self) -> list:
-        """The batch as single-repetition ``TrainBatch`` objects."""
-        return [TrainBatch(send_times=self.send_times[r:r + 1],
-                           recv_times=self.recv_times[r:r + 1],
-                           size_bytes=self.size_bytes)
-                for r in range(self.repetitions)]
-
-    @classmethod
-    def concat(cls, parts: Sequence["TrainBatch"]) -> "TrainBatch":
-        """Fold row-compatible batches into one, preserving row order."""
-        if len(parts) == 0:
-            raise ValueError("concat needs at least one part")
-        if len({part.n for part in parts}) != 1:
-            raise ValueError("cannot concat batches with different "
-                             "train lengths")
-        if len({part.size_bytes for part in parts}) != 1:
-            raise ValueError("cannot concat batches with different "
-                             "packet sizes")
-        return cls(
-            send_times=np.concatenate([p.send_times for p in parts]),
-            recv_times=np.concatenate([p.recv_times for p in parts]),
-            size_bytes=parts[0].size_bytes,
-        )
-
-
 def decompose_output_gap(input_gap: float, access_delays: np.ndarray,
                          residual_last: float, workload_first: float,
                          workload_last: float) -> float:

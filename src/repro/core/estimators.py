@@ -23,33 +23,23 @@ prober.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.core.dispersion import TrainBatch, TrainMeasurement
+from repro.core.dispersion import TrainMeasurement
 from repro.analytic.metrics import achievable_throughput_from_curve
 
-#: Either form of a repetition batch: a list of per-train
-#: measurements, or one dense 2-D :class:`TrainBatch`.
-Measurements = Union[Sequence[TrainMeasurement], TrainBatch]
+#: A repetition batch: one measurement per train.
+Measurements = Sequence[TrainMeasurement]
 
 
 def _check_measurements(measurements: Measurements) -> None:
-    if isinstance(measurements, TrainBatch):
-        return
     if len(measurements) == 0:
         raise ValueError("need at least one measurement")
     sizes = {m.size_bytes for m in measurements}
     if len(sizes) != 1:
         raise ValueError(f"mixed probe sizes {sorted(sizes)}")
-
-
-def _size_and_count(measurements: Measurements) -> tuple:
-    """``(probe size, repetition count)`` of either batch form."""
-    if isinstance(measurements, TrainBatch):
-        return measurements.size_bytes, measurements.repetitions
-    return measurements[0].size_bytes, len(measurements)
 
 
 def packet_pair_capacity(measurements: Measurements) -> float:
@@ -58,21 +48,15 @@ def packet_pair_capacity(measurements: Measurements) -> float:
     Accepts trains of any length but only uses the first two packets of
     each (a pure pair probe).  On a FIFO link with no cross-traffic the
     estimate equals the capacity C; on a CSMA/CA link it tracks — and
-    overestimates — the achievable throughput B (figure 16).  A
-    :class:`~repro.core.dispersion.TrainBatch` is reduced with one
-    column subtraction instead of a per-pair loop.
+    overestimates — the achievable throughput B (figure 16).
     """
     _check_measurements(measurements)
-    if isinstance(measurements, TrainBatch):
-        dispersions = measurements.recv_times[:, 1] \
-            - measurements.recv_times[:, 0]
-    else:
-        dispersions = [float(m.recv_times[1] - m.recv_times[0])
-                       for m in measurements]
+    dispersions = [float(m.recv_times[1] - m.recv_times[0])
+                   for m in measurements]
     mean_dispersion = float(np.mean(dispersions))
     if mean_dispersion <= 0:
         raise ValueError("mean pair dispersion must be positive")
-    return _size_and_count(measurements)[0] * 8 / mean_dispersion
+    return measurements[0].size_bytes * 8 / mean_dispersion
 
 
 def train_dispersion_rate(measurements: Measurements) -> float:
@@ -80,18 +64,14 @@ def train_dispersion_rate(measurements: Measurements) -> float:
 
     The expectation is the sample mean of the train-level output gaps
     over the ``m`` repetitions (the paper's limiting average
-    ``E[g_O]``); a :class:`~repro.core.dispersion.TrainBatch` computes
-    every gap in one vectorized pass.
+    ``E[g_O]``).
     """
     _check_measurements(measurements)
-    if isinstance(measurements, TrainBatch):
-        gaps = measurements.output_gaps
-    else:
-        gaps = [m.output_gap for m in measurements]
+    gaps = [m.output_gap for m in measurements]
     mean_gap = float(np.mean(gaps))
     if mean_gap <= 0:
         raise ValueError("mean output gap must be positive")
-    return _size_and_count(measurements)[0] * 8 / mean_gap
+    return measurements[0].size_bytes * 8 / mean_gap
 
 
 def mean_output_rate(measurements: Measurements,
@@ -105,16 +85,6 @@ def mean_output_rate(measurements: Measurements,
     which matches a long-train throughput measurement.
     """
     _check_measurements(measurements)
-    if isinstance(measurements, TrainBatch):
-        recv = measurements.recv_times
-        start = (measurements.send_times[:, 0] if horizon_from_first_send
-                 else recv[:, 0])
-        spans = recv[:, -1] - start
-        if np.any(spans <= 0):
-            raise ValueError("non-positive train span")
-        rates = ((measurements.n - 1) * measurements.size_bytes * 8
-                 / spans)
-        return float(np.mean(rates))
     rates = []
     for m in measurements:
         start = m.send_times[0] if horizon_from_first_send else m.recv_times[0]
@@ -176,9 +146,8 @@ def rate_response_from_measurements(
         measurements = by_rate[rate]
         _check_measurements(measurements)
         outputs.append(train_dispersion_rate(measurements))
-        size, count = _size_and_count(measurements)
-        sizes.add(size)
-        counts.add(count)
+        sizes.add(measurements[0].size_bytes)
+        counts.add(len(measurements))
     if len(sizes) != 1:
         raise ValueError(f"mixed probe sizes {sorted(sizes)}")
     return RateResponseCurve(

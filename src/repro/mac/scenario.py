@@ -68,14 +68,18 @@ class StationResult:
         return [r for r in self.records
                 if r.completed and (flow is None or r.packet.flow == flow)]
 
+    def delivered_bits(self, t0: float, t1: float,
+                       flow: Optional[str] = None) -> int:
+        """Network-layer bits of departures in ``(t0, t1]``."""
+        if t1 <= t0:
+            raise ValueError(f"need t1 > t0, got ({t0}, {t1})")
+        return sum(r.packet.size_bits for r in self.completed(flow)
+                   if t0 < r.departure <= t1)
+
     def throughput_bps(self, t0: float, t1: float,
                        flow: Optional[str] = None) -> float:
         """Network-layer throughput of departures in ``(t0, t1]``."""
-        if t1 <= t0:
-            raise ValueError(f"need t1 > t0, got ({t0}, {t1})")
-        bits = sum(r.packet.size_bits for r in self.completed(flow)
-                   if t0 < r.departure <= t1)
-        return bits / (t1 - t0)
+        return self.delivered_bits(t0, t1, flow) / (t1 - t0)
 
     def access_delays(self, flow: Optional[str] = None) -> np.ndarray:
         """mu_i of completed packets, in arrival order."""

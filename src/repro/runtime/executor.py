@@ -4,7 +4,7 @@ Every heavy experiment in this repository bottoms out in the same hot
 loop: run N independent repetitions of a batch — typically a probing
 train through a fresh channel — on the event engine
 (:meth:`repro.backends.EventBackend.run_batch`), then compute
-statistics over the collected per-repetition results.  The executor
+statistics over the batch the repetitions fold into.  The executor
 parallelises that loop — and *only* that loop — because it is the one
 place where fan-out cannot change the answer:
 
@@ -213,14 +213,16 @@ def run_batch(request: BatchRequest, *, backend: str = "event"):
 
     ``request`` is a :class:`repro.backends.BatchRequest` describing
     the batch once for every backend: the event backend maps
-    ``request.event_task`` (a pure ``rep_seed -> result`` function)
-    over the derived per-repetition seeds through :func:`map_ordered`;
-    the vector backends hand ``request.batch_task`` the per-repetition
-    seed array — sliced into contiguous chunks when a chunk size is in
-    effect (the request's ``chunk_reps``, else the ambient
-    :func:`chunked_reps` scope), each chunk folded into the request's
-    reducer.  Dense and chunked runs are bit-identical: a chunk
-    replays exactly the seed slice of the dense derivation.
+    ``request.event_task`` (a pure ``rep_seed -> one-row batch``
+    function) over the derived per-repetition seeds through
+    :func:`map_ordered`; the vector backends hand
+    ``request.batch_task`` the per-repetition seed array — sliced into
+    contiguous chunks when a chunk size is in effect (the request's
+    ``chunk_reps``, else the ambient :func:`chunked_reps` scope).
+    Either way the parts fold into the request's reducer, so every
+    backend returns the same dense batch.  Dense and chunked runs are
+    bit-identical: a chunk replays exactly the seed slice of the dense
+    derivation.
 
     ``backend="auto"`` asks :func:`repro.backends.dispatch.resolve` to
     pick the fastest backend eligible for the request's spec (a
@@ -556,9 +558,12 @@ def _map_supervised(fn: Callable, shards: List[List],
                     try:
                         kind, payload = run.conn.recv()
                     except (EOFError, OSError):
-                        exitcode = run.process.exitcode \
-                            if run.process is not None else None
+                        # Reap first: EOF can arrive before the dead
+                        # worker's exit code is known.
+                        process = run.process
                         run.retire()
+                        exitcode = process.exitcode \
+                            if process is not None else None
                         fail(run, "worker crashed "
                                   f"(exit code {exitcode})")
                         continue

@@ -340,11 +340,18 @@ class QueueTraceBatch:
         """Number of repetitions (rows)."""
         return self.arrivals.shape[0]
 
-    def per_rep(self) -> List["QueueTraceBatch"]:
-        """The batch as single-repetition ``QueueTraceBatch`` objects."""
-        return [QueueTraceBatch(arrivals=self.arrivals[r:r + 1],
-                                departures=self.departures[r:r + 1])
-                for r in range(self.repetitions)]
+    @classmethod
+    def from_queue_log(cls, queue_log: Sequence[Tuple[float, int]]
+                       ) -> "QueueTraceBatch":
+        """One repetition's trace, read off an event station's
+        ``(time, backlog)`` log: a +1 step is an arrival, a -1 step a
+        departure or a drop, so :meth:`size_at` reproduces
+        :meth:`repro.mac.scenario.StationResult.queue_size_at` exactly
+        (an empty log reads as zero backlog)."""
+        times = np.array([t for t, _ in queue_log], dtype=float)
+        steps = np.diff([0] + [q for _, q in queue_log])
+        return cls(arrivals=times[steps > 0][None, :],
+                   departures=times[steps < 0][None, :])
 
     @classmethod
     def concat(cls, parts: Sequence["QueueTraceBatch"]
@@ -406,8 +413,8 @@ class ProbeBatchResult:
     the batched counterpart of the event scenario's queue logs.
 
     Conforms to :class:`repro.core.batch.RepetitionBatch`: one
-    repetition per row, ``per_rep``/``concat`` slice and fold row-wise
-    (chunked execution concatenates these).
+    repetition per row, ``concat`` folds row-wise (chunked and event
+    execution concatenate these).
     """
 
     send_times: np.ndarray
@@ -420,19 +427,6 @@ class ProbeBatchResult:
     def repetitions(self) -> int:
         """Number of repetitions (rows)."""
         return self.send_times.shape[0]
-
-    def per_rep(self) -> List["ProbeBatchResult"]:
-        """The batch as single-repetition ``ProbeBatchResult`` objects."""
-        return [ProbeBatchResult(
-            send_times=self.send_times[r:r + 1],
-            recv_times=self.recv_times[r:r + 1],
-            access_delays=self.access_delays[r:r + 1],
-            size_bytes=self.size_bytes,
-            queue_traces=None if self.queue_traces is None else [
-                QueueTraceBatch(arrivals=trace.arrivals[r:r + 1],
-                                departures=trace.departures[r:r + 1])
-                for trace in self.queue_traces],
-        ) for r in range(self.repetitions)]
 
     @classmethod
     def concat(cls, parts: Sequence["ProbeBatchResult"]
@@ -462,12 +456,7 @@ class ProbeBatchResult:
 
     @property
     def output_gaps(self) -> np.ndarray:
-        """Per-repetition train-level output gap (equation (16)).
-
-        Same accessor shape as
-        :attr:`repro.core.dispersion.TrainBatch.output_gaps`, so batch
-        objects are interchangeable at estimator call sites.
-        """
+        """Per-repetition train-level output gap (equation (16))."""
         d = self.recv_times
         return (d[:, -1] - d[:, 0]) / (self.n - 1)
 
@@ -1116,9 +1105,9 @@ class SteadyBatchResult:
     the probe queue, and each contending cross station.
 
     Conforms to :class:`repro.core.batch.RepetitionBatch`: one
-    repetition per row, ``per_rep``/``concat`` slice and fold row-wise
-    (the streaming :class:`repro.core.batch.ThroughputReducer` builds
-    on ``concat`` after stripping queue traces).
+    repetition per row, ``concat`` folds row-wise (the streaming
+    :class:`repro.core.batch.ThroughputReducer` builds on ``concat``
+    after stripping queue traces).
     """
 
     probe_bits: np.ndarray
@@ -1133,20 +1122,6 @@ class SteadyBatchResult:
     def repetitions(self) -> int:
         """Number of repetitions (rows)."""
         return self.probe_bits.shape[0]
-
-    def per_rep(self) -> List["SteadyBatchResult"]:
-        """The batch as single-repetition ``SteadyBatchResult`` objects."""
-        return [SteadyBatchResult(
-            probe_bits=self.probe_bits[r:r + 1],
-            fifo_bits=self.fifo_bits[r:r + 1],
-            cross_bits=self.cross_bits[r:r + 1],
-            warmup=self.warmup, duration=self.duration,
-            size_bytes=self.size_bytes,
-            queue_traces=None if self.queue_traces is None else [
-                QueueTraceBatch(arrivals=trace.arrivals[r:r + 1],
-                                departures=trace.departures[r:r + 1])
-                for trace in self.queue_traces],
-        ) for r in range(self.repetitions)]
 
     @classmethod
     def concat(cls, parts: Sequence["SteadyBatchResult"]

@@ -63,9 +63,10 @@ _BUFFER_ROUNDS = 256
 class VectorBatchResult:
     """Outcome of a batched saturated-DCF simulation.
 
-    Both backends (the vector kernel and the per-repetition event
-    engine wrapper in :mod:`repro.analysis.saturation`) return this
-    shape, so everything downstream is backend-agnostic.
+    Both backends return this shape — the vector kernel for a whole
+    batch, the event engine wrapper in :mod:`repro.analysis.saturation`
+    as one-row batches the event backend concatenates — so everything
+    downstream is backend-agnostic.
 
     Attributes
     ----------
@@ -82,8 +83,8 @@ class VectorBatchResult:
         limit (``None`` when no limit was configured).
 
     Conforms to :class:`repro.core.batch.RepetitionBatch`: one
-    repetition per leading-axis row, ``per_rep``/``concat`` slice and
-    fold row-wise (chunked execution concatenates these).
+    repetition per leading-axis row, ``concat`` folds row-wise
+    (chunked and event execution concatenate these).
     """
 
     access_delays: np.ndarray
@@ -99,19 +100,6 @@ class VectorBatchResult:
     def repetitions(self) -> int:
         """Number of repetitions (leading-axis rows)."""
         return self.access_delays.shape[0]
-
-    def per_rep(self) -> List["VectorBatchResult"]:
-        """The batch as single-repetition ``VectorBatchResult`` objects."""
-        return [VectorBatchResult(
-            access_delays=self.access_delays[r:r + 1],
-            durations=self.durations[r:r + 1],
-            successes=self.successes[r:r + 1],
-            collisions=self.collisions[r:r + 1],
-            n_stations=self.n_stations,
-            packets_per_station=self.packets_per_station,
-            size_bytes=self.size_bytes,
-            drops=None if self.drops is None else self.drops[r:r + 1],
-        ) for r in range(self.repetitions)]
 
     @classmethod
     def concat(cls, parts: Sequence["VectorBatchResult"]

@@ -36,6 +36,7 @@ from repro.queueing.lindley import lindley_batch
 from repro.sim.probe_vector import (
     PoissonCrossSpec,
     ProbeBatchResult,
+    QueueTraceBatch,
     classify_cross_generator,
     classify_cross_stations,
     cross_spec_from_generator,
@@ -98,8 +99,9 @@ class Channel(abc.ABC):
         """``repetitions`` independent trains, described for any backend.
 
         The event task is :meth:`_train_task` (one repetition per
-        derived seed), the batch task :meth:`send_trains_batch` over a
-        seed slice, and the spec :meth:`scenario_spec` for ``train``.
+        derived seed, as a one-row batch), the batch task
+        :meth:`send_trains_batch` over a seed slice, and the spec
+        :meth:`scenario_spec` for ``train``.
         Whichever backend the dispatcher resolves runs the request —
         fanning repetitions out over ``--jobs`` workers or resolving
         them in ``--chunk-reps`` kernel chunks — so every channel
@@ -134,17 +136,17 @@ class Channel(abc.ABC):
         ``vector``; raises
         :class:`repro.backends.BackendUnavailableError` without
         numba).  ``backend="auto"`` lets the dispatcher pick the
-        fastest backend this channel is eligible for.
+        fastest backend this channel is eligible for.  The results
+        are the rows of :meth:`send_trains_dense`'s batch on every
+        backend (NaN access delays where the channel cannot observe
+        them, no scenario).
         """
-        request = self.batch_request(train, repetitions, seed)
-        out = dispatch.resolve(request.spec, backend).backend.run_batch(
-            request)
-        if not isinstance(out, ProbeBatchResult):
-            return out
-        return [RawTrainResult(send_times=out.send_times[r],
-                               recv_times=out.recv_times[r],
-                               size_bytes=out.size_bytes,
-                               access_delays=out.access_delays[r])
+        batch = self.send_trains_dense(train, repetitions, seed=seed,
+                                       backend=backend)
+        return [RawTrainResult(send_times=batch.send_times[r],
+                               recv_times=batch.recv_times[r],
+                               size_bytes=batch.size_bytes,
+                               access_delays=batch.access_delays[r])
                 for r in range(repetitions)]
 
     def send_trains_batch(self, train: ProbeTrain, repetitions: int,
@@ -171,37 +173,37 @@ class Channel(abc.ABC):
                           backend: str = "event") -> ProbeBatchResult:
         """Send a repetition batch and return it in dense batch form.
 
-        The backend-agnostic face of :meth:`send_trains`: a kernel's
-        :class:`ProbeBatchResult` comes back as is, the event path
-        assembles the same shape from the per-repetition results — so
-        runners consume one dense object and never branch on the
-        backend.  The event rows are bit-identical to
-        :meth:`send_trains`'s output.
+        :meth:`batch_request` runs on the resolved backend, and every
+        backend returns the same :class:`ProbeBatchResult` (the event
+        backend concatenates :meth:`_train_task`'s one-row batches),
+        so runners never branch on the backend.
         """
         request = self.batch_request(train, repetitions, seed)
-        out = dispatch.resolve(request.spec, backend).backend.run_batch(
+        return dispatch.resolve(request.spec, backend).backend.run_batch(
             request)
-        if isinstance(out, ProbeBatchResult):
-            return out
-        if all(raw.access_delays is not None for raw in out):
-            delays = np.vstack([raw.access_delays for raw in out])
-        else:  # end-to-end channels cannot observe access delays
-            delays = np.full((repetitions, train.n), np.nan)
-        return ProbeBatchResult(
-            send_times=np.vstack([raw.send_times for raw in out]),
-            recv_times=np.vstack([raw.recv_times for raw in out]),
-            access_delays=delays,
-            size_bytes=train.size_bytes,
-        )
 
-    def _train_task(self, train: ProbeTrain, seed: int) -> RawTrainResult:
-        """One batch repetition; subclasses may slim the result.
-
-        :meth:`batch_request` maps this (not ``send_train``) so that
-        channels can drop bulky diagnostics the batch callers never
-        read before the result crosses a worker-process boundary.
+    def _train_task(self, train: ProbeTrain, seed: int
+                    ) -> ProbeBatchResult:
+        """One batch repetition as a one-row :class:`ProbeBatchResult`
+        (NaN access delays where the channel cannot observe them); the
+        bulky event scenario never crosses a worker-process boundary.
         """
-        return self.send_train(train, seed)
+        raw = self.send_train(train, seed)
+        delays = raw.access_delays
+        if delays is None:  # end-to-end channels cannot observe them
+            delays = np.full(train.n, np.nan)
+        return ProbeBatchResult(
+            send_times=raw.send_times[None, :],
+            recv_times=raw.recv_times[None, :],
+            access_delays=delays[None, :],
+            size_bytes=raw.size_bytes,
+            queue_traces=self._queue_traces(raw))
+
+    def _queue_traces(self, raw: RawTrainResult
+                      ) -> Optional[List[QueueTraceBatch]]:
+        """One repetition's cross-station queue traces (``None``: none
+        were requested)."""
+        return None
 
 
 class SimulatedWlanChannel(Channel):
@@ -289,15 +291,14 @@ class SimulatedWlanChannel(Channel):
             scenario=result,
         )
 
-    def _train_task(self, train: ProbeTrain, seed: int) -> RawTrainResult:
-        """Batch repetition: keep the scenario only when queue traces
-        were requested — it dominates the payload shipped back from
-        worker processes, and batch callers only read it for queue
-        sampling."""
-        raw = self.send_train(train, seed)
+    def _queue_traces(self, raw: RawTrainResult
+                      ) -> Optional[List[QueueTraceBatch]]:
+        """With ``log_cross_queues``, one trace per cross station."""
         if not self.log_cross_queues:
-            raw.scenario = None
-        return raw
+            return None
+        return [QueueTraceBatch.from_queue_log(
+                    raw.scenario.station(name).queue_log)
+                for name, _ in self.cross_stations]
 
     def scenario_spec(self,
                       train: Optional[ProbeTrain] = None) -> ScenarioSpec:

@@ -8,11 +8,37 @@ module name ``conftest`` resolves to *benchmarks*' conftest and
 :func:`ks_assert_impl` in the session ``ks_assert`` fixture.
 """
 
+from dataclasses import dataclass
+from typing import List
+
 import numpy as np
 import pytest
 
 from repro.runtime.store import SweepStore
 from repro.stats.ks import ks_distance, ks_threshold
+
+
+@dataclass
+class SeedRows:
+    """A minimal repetition batch: which task ran, on which seeds.
+
+    Test event tasks return ``SeedRows(flavor, [seed])`` — the one-row
+    batch every event task answers with — and the event backend folds
+    the rows with :meth:`concat`.
+    """
+
+    flavor: str
+    seeds: List[int]
+
+    @property
+    def repetitions(self) -> int:
+        """Number of rows."""
+        return len(self.seeds)
+
+    @classmethod
+    def concat(cls, parts):
+        """Fold one-flavor parts in row order."""
+        return cls(parts[0].flavor, [s for p in parts for s in p.seeds])
 
 
 def seed_params(*seeds):

@@ -19,6 +19,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import SeedRows
 from repro.backends import (
     BackendUnavailableError,
     BatchRequest,
@@ -333,7 +334,7 @@ class TestChannelIntegration:
 def _flavored_request(repetitions, spec=None):
     """A batch whose results say which task produced them."""
     return BatchRequest(repetitions=repetitions, seed=9,
-                        event_task=lambda s: ("event", s),
+                        event_task=lambda s: SeedRows("event", [s]),
                         batch_task=lambda seeds: ("vector", seeds),
                         spec=spec)
 
@@ -346,7 +347,7 @@ class TestExecutorDelegation:
 
     def test_auto_without_spec_stays_on_event(self):
         out = executor.run_batch(_flavored_request(3), backend="auto")
-        assert [flavor for flavor, _ in out] == ["event"] * 3
+        assert out == SeedRows("event", executor.derive_seeds(9, 3))
 
     def test_forced_vector_with_spec_runs_kernel(self):
         out = executor.run_batch(_flavored_request(3, WLAN_TRAIN),
@@ -359,7 +360,7 @@ class TestExecutorDelegation:
                             cross_detail=TRACE_DETAIL)
         out = executor.run_batch(_flavored_request(2, spec),
                                  backend="auto")
-        assert [flavor for flavor, _ in out] == ["event"] * 2
+        assert out == SeedRows("event", executor.derive_seeds(9, 2))
 
 
 class TestRegistryCacheInteraction:

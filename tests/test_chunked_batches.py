@@ -11,16 +11,19 @@ reduced quantities at ``O(chunk)`` peak memory; everything except the
 messages, the ambient ``chunked_reps`` scope and its environment
 variable, and the dispatcher's refusal to run an undeclared batch on a
 kernel.  Every channel batch — queue-traced and multihop ones
-included — reaches its kernel through the same chunk loop.
+included — reaches its kernel through the same chunk loop, and the
+event backend folds its one-row batches into the same dense batch.
 """
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from helpers import seed_params
+from repro.analysis.saturation import simulate_saturated
+from repro.analysis.steady_state import steady_state_samples
 from repro.backends import (
     BackendUnavailableError,
     BatchRequest,
@@ -40,7 +43,7 @@ from repro.core.batch import (
     iter_chunks,
     resolve_rep_seeds,
 )
-from repro.core.dispersion import TrainBatch, output_gaps_batch
+from repro.core.dispersion import output_gaps_batch
 from repro.path import (
     NetworkPath,
     SimulatedPathChannel,
@@ -56,6 +59,7 @@ from repro.runtime.executor import (
 )
 from repro.sim.probe_vector import (
     PoissonCrossSpec,
+    ProbeBatchResult,
     QueueTraceBatch,
     simulate_probe_train_batch,
     simulate_steady_state_batch,
@@ -74,13 +78,19 @@ CHUNKS = (1, 7, REPS, REPS + 3)
 WLAN_TRAIN = ScenarioSpec(system="wlan", workload="train")
 
 
-def _probe_batches_equal(a, b):
-    """Bit-exact equality of two ProbeBatchResult-shaped batches."""
-    assert np.array_equal(a.send_times, b.send_times)
-    assert np.array_equal(a.recv_times, b.recv_times)
-    assert np.array_equal(a.access_delays, b.access_delays,
-                          equal_nan=True)
-    assert a.size_bytes == b.size_bytes
+def _same_batch(a, b):
+    """Field-by-field bit equality of two dense batches (NaN == NaN)."""
+    assert type(a) is type(b)
+    for field in fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, list):  # per-station queue traces
+            assert len(x) == len(y)
+            for u, v in zip(x, y):
+                _same_batch(u, v)
+        elif isinstance(x, np.ndarray):
+            assert np.array_equal(x, y, equal_nan=True)
+        else:
+            assert x == y
 
 
 class TestChunkPrimitives:
@@ -118,13 +128,7 @@ class TestChunkPrimitives:
 
 
 class TestRepetitionBatchProtocol:
-    """All five dense batch classes conform, structurally."""
-
-    @pytest.fixture(scope="class")
-    def train_batch(self):
-        send = np.cumsum(np.ones((4, 5)), axis=1)
-        return TrainBatch(send_times=send, recv_times=send + 0.25,
-                          size_bytes=L)
+    """All four dense batch classes conform, structurally."""
 
     @pytest.fixture(scope="class")
     def probe_batch(self):
@@ -142,54 +146,25 @@ class TestRepetitionBatchProtocol:
     def saturated_batch(self):
         return simulate_saturated_batch(3, 8, 5, seed=2, retry_limit=2)
 
-    def test_all_batches_conform(self, train_batch, probe_batch,
-                                 steady_batch, saturated_batch):
-        for batch in (train_batch, probe_batch, steady_batch,
-                      saturated_batch, probe_batch.queue_traces[0]):
+    def test_all_batches_conform(self, probe_batch, steady_batch,
+                                 saturated_batch):
+        for batch in (probe_batch, steady_batch, saturated_batch,
+                      probe_batch.queue_traces[0]):
             assert isinstance(batch, RepetitionBatch)
             assert batch.repetitions >= 1
 
-    def test_per_rep_concat_round_trips_trains(self, train_batch):
-        back = TrainBatch.concat(train_batch.per_rep())
-        assert np.array_equal(back.send_times, train_batch.send_times)
-        assert np.array_equal(back.recv_times, train_batch.recv_times)
-
-    def test_per_rep_concat_round_trips_probe(self, probe_batch):
-        parts = probe_batch.per_rep()
-        assert all(p.repetitions == 1 for p in parts)
-        back = type(probe_batch).concat(parts)
-        _probe_batches_equal(back, probe_batch)
-        assert len(back.queue_traces) == len(probe_batch.queue_traces)
-        for a, b in zip(back.queue_traces, probe_batch.queue_traces):
-            assert np.array_equal(a.departures, b.departures)
-
-    def test_per_rep_concat_round_trips_steady(self, steady_batch):
-        back = type(steady_batch).concat(steady_batch.per_rep())
-        assert np.array_equal(back.probe_bits, steady_batch.probe_bits)
-        assert np.array_equal(back.cross_bits, steady_batch.cross_bits)
-
-    def test_per_rep_concat_round_trips_saturated(self, saturated_batch):
-        back = type(saturated_batch).concat(saturated_batch.per_rep())
-        assert np.array_equal(back.access_delays,
-                              saturated_batch.access_delays,
-                              equal_nan=True)
-        assert np.array_equal(back.drops, saturated_batch.drops)
-        assert np.array_equal(back.durations, saturated_batch.durations)
-
-    def test_concat_rejects_mismatched_parts(self, train_batch,
+    def test_concat_rejects_mismatched_parts(self, probe_batch,
                                              saturated_batch):
-        other = TrainBatch(send_times=train_batch.send_times,
-                           recv_times=train_batch.recv_times,
-                           size_bytes=L + 100)
+        other = replace(probe_batch, size_bytes=L + 100)
         with pytest.raises(ValueError, match="packet sizes"):
-            TrainBatch.concat([train_batch, other])
+            ProbeBatchResult.concat([probe_batch, other])
         no_drops = simulate_saturated_batch(3, 8, 2, seed=2)
         with pytest.raises(ValueError, match="drop counters"):
             type(saturated_batch).concat([saturated_batch, no_drops])
 
     def test_concat_needs_parts(self):
         with pytest.raises(ValueError):
-            TrainBatch.concat([])
+            ProbeBatchResult.concat([])
 
 
 class TestChunkedBitIdentity:
@@ -221,7 +196,7 @@ class TestChunkedBitIdentity:
         with chunked_reps(chunk):
             chunked = wlan.send_trains_dense(train, REPS, seed=11,
                                              backend="vector")
-        _probe_batches_equal(chunked, dense)
+        _same_batch(chunked, dense)
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_lindley_channel_chunks_bit_identical(self, fifo, chunk):
@@ -231,7 +206,7 @@ class TestChunkedBitIdentity:
         with chunked_reps(chunk):
             chunked = fifo.send_trains_dense(train, REPS, seed=19,
                                              backend="vector")
-        _probe_batches_equal(chunked, dense)
+        _same_batch(chunked, dense)
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_path_channel_chunks_bit_identical(self, path, chunk):
@@ -241,7 +216,7 @@ class TestChunkedBitIdentity:
         with chunked_reps(chunk):
             chunked = path.send_trains_dense(train, REPS, seed=43,
                                              backend="vector")
-        _probe_batches_equal(chunked, dense)
+        _same_batch(chunked, dense)
 
     def test_queue_traced_batches_chunk(self, monkeypatch):
         from repro.analysis.transient import collect_delay_matrix
@@ -271,7 +246,6 @@ class TestChunkedBitIdentity:
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_saturated_study_chunks_bit_identical(self, chunk):
-        from repro.analysis.saturation import simulate_saturated
         dense = simulate_saturated(4, 15, REPS, seed=23, retry_limit=3,
                                    backend="vector")
         with chunked_reps(chunk):
@@ -287,7 +261,6 @@ class TestChunkedBitIdentity:
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_steady_state_chunks_bit_identical(self, chunk):
-        from repro.analysis.steady_state import steady_state_samples
         dense = steady_state_samples(2e6, 3e6, repetitions=REPS,
                                      duration=0.2, warmup=0.05,
                                      seed=29, backend="vector")
@@ -315,7 +288,7 @@ class TestChunkedBitIdentity:
                              batch_task=batch_task, chunk_reps=chunk,
                              spec=WLAN_TRAIN),
                 backend="vector")
-            _probe_batches_equal(chunked, dense)
+            _same_batch(chunked, dense)
 
     def test_request_chunk_overrides_ambient_scope(self):
         seen = []
@@ -379,7 +352,7 @@ class TestChunkedOnOffKS:
         dense = channel.send_trains_dense(
             ProbeTrain.at_rate(self.N, 4e6, L), self.REPS, seed=17,
             backend="vector")
-        _probe_batches_equal(chunked, dense)
+        _same_batch(chunked, dense)
 
 
 class TestReducers:
@@ -572,8 +545,9 @@ class TestCallerKernelResolution:
         def batch_task(seeds):
             sizes.append(len(seeds))
             send = np.cumsum(np.ones((len(seeds), 3)), axis=1)
-            return TrainBatch(send_times=send, recv_times=send + 0.1,
-                              size_bytes=L)
+            return ProbeBatchResult(send_times=send, recv_times=send + 0.1,
+                                    access_delays=np.full(send.shape, 0.1),
+                                    size_bytes=L)
 
         out = run_batch(BatchRequest(repetitions=7, seed=0,
                                      batch_task=batch_task,
@@ -631,3 +605,79 @@ class TestRunnersReachTheBackend:
 
         assert payload("vector", chunk_reps=3) == payload("vector")
         assert payload("event", jobs=2) == payload("event", jobs=1)
+
+
+def _channel_case(channel, train):
+    """Run the channel's own request on a backend."""
+    return lambda backend: run_batch(
+        channel.batch_request(train, 5, seed=3), backend=backend)
+
+
+class TestOneResultForm:
+    """Every backend's ``run_batch`` returns the request's dense batch:
+    the event backend folds its one-row batches into the class the
+    kernel returns, and the fold is the same for any job count."""
+
+    CASES = {
+        "wlan": _channel_case(
+            SimulatedWlanChannel([("cross", PoissonGenerator(3e6, L))],
+                                 warmup=0.05, log_cross_queues=True),
+            ProbeTrain.at_rate(8, 4e6, L)),
+        "fifo": _channel_case(
+            SimulatedFifoChannel(8e6,
+                                 cross_generator=PoissonGenerator(3e6, L)),
+            ProbeTrain.at_rate(8, 6e6, L)),
+        "path": _channel_case(
+            SimulatedPathChannel(NetworkPath([
+                WiredHop(50e6, cross_generator=PoissonGenerator(10e6, L)),
+                WlanHop([("neighbour", PoissonGenerator(3e6, L))]),
+            ])),
+            ProbeTrain.at_rate(6, 3e6, L)),
+        "saturated": lambda backend: simulate_saturated(
+            3, 8, 5, seed=3, retry_limit=2, backend=backend),
+        "steady-state": lambda backend: steady_state_samples(
+            2e6, 3e6, 1e6, duration=0.2, warmup=0.05, repetitions=5,
+            seed=3, backend=backend),
+    }
+
+    @pytest.fixture
+    def answers(self, monkeypatch):
+        """Every batch ``run_batch`` returned, in call order."""
+        seen = []
+
+        def spy(cls):
+            original = cls.run_batch
+
+            def run_batch(backend, request):
+                seen.append(original(backend, request))
+                return seen[-1]
+
+            monkeypatch.setattr(cls, "run_batch", run_batch)
+
+        spy(EventBackend)
+        spy(_VectorBackend)
+        return seen
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_event_answers_with_the_kernel_batch(self, name, answers):
+        def answer(backend, jobs=1):
+            answers.clear()
+            with executor.parallel_jobs(jobs):
+                self.CASES[name](backend)
+            assert len(answers) == 1
+            return answers[0]
+
+        event, vector = answer("event"), answer("vector")
+        assert type(event) is type(vector)
+        assert event.repetitions == vector.repetitions == 5
+        _same_batch(answer("event", jobs=2), event)
+
+    def test_reducer_folds_event_batches(self):
+        channel = SimulatedWlanChannel(
+            [("cross", PoissonGenerator(3e6, L))], warmup=0.05)
+        request = channel.batch_request(ProbeTrain.at_rate(8, 4e6, L), 6,
+                                        seed=5)
+        dense = run_batch(request, backend="event")
+        gaps = run_batch(replace(request, reducer=OutputGapReducer),
+                         backend="event")
+        assert np.array_equal(gaps, output_gaps_batch(dense.recv_times))

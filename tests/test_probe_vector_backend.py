@@ -19,12 +19,8 @@ import numpy as np
 import pytest
 
 from helpers import seed_params
-from repro.core.dispersion import TrainBatch, output_gaps_batch
-from repro.core.estimators import (
-    mean_output_rate,
-    packet_pair_capacity,
-    train_dispersion_rate,
-)
+from repro.core.dispersion import TrainMeasurement, output_gaps_batch
+from repro.core.estimators import train_dispersion_rate
 from repro.mac.frames import AirtimeModel
 from repro.mac.params import PhyParams
 from repro.runtime import executor, registry
@@ -35,7 +31,7 @@ from repro.sim.probe_vector import (
 from repro.testbed.channel import SimulatedFifoChannel, SimulatedWlanChannel
 from repro.testbed.prober import Prober, ProbeSessionConfig
 from repro.traffic.generators import CBRGenerator, PoissonGenerator
-from repro.traffic.probe import PacketPair, ProbeTrain
+from repro.traffic.probe import ProbeTrain
 
 L = 1500
 
@@ -357,37 +353,30 @@ class TestFifoWiredVector:
 
 
 class TestBatchedEstimators:
+    @staticmethod
+    def _send(method):
+        channel = SimulatedWlanChannel(
+            [("cross", PoissonGenerator(2e6, L))], warmup=0.1)
+        return getattr(channel, method)(ProbeTrain.at_rate(10, 4e6, L), 12,
+                                        seed=6)
+
     @pytest.fixture(scope="class")
     def raws(self):
-        channel = SimulatedWlanChannel(
-            [("cross", PoissonGenerator(2e6, L))], warmup=0.1)
-        return channel.send_trains(ProbeTrain.at_rate(10, 4e6, L), 12,
-                                   seed=6)
+        return self._send("send_trains")
 
-    def test_train_dispersion_rate_batch_equals_list(self, raws):
-        measurements = [TrainBatchHelper.measurement(r) for r in raws]
-        batch = TrainBatch.from_measurements(measurements)
-        assert train_dispersion_rate(batch) == pytest.approx(
+    @pytest.fixture(scope="class")
+    def batch(self):
+        return self._send("send_trains_dense")
+
+    def test_train_dispersion_rate_batch_equals_list(self, raws, batch):
+        """The dense batch's equation-(16) gaps give the estimator's
+        rate over the per-train measurements."""
+        measurements = [TrainMeasurement(send_times=r.send_times,
+                                         recv_times=r.recv_times,
+                                         size_bytes=r.size_bytes)
+                        for r in raws]
+        assert L * 8 / np.mean(batch.output_gaps) == pytest.approx(
             train_dispersion_rate(measurements), rel=1e-12)
-
-    def test_packet_pair_batch_equals_list(self):
-        channel = SimulatedWlanChannel(
-            [("cross", PoissonGenerator(2e6, L))], warmup=0.1)
-        raws = channel.send_trains(PacketPair(L), 15, seed=8)
-        measurements = [TrainBatchHelper.measurement(r) for r in raws]
-        batch = TrainBatch.from_measurements(measurements)
-        assert packet_pair_capacity(batch) == pytest.approx(
-            packet_pair_capacity(measurements), rel=1e-12)
-
-    def test_mean_output_rate_batch_equals_list(self, raws):
-        measurements = [TrainBatchHelper.measurement(r) for r in raws]
-        batch = TrainBatch.from_measurements(measurements)
-        for horizon in (False, True):
-            assert mean_output_rate(
-                batch, horizon_from_first_send=horizon) == pytest.approx(
-                mean_output_rate(measurements,
-                                 horizon_from_first_send=horizon),
-                rel=1e-12)
 
     def test_output_gaps_batch_matches_scalar(self, raws):
         recv = np.vstack([r.recv_times for r in raws])
@@ -397,34 +386,20 @@ class TestBatchedEstimators:
                 / (len(raw.recv_times) - 1)
             assert gaps[r] == pytest.approx(expected, rel=1e-12)
 
-    def test_batch_round_trip(self, raws):
-        measurements = [TrainBatchHelper.measurement(r) for r in raws]
-        batch = TrainBatch.from_measurements(measurements)
-        back = batch.measurements()
-        assert len(back) == len(measurements)
-        assert np.array_equal(back[0].recv_times,
-                              measurements[0].recv_times)
+    def test_batch_round_trip(self, raws, batch):
+        """``send_trains`` results are the rows of the dense batch."""
+        for name in ("send_times", "recv_times", "access_delays"):
+            assert np.array_equal(
+                np.vstack([getattr(raw, name) for raw in raws]),
+                getattr(batch, name))
 
     def test_batch_validation(self):
         with pytest.raises(ValueError):
-            TrainBatch(np.zeros((2, 3)), np.zeros(3), L)
-        with pytest.raises(ValueError):
-            TrainBatch(np.zeros((2, 1)), np.zeros((2, 1)), L)
-        with pytest.raises(ValueError):
             output_gaps_batch(np.zeros(5))
         with pytest.raises(ValueError):
-            TrainBatch.from_measurements([])
-
-
-class TrainBatchHelper:
-    """Tiny adapter: RawTrainResult -> TrainMeasurement."""
-
-    @staticmethod
-    def measurement(raw):
-        from repro.core.dispersion import TrainMeasurement
-        return TrainMeasurement(send_times=raw.send_times,
-                                recv_times=raw.recv_times,
-                                size_bytes=raw.size_bytes)
+            output_gaps_batch(np.zeros((2, 1)))
+        with pytest.raises(ValueError):
+            output_gaps_batch(np.array([[0.0, 2.0, 1.0]]))
 
 
 class TestProberAndRunners:
@@ -453,6 +428,20 @@ class TestProberAndRunners:
         assert collection.matrix.delays.shape == (4, 10)
         assert collection.queue_sizes["cross"].shape == (4, 10)
         assert np.all(collection.queue_sizes["cross"] >= 0)
+
+    @pytest.mark.parametrize("backend", ["event", "vector"])
+    def test_idle_station_has_zero_backlog(self, backend):
+        """A queue-traced station that draws no arrivals reads as an
+        empty queue on every backend (its event queue log is empty)."""
+        from repro.analysis.transient import collect_delay_matrix
+        collection = collect_delay_matrix(
+            4e6, [("busy", PoissonGenerator(3e6, L)),
+                  ("idle", PoissonGenerator(1e-3, L))],
+            n_packets=10, repetitions=4, seed=2, track_queues=True,
+            backend=backend)
+        assert collection.queue_sizes["idle"].shape == (4, 10)
+        assert not collection.queue_sizes["idle"].any()
+        assert collection.queue_sizes["busy"].any()
 
     def test_registry_experiment_runs_on_vector(self):
         report = registry.get("fig6").run(

@@ -16,12 +16,14 @@ from repro.runtime.executor import (
     active_jobs,
     active_retry_policy,
     collect_failures,
+    derive_seeds,
     map_ordered,
     parallel_jobs,
     resolve_jobs,
     retry_policy,
     shard_bounds,
 )
+from repro.sim.probe_vector import QueueTraceBatch
 from repro.testbed.channel import SimulatedFifoChannel, SimulatedWlanChannel
 from repro.traffic.generators import PoissonGenerator
 from repro.traffic.probe import ProbeTrain
@@ -148,6 +150,52 @@ class TestSupervision:
         assert log[0]["shard"] == 0
         assert log[0]["action"] == "retry"
         assert "crashed" in log[0]["reason"]
+        assert f"exit code {faults.CRASH_EXIT_CODE}" in log[0]["reason"]
+
+    def test_crash_exit_code_is_read_after_reaping(self, monkeypatch):
+        """EOF can reach the supervisor before the dead worker is
+        reaped; the logged exit code must be the real one, not None."""
+        real = executor._pool_context()
+
+        class UnreapedProcess:
+            """A worker whose exit code stays unknown until join()."""
+
+            def __init__(self, process):
+                self._process = process
+                self._joined = False
+
+            def start(self):
+                self._process.start()
+
+            def join(self, timeout=None):
+                self._process.join(timeout)
+                self._joined = True
+
+            def is_alive(self):
+                return self._process.is_alive()
+
+            def kill(self):
+                self._process.kill()
+
+            @property
+            def exitcode(self):
+                return self._process.exitcode if self._joined else None
+
+        class Context:
+            def Pipe(self, duplex):
+                return real.Pipe(duplex=duplex)
+
+            def Process(self, **kwargs):
+                return UnreapedProcess(real.Process(**kwargs))
+
+        monkeypatch.setattr(executor, "_pool_context", Context)
+        with faults.injected("crash-shard=0"), \
+                retry_policy(retries=1, backoff_s=0.01), \
+                collect_failures() as log:
+            out = map_ordered(lambda x: x + 1, list(range(4)), jobs=2)
+        assert out == [1, 2, 3, 4]
+        assert [record["reason"] for record in log] == [
+            f"worker crashed (exit code {faults.CRASH_EXIT_CODE})"]
 
     def test_persistent_crash_falls_back_in_process(self):
         with faults.injected("crash-shard=1:always"), \
@@ -272,12 +320,23 @@ class TestShardedSendTrains:
         raws = channel.send_trains(ProbeTrain.at_rate(5, 4e6), 2, seed=1)
         assert all(raw.scenario is None for raw in raws)
 
-    def test_batch_path_keeps_scenario_for_queue_logging(self):
-        channel = SimulatedWlanChannel(
-            [("cross", PoissonGenerator(2e6, 1500))], warmup=0.05,
-            log_cross_queues=True)
-        raws = channel.send_trains(ProbeTrain.at_rate(5, 4e6), 2, seed=1)
-        assert all(raw.scenario is not None for raw in raws)
+    def test_event_batch_has_one_queue_trace_per_station(self):
+        stations = [("a", PoissonGenerator(2e6, 1500)),
+                    ("b", PoissonGenerator(1e6, 1500))]
+        channel = SimulatedWlanChannel(stations, warmup=0.05,
+                                       log_cross_queues=True)
+        train = ProbeTrain.at_rate(5, 4e6)
+        with parallel_jobs(2):
+            batch = channel.send_trains_dense(train, 3, seed=1)
+        assert len(batch.queue_traces) == len(stations)
+        assert all(isinstance(trace, QueueTraceBatch)
+                   and trace.repetitions == 3
+                   for trace in batch.queue_traces)
+        raw = channel.send_train(train, derive_seeds(1, 3)[2])
+        for k, (name, _) in enumerate(stations):
+            assert np.array_equal(
+                batch.queue_traces[k].size_at(batch.send_times)[2],
+                raw.scenario.station(name).queue_size_at(raw.send_times))
 
     def test_single_send_train_still_exposes_scenario(self):
         channel = SimulatedWlanChannel(

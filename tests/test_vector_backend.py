@@ -14,7 +14,7 @@ The load-bearing guarantees:
 import numpy as np
 import pytest
 
-from helpers import seed_params
+from helpers import SeedRows, seed_params
 from repro.analysis.saturation import dcf_saturation_study, simulate_saturated
 from repro.backends import BatchRequest, ScenarioSpec
 from repro.mac.frames import AirtimeModel
@@ -162,9 +162,10 @@ class TestBatchRouting:
 
     def test_event_maps_derived_seeds(self):
         out = executor.run_batch(
-            BatchRequest(repetitions=5, seed=7, event_task=lambda s: s),
+            BatchRequest(repetitions=5, seed=7,
+                         event_task=lambda s: SeedRows("event", [s])),
             backend="event")
-        assert out == executor.derive_seeds(7, 5)
+        assert out == SeedRows("event", executor.derive_seeds(7, 5))
 
     def test_vector_gets_derived_seed_array(self):
         seen = []
