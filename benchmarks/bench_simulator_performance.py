@@ -20,7 +20,6 @@ from conftest import bench_scale
 
 from repro.analysis.saturation import simulate_saturated
 from repro.backends import BatchRequest, ScenarioSpec, dispatch
-from repro.core.batch import OutputGapReducer
 from repro.core.dispersion import output_gaps_batch
 from repro.runtime.executor import chunked_reps, run_batch
 from repro.mac.scenario import StationSpec, WlanScenario
@@ -511,17 +510,18 @@ def test_onoff_backend_speedup():
 def test_chunked_probe_batch_memory(benchmark):
     """Streaming a big probe batch must cut peak memory >= 4x.
 
-    Acceptance floor of the PR-7 streaming path: a 10^5-repetition
-    probe batch (``REPRO_BENCH_SCALE`` shrinks it, clamped at 20k —
-    enough repetitions that matrix storage, not fixed kernel state,
-    dominates the peak) reduced to its per-train output gaps.  The
-    dense run materialises every ``(repetitions, n)`` timestamp
-    matrix; the ``--chunk-reps 1000`` run folds 1000-repetition chunks
-    through :class:`repro.core.batch.OutputGapReducer` and must peak
-    below a quarter of that — while producing the bit-identical gap
-    vector.  The benchmark fixture times the chunked run, so its
-    wall-clock lands in ``baseline.json`` next to the dense kernel
-    benches.
+    Acceptance floor of the streaming path every runner takes: a
+    10^5-repetition probe batch (``REPRO_BENCH_SCALE`` shrinks it,
+    clamped at 20k — enough repetitions that matrix storage, not fixed
+    kernel state, dominates the peak) run through ``run_batch`` and
+    reduced to its per-train output gaps.  The dense run resolves every
+    repetition in one kernel call, whose working matrices dwarf the
+    result; under ``chunked_reps(1000)`` (``--chunk-reps 1000``) the
+    kernel's working memory scales with the chunk while the folded
+    batch stays batch-sized, and the run must peak below a quarter of
+    the dense one — while producing the bit-identical gap vector.  The
+    benchmark fixture times the chunked run, so its wall-clock lands
+    in ``baseline.json`` next to the dense kernel benches.
     """
     repetitions = max(20_000, int(round(100_000 * bench_scale())))
     chunk = 1000
@@ -534,18 +534,19 @@ def test_chunked_probe_batch_memory(benchmark):
             train.n, train.gap, len(seeds), size_bytes=1500,
             warmup=0.0, seeds=seeds)
 
-    def dense():
-        batch = run_batch(BatchRequest(repetitions=repetitions, seed=1,
-                                       batch_task=batch_task, spec=spec),
-                          backend="vector")
+    request = BatchRequest(repetitions=repetitions, seed=1,
+                           batch_task=batch_task, spec=spec)
+
+    def gaps(chunk_reps):
+        with chunked_reps(chunk_reps):
+            batch = run_batch(request, backend="vector")
         return output_gaps_batch(batch.recv_times)
 
+    def dense():
+        return gaps(None)
+
     def chunked():
-        return run_batch(
-            BatchRequest(repetitions=repetitions, seed=1,
-                         batch_task=batch_task, chunk_reps=chunk,
-                         reducer=OutputGapReducer, spec=spec),
-            backend="vector")
+        return gaps(chunk)
 
     tracemalloc.start()
     dense_gaps = dense()

@@ -25,7 +25,8 @@ import numpy as np
 
 from repro.analysis.results import ExperimentResult
 from repro.analytic.bianchi import BianchiModel
-from repro.analytic.bounds import transient_achievable_throughput
+from repro.analytic.bounds import (steady_state_achievable_throughput,
+                                   transient_achievable_throughput)
 from repro.analytic.metrics import fluid_achievable_throughput
 from repro.core.tools import IterativeProbeTool
 from repro.mac.params import PhyParams
@@ -282,7 +283,7 @@ def transient_b_vs_n(train_lengths: Optional[Sequence[int]] = None,
         for n in lengths
     ])
     steady_mu = float(mu_means[n_max // 2:].mean())
-    steady_b = size_bytes * 8 / steady_mu
+    steady_b = steady_state_achievable_throughput(size_bytes, steady_mu)
     result = ExperimentResult(
         experiment="ext-b-vs-n",
         title="Achievable throughput of an n-packet train (eq. 31)",

@@ -64,8 +64,11 @@ class BatchRequest:
 
     The one argument every ``run_batch`` takes: a request names the
     batch (``repetitions``, ``seed``), the two task forms a backend
-    may consume, the declarative scenario the dispatcher matches
-    capabilities against, and the streaming knobs.
+    may consume, and the declarative scenario the dispatcher matches
+    capabilities against.  The vector backends take the streaming
+    chunk size from the ambient
+    :func:`repro.runtime.executor.chunked_reps` scope, an execution
+    detail like the job count.
 
     Attributes
     ----------
@@ -75,7 +78,8 @@ class BatchRequest:
     event_task:
         Pure ``rep_seed -> one-row batch`` function (of the class
         ``batch_task`` returns); the event backend maps it over the
-        derived seeds and folds the rows like kernel chunks.
+        derived seeds and folds the rows like kernel chunks, with the
+        batch class's ``concat``.
     batch_task:
         ``seeds -> RepetitionBatch`` kernel entry: receives the
         per-repetition seed slice of the chunk it must resolve (the
@@ -85,20 +89,6 @@ class BatchRequest:
     spec:
         Declarative :class:`~repro.backends.spec.ScenarioSpec` for the
         dispatcher; ``None`` means "nothing declared".
-    chunk_reps:
-        Streaming chunk size for the vector path; ``None`` defers to
-        the ambient :func:`repro.runtime.executor.chunked_reps` scope
-        (and the ``REPRO_CHUNK_REPS`` environment variable), and a
-        value at or above ``repetitions`` runs dense.  Chunking never
-        changes results (same seeds, row-wise fold), so it stays out
-        of cache keys — an execution detail, like ``--jobs``.
-    reducer:
-        Zero-argument factory of a
-        :class:`repro.core.batch.ChunkReducer`; each chunk's batch
-        (or one-row event batch) is folded into it and ``finalize()``
-        becomes the run's result.  ``None`` folds with the batch
-        class's own ``concat`` (bit-identical to dense, but
-        dense-sized).
     """
 
     repetitions: int
@@ -106,31 +96,11 @@ class BatchRequest:
     event_task: Optional[Callable[[int], Any]] = None
     batch_task: Optional[Callable[..., Any]] = None
     spec: Optional[ScenarioSpec] = None
-    chunk_reps: Optional[int] = None
-    reducer: Optional[Callable[[], Any]] = None
 
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError(
                 f"repetitions must be >= 1, got {self.repetitions}")
-        if self.chunk_reps is not None and self.chunk_reps < 1:
-            raise ValueError(
-                f"chunk_reps must be >= 1, got {self.chunk_reps}")
-
-    def resolved_chunk_reps(self) -> Optional[int]:
-        """The effective chunk size (explicit, else the ambient scope).
-
-        ``None`` means dense.  A chunk size covering the whole batch
-        is normalised to dense — one chunk *is* the dense run.
-        """
-        chunk = self.chunk_reps
-        if chunk is None:
-            # Imported lazily: repro.runtime sits above this layer.
-            from repro.runtime.executor import active_chunk_reps
-            chunk = active_chunk_reps()
-        if chunk is None or chunk >= self.repetitions:
-            return None
-        return chunk
 
 
 class Backend(abc.ABC):
@@ -167,25 +137,21 @@ class Backend(abc.ABC):
         The event backend maps ``request.event_task`` over the derived
         per-repetition seeds; kernels hand ``request.batch_task`` the
         per-repetition seed slices of each chunk (the whole array when
-        dense).  Both fold their parts through the request's reducer
-        (:func:`_fold`), so every backend returns the request's dense
-        batch.  Each backend consumes exactly one of the two tasks.
+        dense).  Both fold their parts with :func:`_fold`, so every
+        backend returns the request's dense batch.  Each backend
+        consumes exactly one of the two tasks.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}/{self.kernel}>"
 
 
-def _fold(request: BatchRequest, parts):
-    """Fold ``(batch, lo, hi)`` parts, in repetition order, through
-    the request's reducer (default: the batch class's ``concat``)."""
-    # Imported lazily: repro.core sits above this layer.
-    from repro.core.batch import ConcatReducer
-    reducer = request.reducer() if request.reducer is not None \
-        else ConcatReducer()
-    for batch, lo, hi in parts:
-        reducer.update(batch, lo, hi)
-    return reducer.finalize()
+def _fold(parts):
+    """Fold a batch's parts, in repetition order, with the batch
+    class's ``concat``; a single part passes through untouched."""
+    if len(parts) == 1:
+        return parts[0]
+    return type(parts[0]).concat(parts)
 
 
 class EventBackend(Backend):
@@ -201,16 +167,15 @@ class EventBackend(Backend):
         Fans out across the ambient worker pool
         (:func:`repro.runtime.executor.parallel_jobs`); the one-row
         batches come back in repetition order, so the folded batch is
-        bit-identical for any job count.  ``chunk_reps`` is a no-op.
+        bit-identical for any job count.  The chunk size is ignored.
         """
         if request.event_task is None:
             raise ValueError("the event backend needs an event_task")
         # Imported lazily: repro.runtime sits above this layer.
         from repro.runtime.executor import derive_seeds, map_ordered
-        rows = map_ordered(request.event_task,
-                           derive_seeds(request.seed, request.repetitions))
-        return _fold(request, ((row, r, r + 1)
-                               for r, row in enumerate(rows)))
+        return _fold(map_ordered(
+            request.event_task,
+            derive_seeds(request.seed, request.repetitions)))
 
 
 class _VectorBackend(Backend):
@@ -222,33 +187,32 @@ class _VectorBackend(Backend):
     def run_batch(self, request):
         """Resolve the batch with the kernel, chunked when requested.
 
-        Dense (the default): one ``batch_task(seeds)`` call with the
-        full canonical per-repetition seed array.  Chunked
-        (``chunk_reps`` on the request, or the ambient
-        :func:`repro.runtime.executor.chunked_reps` scope): the seed
-        array is sliced into contiguous chunks, each resolved by its
-        own ``batch_task(seeds[lo:hi])`` call and folded through
-        :func:`_fold` (default: the batch class's own ``concat``).
-        The slices are taken from the *dense* derivation, so chunk
-        boundaries never change which random universe a repetition
-        index maps to — dense and chunked rows are bit-identical.
+        Dense (the default, and any chunk size at or above the batch):
+        one ``batch_task(seeds)`` call with the full canonical
+        per-repetition seed array.  Chunked (the ambient
+        :func:`repro.runtime.executor.chunked_reps` scope, i.e.
+        ``--chunk-reps`` or ``REPRO_CHUNK_REPS``): the seed array is
+        sliced into contiguous chunks, each resolved by its own
+        ``batch_task(seeds[lo:hi])`` call and folded with
+        :func:`_fold`.  The slices are taken from the *dense*
+        derivation, so chunk boundaries never change which random
+        universe a repetition index maps to — dense and chunked rows
+        are bit-identical.
         """
         task = request.batch_task
         if task is None:
             raise ValueError("this batch has no vector kernel; "
                              "run it with backend='event'")
         # Imported lazily: repro.runtime sits above this layer.
-        from repro.runtime.executor import derive_seeds
+        from repro.runtime.executor import active_chunk_reps, derive_seeds
         seeds = derive_seeds(request.seed, request.repetitions)
-        chunk = request.resolved_chunk_reps()
-        if chunk is None and request.reducer is None:
+        chunk = active_chunk_reps()
+        if chunk is None or chunk >= request.repetitions:
             return task(seeds)
         # Imported lazily: repro.core sits above this layer.
         from repro.core.batch import chunk_bounds
-        return _fold(request, ((task(seeds[lo:hi]), lo, hi)
-                               for lo, hi in chunk_bounds(
-                                   request.repetitions,
-                                   chunk or request.repetitions)))
+        return _fold([task(seeds[lo:hi]) for lo, hi
+                      in chunk_bounds(request.repetitions, chunk)])
 
 
 class ProbeTrainVectorBackend(_VectorBackend):

@@ -27,13 +27,17 @@ invocation is served from cache unless ``--no-cache`` or ``--refresh``
 says otherwise.  ``--jobs N`` shards repetitions across N worker
 processes with bit-identical output, and ``--chunk-reps N`` streams
 vector-backend batches through the kernel N repetitions at a time —
-also bit-identical, with peak memory bounded by the chunk.
+also bit-identical.  The kernel's working memory scales with the
+chunk; the folded result stays batch-sized (at ``--chunk-reps 1000`` a
+20,000-repetition probe batch peaks at 6.5 MB instead of 69.3 MB).
 
-The runtime is crash-safe: ``--manifest`` journals per-point progress
-to an append-only JSONL file and ``--resume`` restarts an interrupted
-``run all`` or ``sweep`` from it, re-running only pending and failed
-points.  ``run`` serves completed experiments bit-identically from
-the checksummed result cache; ``sweep`` keeps them in its store.
+The runtime is crash-safe.  ``run`` caches every finished experiment,
+passing or failing, so re-running an interrupted ``run all`` serves
+the finished ones bit-identically from the checksummed result cache
+and computes the rest.  ``sweep`` journals per-point progress to an
+append-only JSONL file (``--manifest``), and ``--resume`` restarts an
+interrupted sweep from it, re-running only pending and failed points
+and keeping the finished ones in its store.
 ``--retries``/``--shard-timeout`` govern worker-shard
 supervision: a crashed, killed, or hung worker is retried with
 exponential backoff and finally executed in-process, with every
@@ -51,8 +55,9 @@ event`` / ``--backend vector`` / ``--backend jit`` force a family
 without numba installed — fails with the structured reason); ``run
 EXPERIMENT --explain-backend`` prints the dispatch decision without
 running anything.  ``run`` (including ``run all``) and ``sweep``
-share the execution, journal and report flags; ``--no-cache`` is
-``run``'s alone, since a sweep's store is its output, not a cache.
+share the execution and report flags.  The journal flags
+``--manifest``/``--resume`` are ``sweep``'s alone, and ``--no-cache``
+is ``run``'s alone, since a sweep's store is its output, not a cache.
 ``run EXPERIMENT --profile`` prints the top-25 cumulative cProfile
 rows, and ``--profile PATH`` also writes the same table to PATH as
 structured JSON.
@@ -77,7 +82,7 @@ import json
 import os
 import pathlib
 import sys
-from contextlib import closing, nullcontext
+from contextlib import ExitStack, closing, nullcontext
 from typing import Dict, List, Optional
 
 from repro.analytic.bianchi import BianchiModel
@@ -85,9 +90,9 @@ from repro.mac.frames import AirtimeModel
 from repro.mac.params import PhyParams
 from repro.runtime import faults, registry
 from repro.runtime.cache import ResultCache
-from repro.runtime.executor import chunked_reps, retry_policy
-from repro.runtime.manifest import (Manifest, ManifestError, PointRecord,
-                                    point_id)
+from repro.runtime.executor import (chunked_reps, parallel_jobs,
+                                    resolve_jobs, retry_policy)
+from repro.runtime.manifest import Manifest, ManifestError
 from repro.runtime.registry import RunReport
 from repro.runtime.store import StoreError, SweepStore
 from repro.runtime.sweep import (SweepPlan, expand_grid, grid_size,
@@ -143,75 +148,6 @@ def _print_report(report: RunReport) -> None:
     print()
 
 
-def _open_manifest(args: argparse.Namespace) -> Optional[Manifest]:
-    """Build the progress journal the ``run`` flags ask for.
-
-    ``--resume PATH`` loads (and validates) an existing journal —
-    completed experiments will be served from the cache;
-    ``--manifest PATH`` starts a fresh one.  ``None`` means no journal
-    was requested.
-    """
-    if args.resume is not None:
-        if args.no_cache:
-            raise ManifestError(
-                "--resume serves completed points from the result "
-                "cache and cannot work with --no-cache")
-        loaded = Manifest.load(args.resume)
-        loaded.require("run", args.experiment)
-        return loaded
-    if args.manifest is None:
-        return None
-    return Manifest.create(
-        args.manifest, "run", args.experiment,
-        invocation={"scale": args.scale, "seed": args.seed,
-                    "backend": args.backend, "params": []})
-
-
-def _resume_hit(experiment, kwargs: Dict[str, object],
-                manifest: Optional[Manifest],
-                cache: Optional[ResultCache]) -> Optional[RunReport]:
-    """Serve a point the journal marks done, from the verified cache.
-
-    The skip is only taken when the recorded cache key still matches
-    the key derived under the *current* code version and the entry
-    passes checksum verification — a resume after a code edit, cache
-    wipe, or corruption re-runs the point instead of serving a stale
-    or damaged result.  Failed/errored/pending points always re-run.
-    """
-    if manifest is None or cache is None:
-        return None
-    record = manifest.get(point_id(experiment.name, kwargs))
-    if record is None or record.status != "done":
-        return None
-    key = cache.key_for(experiment.name, kwargs)
-    if record.cache_key != key:
-        return None
-    hit = cache.load(experiment.name, key)
-    if hit is None:
-        return None
-    return RunReport(result=hit, kwargs=kwargs, cached=True,
-                     cache_key=key)
-
-
-def _record_point(manifest: Optional[Manifest], experiment: str,
-                  kwargs: Optional[Dict[str, object]], status: str,
-                  cache_key: Optional[str] = None,
-                  error: Optional[str] = None) -> None:
-    """Journal one experiment's outcome (no-op without a journal).
-
-    An experiment that failed before its kwargs could even be resolved
-    has no stable identity; it is journalled under a name-derived id
-    so the error is recorded, and re-runs simply never match it.
-    """
-    if manifest is None:
-        return
-    pid = point_id(experiment, kwargs if kwargs is not None
-                   else {"__label__": experiment})
-    manifest.record_many([PointRecord(point_id=pid, status=status,
-                                      label=experiment,
-                                      cache_key=cache_key, error=error)])
-
-
 def _report(command: str, target: str,
             records: List[Dict[str, object]]) -> Dict[str, object]:
     """The ``--report`` payload: per-point rows plus a status tally."""
@@ -233,40 +169,27 @@ def _write_json(path: str, payload: Dict[str, object]) -> None:
 
 
 def _run_point(experiment, args: argparse.Namespace,
-               cache: Optional[ResultCache],
-               manifest: Optional[Manifest]) -> Dict[str, object]:
-    """Execute one experiment (or serve its resume hit); journal it.
+               cache: Optional[ResultCache]) -> Dict[str, object]:
+    """Execute one experiment (or serve its cache hit).
 
     The returned record is the ``--report`` row: experiment, label,
     final status (``done``/``failed``/``error``), provenance
-    (cached/resumed/cache_key/elapsed), the failed check names, any
+    (cached/cache_key/elapsed), the failed check names, any
     shard-recovery actions the executor had to take, and the error
     string for crashed points.
     """
     record: Dict[str, object] = {
         "experiment": experiment.name, "label": experiment.name,
-        "status": "error", "cached": False, "resumed": False,
-        "cache_key": None, "elapsed_s": 0.0, "failed_checks": [],
-        "failures": [], "error": None,
+        "status": "error", "cached": False, "cache_key": None,
+        "elapsed_s": 0.0, "failed_checks": [], "failures": [],
+        "error": None,
     }
-    kwargs: Optional[Dict[str, object]] = None
     try:
-        kwargs = experiment.kwargs_for(
-            scale=args.scale, seed=args.seed, backend=args.backend)
-        report = None if args.refresh else _resume_hit(
-            experiment, kwargs, manifest, cache)
-        if report is not None:
-            record["resumed"] = True
-        else:
-            report = experiment.run(
-                scale=args.scale, seed=args.seed, jobs=args.jobs,
-                backend=args.backend, chunk_reps=args.chunk_reps,
-                retries=args.retries, shard_timeout=args.shard_timeout,
-                cache=cache, refresh=args.refresh)
+        report = experiment.run(scale=args.scale, seed=args.seed,
+                                backend=args.backend, cache=cache,
+                                refresh=args.refresh)
     except Exception as exc:  # aggregate, don't abort the batch
         record["error"] = str(exc)
-        _record_point(manifest, experiment.name, kwargs, "error",
-                      error=str(exc))
         return record
     _print_report(report)
     record.update(
@@ -276,22 +199,44 @@ def _run_point(experiment, args: argparse.Namespace,
         failed_checks=list(report.result.failed_checks),
         failures=list(report.failures),
         backend=report.result.meta.get("backend"))
-    if not record["resumed"]:  # the journal already says done
-        _record_point(manifest, experiment.name, kwargs,
-                      str(record["status"]), cache_key=report.cache_key)
     return record
+
+
+def _batch_scopes(args: argparse.Namespace, *scopes) -> ExitStack:
+    """Enter ``scopes`` and the ``--chunk-reps`` and
+    ``--retries``/``--shard-timeout`` scopes as one stack.
+
+    An out-of-range flag raises ``ValueError`` with nothing left
+    entered.  Callers enter the stack before they touch the cache or a
+    store, so a bad flag exits 2 having changed nothing.
+    """
+    stack = ExitStack()
+    try:
+        for scope in scopes:
+            stack.enter_context(scope)
+        if args.chunk_reps is not None:
+            stack.enter_context(chunked_reps(args.chunk_reps))
+        if args.retries is not None or args.shard_timeout is not None:
+            stack.enter_context(retry_policy(
+                retries=args.retries, shard_timeout=args.shard_timeout))
+    except ValueError:
+        stack.close()
+        raise
+    return stack
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Run one experiment (or all) and print its table(s).
 
-    Per-experiment failures — shape-check failures *and* runner
-    exceptions — are collected and summarised at the end instead of
-    aborting the remaining experiments.  With ``--manifest`` the
-    per-experiment outcomes are journalled as they complete, and
-    ``--resume`` skips the experiments a previous (crashed) run
-    already finished; ``--report PATH`` emits the structured summary
-    as JSON.
+    The execution flags are installed as ambient scopes once, around
+    every experiment, so an out-of-range value exits 2 before anything
+    runs — whether or not the cache holds the results.  Per-experiment
+    failures — shape-check failures *and* runner exceptions — are
+    collected and summarised at the end instead of aborting the
+    remaining experiments.  Every finished experiment is cached, so
+    re-running an interrupted ``run all`` serves the finished ones
+    from the cache; ``--report PATH`` emits the structured summary as
+    JSON.
     """
     try:
         experiments = (registry.experiments() if args.experiment == "all"
@@ -306,39 +251,42 @@ def cmd_run(args: argparse.Namespace) -> int:
     # the table shows the simulation itself.
     cache = None if profile or args.no_cache \
         else ResultCache(root=args.cache_dir)
+    jobs_scope = parallel_jobs(args.jobs) if args.jobs is not None \
+        else nullcontext()
     try:
-        manifest = _open_manifest(args)
-    except (ManifestError, OSError) as exc:
+        scopes = _batch_scopes(args, jobs_scope)
+    except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     records: List[Dict[str, object]] = []
     failures: Dict[str, str] = {}
     profiles: List[Dict[str, object]] = []
-    for experiment in experiments:
-        name = experiment.name
-        if profile:
-            try:
-                report = _profiled_run(experiment, args, profiles)
-            except Exception as exc:
-                print(f"== {name}: ERROR ==\n   {exc}\n",
-                      file=sys.stderr)
-                failures[name] = f"error: {exc}"
+    with scopes:
+        for experiment in experiments:
+            name = experiment.name
+            if profile:
+                try:
+                    report = _profiled_run(experiment, args, profiles)
+                except Exception as exc:
+                    print(f"== {name}: ERROR ==\n   {exc}\n",
+                          file=sys.stderr)
+                    failures[name] = f"error: {exc}"
+                    continue
+                _print_report(report)
+                if not report.result.all_checks_pass:
+                    failures[name] = ("checks failed: " + ", ".join(
+                        report.result.failed_checks))
                 continue
-            _print_report(report)
-            if not report.result.all_checks_pass:
-                failures[name] = ("checks failed: " + ", ".join(
-                    report.result.failed_checks))
-            continue
-        record = _run_point(experiment, args, cache, manifest)
-        records.append(record)
-        if record["status"] == "error":
-            print(f"== {name}: ERROR ==\n   {record['error']}\n",
-                  file=sys.stderr)
-            failures[name] = f"error: {record['error']}"
-        elif record["status"] == "failed":
-            failures[name] = ("checks failed: "
-                              + ", ".join(record["failed_checks"]))
-        faults.maybe_kill_run(len(records))
+            record = _run_point(experiment, args, cache)
+            records.append(record)
+            if record["status"] == "error":
+                print(f"== {name}: ERROR ==\n   {record['error']}\n",
+                      file=sys.stderr)
+                failures[name] = f"error: {record['error']}"
+            elif record["status"] == "failed":
+                failures[name] = ("checks failed: "
+                                  + ", ".join(record["failed_checks"]))
+            faults.maybe_kill_run(len(records))
     if args.profile:
         _write_json(args.profile, {
             "target": args.experiment, "sort": "cumulative",
@@ -376,9 +324,8 @@ def _profiled_run(experiment, args: argparse.Namespace,
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        report = experiment.run(
-            scale=args.scale, seed=args.seed, jobs=1,
-            backend=args.backend, chunk_reps=args.chunk_reps)
+        report = experiment.run(scale=args.scale, seed=args.seed,
+                                jobs=1, backend=args.backend)
     finally:
         profiler.disable()
     print(f"== {experiment.name}: cProfile (top {_PROFILE_TOP_N}, "
@@ -460,6 +407,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         specs = [parse_param_spec(spec) for spec in args.param]
         total = grid_size(specs)
+        # Every flag before the store: a new sweep replaces the
+        # store's contents, so a bad flag must exit before it does.
+        resolve_jobs(args.jobs)
+        scopes = _batch_scopes(args)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -486,14 +437,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                             "params": list(args.param),
                             "store": str(root)})
     except (StoreError, ManifestError, OSError) as exc:
+        scopes.close()
         print(str(exc), file=sys.stderr)
         return 2
-    chunk_scope = chunked_reps(args.chunk_reps) \
-        if args.chunk_reps is not None else nullcontext()
-    fault_scope = retry_policy(retries=args.retries,
-                               shard_timeout=args.shard_timeout) \
-        if args.retries is not None or args.shard_timeout is not None \
-        else nullcontext()
     records: List[Dict[str, object]] = []
     group_counts: Dict[str, int] = {}
     waves: Dict[int, Dict[str, object]] = {}
@@ -501,7 +447,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         # closing() inside the try: a flush that fails on close (say,
         # a full disk) is reported like any other store error.
-        with chunk_scope, fault_scope, closing(store):
+        with scopes, closing(store):
             if args.adapt is not None:
                 outcome_stream = run_adaptive(
                     experiment, specs, adapt=args.adapt,
@@ -646,13 +592,15 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                              "1; results are identical for any job "
                              "count)")
     parser.add_argument("--chunk-reps", type=int, default=None,
-                        help="stream vector-backend batches in chunks "
-                             "of this many repetitions, folding each "
-                             "chunk into the result as it completes "
-                             "(peak memory scales with the chunk, not "
-                             "the batch; default $REPRO_CHUNK_REPS or "
-                             "dense; results are bit-identical at any "
-                             "chunk size)")
+                        help="stream vector-backend batches through "
+                             "the kernel in chunks of this many "
+                             "repetitions: the kernel's working memory "
+                             "scales with the chunk, the folded result "
+                             "stays batch-sized (at 1000, a "
+                             "20000-repetition probe batch peaks at "
+                             "6.5 MB instead of 69.3 MB; default "
+                             "$REPRO_CHUNK_REPS or dense; results are "
+                             "bit-identical at any chunk size)")
     parser.add_argument("--backend",
                         choices=("auto", "event", "vector", "jit"),
                         default="auto",
@@ -682,19 +630,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                              "attempt; a shard over budget is killed "
                              "and retried like a crash (default "
                              "$REPRO_SHARD_TIMEOUT or unbounded)")
-    parser.add_argument("--manifest", default=None, metavar="PATH",
-                        help="journal per-point progress to this "
-                             "JSONL manifest (append-only, crash-"
-                             "safe) so an interrupted invocation can "
-                             "be resumed with --resume (sweep default: "
-                             "<store>/manifest.jsonl)")
-    parser.add_argument("--resume", default=None, metavar="PATH",
-                        help="resume from a progress manifest: "
-                             "points it marks done are served bit-"
-                             "identically (run: from the result "
-                             "cache; sweep: from the store), only "
-                             "pending/failed ones re-run; progress "
-                             "keeps appending to the same manifest")
     parser.add_argument("--report", default=None, metavar="PATH",
                         help="write the structured per-point "
                              "success/failure/retry summary as JSON "
@@ -765,6 +700,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="result series scored by --adapt (mean of "
                             "the named series; default: the "
                             "experiment's first series)")
+    sweep.add_argument("--manifest", default=None, metavar="PATH",
+                       help="journal per-point progress to this JSONL "
+                            "manifest (append-only, crash-safe; "
+                            "default <store>/manifest.jsonl) so an "
+                            "interrupted sweep can be resumed with "
+                            "--resume")
+    sweep.add_argument("--resume", default=None, metavar="PATH",
+                       help="resume from a progress manifest: points "
+                            "it marks done are served bit-identically "
+                            "from the store, only pending/failed ones "
+                            "re-run; progress keeps appending to the "
+                            "same manifest")
     _add_run_options(sweep)
     sweep.set_defaults(func=cmd_sweep)
     cache = sub.add_parser("cache", help="inspect the result cache")

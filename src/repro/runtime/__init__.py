@@ -19,8 +19,7 @@ into declarative, schedulable units of work:
   result store dense sweeps sink into (parquet when pyarrow is
   importable, compressed ``.npz`` otherwise);
 * :mod:`repro.runtime.manifest` — append-only JSONL progress journals
-  that make ``sweep``/``run all`` resumable after a crash
-  (``--resume``);
+  that make ``sweep`` resumable after a crash (``--resume``);
 * :mod:`repro.runtime.faults` — the env-activated fault-injection
   switchboard (worker crashes, cache corruption, mid-run kills) the
   chaos tests drive every recovery contract through.

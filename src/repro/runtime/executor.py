@@ -39,13 +39,15 @@ pure functions of :func:`derive_seeds`.  Recovery actions surface as
 
 Chunking works the same way: :func:`chunked_reps` installs an ambient
 streaming chunk size (CLI: ``--chunk-reps``; environment:
-``REPRO_CHUNK_REPS``) that the vector backends pick up through
-:meth:`repro.backends.BatchRequest.resolved_chunk_reps` — a kernel
-batch is then resolved in contiguous chunks of that many repetitions
-and folded online instead of materialising the dense matrices.  Like
-``--jobs``, the chunk size never changes results (chunks replay the
-exact seed slice of the dense derivation), so it stays out of cache
-keys.
+``REPRO_CHUNK_REPS``) that the vector backends read through
+:func:`active_chunk_reps` — a kernel batch is then resolved in
+contiguous chunks of that many repetitions and the chunks are folded
+into the dense batch.  The kernel's working memory scales with the
+chunk; the folded result stays batch-sized (at 1000-repetition chunks
+a 20,000-repetition probe batch peaks at 6.5 MB instead of 69.3 MB).
+Like ``--jobs``, the chunk size never changes results (chunks replay
+the exact seed slice of the dense derivation), so it stays out of
+cache keys.
 """
 
 from __future__ import annotations
@@ -217,12 +219,11 @@ def run_batch(request: BatchRequest, *, backend: str = "event"):
     function) over the derived per-repetition seeds through
     :func:`map_ordered`; the vector backends hand
     ``request.batch_task`` the per-repetition seed array — sliced into
-    contiguous chunks when a chunk size is in effect (the request's
-    ``chunk_reps``, else the ambient :func:`chunked_reps` scope).
-    Either way the parts fold into the request's reducer, so every
-    backend returns the same dense batch.  Dense and chunked runs are
-    bit-identical: a chunk replays exactly the seed slice of the dense
-    derivation.
+    contiguous chunks when the ambient :func:`chunked_reps` scope sets
+    a chunk size.  Either way the parts fold with the batch class's
+    ``concat``, so every backend returns the same dense batch.  Dense
+    and chunked runs are bit-identical: a chunk replays exactly the
+    seed slice of the dense derivation.
 
     ``backend="auto"`` asks :func:`repro.backends.dispatch.resolve` to
     pick the fastest backend eligible for the request's spec (a

@@ -2,9 +2,10 @@
 
 Every robustness contract in this repository — worker-crash retry,
 cache-corruption quarantine, torn-journal recovery, mid-sweep kill +
-``--resume`` — is *tested*, not assumed, by injecting the fault it
-defends against and asserting the declared recovery.  This module is
-the single switchboard those injections go through.
+``--resume``, mid-``run all`` kill + plain re-run — is *tested*, not
+assumed, by injecting the fault it defends against and asserting the
+declared recovery.  This module is the single switchboard those
+injections go through.
 
 Activation is by environment variable so the faults reach forked
 worker processes and ``python -m repro`` subprocesses without any
@@ -28,8 +29,9 @@ plumbing::
     flipped *after* the atomic publish — simulates on-disk corruption
     that checksum-on-read must quarantine.
 ``kill-after-points=N``
-    The process SIGKILLs itself after recording ``N`` sweep/run-all
-    points — simulates a hard mid-flight crash for ``--resume`` tests.
+    The process SIGKILLs itself after recording ``N`` sweep points or
+    ``run`` experiments — simulates a hard mid-flight crash for the
+    ``sweep --resume`` and ``run`` re-run tests.
 
 When ``REPRO_FAULTS`` is unset every hook returns after one
 dictionary lookup on ``os.environ`` — zero overhead on the production
@@ -168,11 +170,12 @@ def maybe_corrupt_cache_entry(path: os.PathLike) -> None:
 
 
 def maybe_kill_run(points_done: int) -> None:
-    """SIGKILL the current process after N completed sweep points.
+    """SIGKILL the current process after N sweep points or experiments.
 
     The hardest crash there is — no cleanup handlers, no flushes —
-    which is precisely what the manifest + atomic cache writes must
-    survive for ``--resume`` to reconstruct the run.
+    which is precisely what the atomic writes must survive: the
+    sweep's store and manifest for ``sweep --resume``, and the result
+    cache a plain re-run of ``run`` serves finished experiments from.
     """
     if not os.environ.get(FAULTS_ENV):
         return

@@ -29,8 +29,7 @@ from repro.backends import (
     dispatch,
 )
 from repro.runtime.cache import ResultCache
-from repro.runtime.executor import (chunked_reps, collect_failures,
-                                    parallel_jobs, retry_policy)
+from repro.runtime.executor import collect_failures, parallel_jobs
 
 
 @dataclass(frozen=True)
@@ -214,9 +213,6 @@ class Experiment:
             overrides: Optional[Mapping[str, object]] = None,
             minimum: Optional[int] = None,
             backend: Optional[str] = None,
-            chunk_reps: Optional[int] = None,
-            retries: Optional[int] = None,
-            shard_timeout: Optional[float] = None,
             cache: Optional[ResultCache] = None,
             refresh: bool = False) -> RunReport:
         """Execute the runner (or serve its cached result).
@@ -225,13 +221,7 @@ class Experiment:
         (see :mod:`repro.runtime.executor`); the result is identical
         for any job count.  ``None`` defers to the ambient
         :func:`~repro.runtime.executor.parallel_jobs` scope and the
-        ``REPRO_JOBS`` environment variable.  ``chunk_reps`` streams
-        vector-backend batches in chunks of that many repetitions
-        (``--chunk-reps``; ``None`` defers to the ambient
-        :func:`~repro.runtime.executor.chunked_reps` scope and
-        ``REPRO_CHUNK_REPS``) — like ``jobs`` it is an execution
-        detail: results are bit-identical at any chunk size, so it
-        never enters the kwargs or the cache key.  ``backend`` selects
+        ``REPRO_JOBS`` environment variable.  ``backend`` selects
         the repetition backend: ``event``/``vector`` force one,
         ``auto`` lets the dispatcher pick the fastest eligible kernel
         — the *resolved* choice is what lands in the kwargs and the
@@ -242,16 +232,11 @@ class Experiment:
         stored back (annotation stays out of the stored payload — it
         describes the request, not the result).
 
-        ``retries`` and ``shard_timeout`` set the executor's
-        fault-tolerance policy for this run (``--retries`` /
-        ``--shard-timeout``; ``None`` defers to the ambient
-        :func:`~repro.runtime.executor.retry_policy` scope and the
-        ``REPRO_RETRIES`` / ``REPRO_SHARD_TIMEOUT`` environment
-        variables): a crashed or hung worker shard is retried with
-        exponential backoff and finally executed in-process — like
-        ``jobs``, pure-recovery knobs that can never change the
-        result.  Any recovery actions taken are reported as
-        ``report.failures`` and mirrored into
+        Chunking and the retry policy come from the ambient
+        :func:`~repro.runtime.executor.chunked_reps` and
+        :func:`~repro.runtime.executor.retry_policy` scopes; neither
+        can change the result.  Any recovery actions the executor took
+        are reported as ``report.failures`` and mirrored into
         ``result.meta["failures"]`` after the pristine payload is
         cached.
         """
@@ -272,15 +257,8 @@ class Experiment:
                     return RunReport(result=hit, kwargs=kwargs,
                                      cached=True, cache_key=key)
         scope = parallel_jobs(jobs) if jobs is not None else nullcontext()
-        chunk_scope = chunked_reps(chunk_reps) \
-            if chunk_reps is not None else nullcontext()
-        fault_scope = retry_policy(retries=retries,
-                                   shard_timeout=shard_timeout) \
-            if retries is not None or shard_timeout is not None \
-            else nullcontext()
         start = time.perf_counter()
-        with scope, chunk_scope, fault_scope, \
-                collect_failures() as failures:
+        with scope, collect_failures() as failures:
             result = self.runner(**kwargs)
         elapsed = time.perf_counter() - start
         if cache is not None and key is not None:

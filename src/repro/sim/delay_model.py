@@ -237,67 +237,6 @@ def sample_access_delays(n_stations: int,
     return delays.reshape(shape)
 
 
-def sample_retry_limited_delays(n_stations: int,
-                                shape: Tuple[int, ...],
-                                *,
-                                retry_limit: int,
-                                phy: Optional[PhyParams] = None,
-                                size_bytes: int = 1500,
-                                seed: int = 0) -> Tuple[np.ndarray, np.ndarray]:
-    """Draw retry-capped access delays and their drop indicators.
-
-    The retry-limited mixture of :func:`sample_access_delays`, pinned
-    to the event medium's retry counter semantics: a packet is
-    abandoned after ``retry_limit + 1`` collisions, so the backoff
-    stage distribution truncates at the limit and a
-    ``p ** (retry_limit + 1)`` atom of the probability mass moves to
-    drops (:func:`retry_drop_probability`).  Returns ``(delays,
-    dropped)`` of the given ``shape`` — a dropped element's delay is
-    the time the station wasted on the abandoned packet (its countdowns
-    plus every collision), the quantity the event engine's drop records
-    span.
-    """
-    if n_stations < 1:
-        raise ValueError(f"need at least one station, got {n_stations}")
-    if retry_limit < 0:
-        raise ValueError(f"retry limit must be >= 0, got {retry_limit}")
-    phy = phy if phy is not None else PhyParams.dot11b()
-    model = BianchiModel(phy, size_bytes)
-    solution = model.solve(n_stations)
-    p = solution.collision_probability
-    busy, _, t_collision = _slot_durations(phy, size_bytes, solution)
-    data_air = AirtimeModel(phy).data_airtime(size_bytes)
-    cw_by_stage = cw_table(phy)
-    max_stage = phy.max_backoff_stage
-
-    rng = np.random.default_rng(seed)
-    flat = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    delays = np.zeros(flat)
-    dropped = np.zeros(flat, dtype=bool)
-    active = np.ones(flat, dtype=bool)
-    for attempt in range(retry_limit + 1):
-        count = int(active.sum())
-        if count == 0:
-            break
-        cw = int(cw_by_stage[min(attempt, max_stage)])
-        counters = rng.integers(0, cw + 1, size=count)
-        frozen = rng.binomial(counters, p)
-        delays[active] += (phy.difs + counters * phy.slot_time
-                           + frozen * busy)
-        collided = rng.random(count) < p
-        survivors = np.flatnonzero(active)
-        done = survivors[~collided]
-        delays[done] += data_air
-        delays[survivors[collided]] += t_collision
-        active[done] = False
-        if attempt == retry_limit:
-            # The last permitted attempt: a collision here exhausts
-            # the retry budget and the packet is abandoned.
-            dropped[survivors[collided]] = True
-            active[survivors[collided]] = False
-    return delays.reshape(shape), dropped.reshape(shape)
-
-
 def sample_transient_delay_matrix(n_stations: int,
                                   repetitions: int,
                                   n_packets: int,

@@ -1105,9 +1105,7 @@ class SteadyBatchResult:
     the probe queue, and each contending cross station.
 
     Conforms to :class:`repro.core.batch.RepetitionBatch`: one
-    repetition per row, ``concat`` folds row-wise (the streaming
-    :class:`repro.core.batch.ThroughputReducer` builds on ``concat``
-    after stripping queue traces).
+    repetition per row, ``concat`` folds row-wise.
     """
 
     probe_bits: np.ndarray

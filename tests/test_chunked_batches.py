@@ -1,18 +1,16 @@
 """Streaming (chunked) batch execution and the BatchRequest API.
 
-The PR-7 pins: a chunked run must reproduce the dense run *bit for
-bit* at every chunk size — same per-repetition seeds (contiguous
-slices of the dense derivation), row-wise folds, no re-reduction in
-floating point — for all three kernel families (probe-train,
-saturated DCF, Lindley/FIFO).  The reducers stream per-repetition
-reduced quantities at ``O(chunk)`` peak memory; everything except the
-(deliberately random) reservoir sample stays bit-identical.  The
-``BatchRequest`` pins cover the request's validation and error
-messages, the ambient ``chunked_reps`` scope and its environment
-variable, and the dispatcher's refusal to run an undeclared batch on a
-kernel.  Every channel batch — queue-traced and multihop ones
-included — reaches its kernel through the same chunk loop, and the
-event backend folds its one-row batches into the same dense batch.
+A chunked run must reproduce the dense run *bit for bit* at every
+chunk size — same per-repetition seeds (contiguous slices of the dense
+derivation), row-wise folds, no re-reduction in floating point — for
+all three kernel families (probe-train, saturated DCF, Lindley/FIFO).
+The ``BatchRequest`` pins cover the request's validation and error
+messages, the ambient ``chunked_reps`` scope (the one chunk source)
+and its environment variable, and the dispatcher's refusal to run an
+undeclared batch on a kernel.  Every channel batch — queue-traced and
+multihop ones included — reaches its kernel through the same chunk
+loop, and the event backend folds its one-row batches into the same
+dense batch.
 """
 
 import json
@@ -32,18 +30,7 @@ from repro.backends import (
     dispatch,
 )
 from repro.backends.base import _VectorBackend
-from repro.core.batch import (
-    ChunkReducer,
-    ConcatReducer,
-    OutputGapReducer,
-    RepetitionBatch,
-    ReservoirSampleReducer,
-    ThroughputReducer,
-    chunk_bounds,
-    iter_chunks,
-    resolve_rep_seeds,
-)
-from repro.core.dispersion import output_gaps_batch
+from repro.core.batch import RepetitionBatch, chunk_bounds, resolve_rep_seeds
 from repro.path import (
     NetworkPath,
     SimulatedPathChannel,
@@ -117,14 +104,6 @@ class TestChunkPrimitives:
         array's slice [lo:hi] is what a chunk must replay."""
         dense = resolve_rep_seeds(7, 12)
         assert np.array_equal(dense[:5], resolve_rep_seeds(7, 12)[:5])
-
-    def test_iter_chunks_groups_with_short_tail(self):
-        assert list(iter_chunks(range(7), 3)) == [[0, 1, 2], [3, 4, 5],
-                                                  [6]]
-
-    def test_iter_chunks_validates(self):
-        with pytest.raises(ValueError):
-            list(iter_chunks([1], 0))
 
 
 class TestRepetitionBatchProtocol:
@@ -272,38 +251,19 @@ class TestChunkedBitIdentity:
             assert np.array_equal(chunked[flow], dense[flow])
 
     def test_explicit_request_chunks_bit_identical(self):
-        """chunk_reps on the request itself (the --chunk-reps path)."""
+        """A caller-built request under the --chunk-reps scope."""
         def batch_task(seeds):
             return simulate_probe_train_batch(
                 6, 0.0025, len(seeds), size_bytes=L,
                 cross=[PoissonCrossSpec(250.0, L)], seeds=seeds)
 
-        dense = run_batch(BatchRequest(repetitions=REPS, seed=31,
-                                       batch_task=batch_task,
-                                       spec=WLAN_TRAIN),
-                          backend="vector")
+        request = BatchRequest(repetitions=REPS, seed=31,
+                               batch_task=batch_task, spec=WLAN_TRAIN)
+        dense = run_batch(request, backend="vector")
         for chunk in CHUNKS:
-            chunked = run_batch(
-                BatchRequest(repetitions=REPS, seed=31,
-                             batch_task=batch_task, chunk_reps=chunk,
-                             spec=WLAN_TRAIN),
-                backend="vector")
+            with chunked_reps(chunk):
+                chunked = run_batch(request, backend="vector")
             _same_batch(chunked, dense)
-
-    def test_request_chunk_overrides_ambient_scope(self):
-        seen = []
-
-        def batch_task(seeds):
-            seen.append(len(seeds))
-            return simulate_probe_train_batch(
-                4, 0.003, len(seeds), size_bytes=L, seeds=seeds)
-
-        with chunked_reps(2):
-            run_batch(BatchRequest(repetitions=9, seed=1,
-                                   batch_task=batch_task, chunk_reps=4,
-                                   spec=WLAN_TRAIN),
-                      backend="vector")
-        assert seen == [4, 4, 1]
 
 
 @pytest.mark.slow
@@ -355,110 +315,6 @@ class TestChunkedOnOffKS:
         _same_batch(chunked, dense)
 
 
-class TestReducers:
-    def _request(self, reducer, chunk, reps=REPS, seed=37):
-        def batch_task(seeds):
-            return simulate_probe_train_batch(
-                6, 0.0025, len(seeds), size_bytes=L,
-                cross=[PoissonCrossSpec(300.0, L)], seeds=seeds)
-
-        return BatchRequest(repetitions=reps, seed=seed,
-                            batch_task=batch_task, chunk_reps=chunk,
-                            reducer=reducer, spec=WLAN_TRAIN)
-
-    def test_base_reducer_is_abstract(self):
-        reducer = ChunkReducer()
-        with pytest.raises(NotImplementedError):
-            reducer.update(None, 0, 1)
-        with pytest.raises(NotImplementedError):
-            reducer.finalize()
-
-    def test_concat_reducer_passes_single_chunk_through(self):
-        reducer = ConcatReducer()
-        sentinel = object()
-        reducer.update(sentinel, 0, 5)
-        assert reducer.finalize() is sentinel
-
-    def test_concat_reducer_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ConcatReducer().finalize()
-        with pytest.raises(ValueError):
-            OutputGapReducer().finalize()
-        with pytest.raises(ValueError):
-            ThroughputReducer().finalize()
-
-    @pytest.mark.parametrize("chunk", CHUNKS)
-    def test_output_gap_reducer_bit_identical(self, chunk):
-        dense = run_batch(self._request(None, None), backend="vector")
-        gaps = run_batch(self._request(OutputGapReducer, chunk),
-                         backend="vector")
-        assert np.array_equal(gaps, output_gaps_batch(dense.recv_times))
-
-    @pytest.mark.parametrize("chunk", (1, 5, REPS))
-    def test_throughput_reducer_bit_identical(self, chunk):
-        def batch_task(seeds):
-            return simulate_steady_state_batch(
-                2e6, len(seeds), size_bytes=L, duration=0.2,
-                warmup=0.05, seeds=seeds, track_queues=True)
-
-        dense = run_batch(BatchRequest(repetitions=REPS, seed=41,
-                                       batch_task=batch_task,
-                                       spec=WLAN_TRAIN),
-                          backend="vector")
-        slim = run_batch(BatchRequest(repetitions=REPS, seed=41,
-                                      batch_task=batch_task,
-                                      chunk_reps=chunk,
-                                      reducer=ThroughputReducer,
-                                      spec=WLAN_TRAIN),
-                         backend="vector")
-        assert slim.queue_traces is None  # the memory it saves
-        assert dense.queue_traces is not None
-        assert np.array_equal(slim.probe_throughput_bps(),
-                              dense.probe_throughput_bps())
-        assert np.array_equal(slim.cross_throughput_bps(),
-                              dense.cross_throughput_bps())
-
-    def test_reservoir_is_uniform_subset_of_stream(self):
-        dense = run_batch(self._request(None, None), backend="vector")
-        population = dense.access_delays.ravel()
-        sample = run_batch(
-            self._request(lambda: ReservoirSampleReducer(20, seed=5),
-                          4),
-            backend="vector")
-        assert len(sample) == 20
-        assert np.isin(sample, population).all()
-
-    def test_reservoir_keeps_everything_when_k_covers_stream(self):
-        dense = run_batch(self._request(None, None), backend="vector")
-        sample = run_batch(
-            self._request(lambda: ReservoirSampleReducer(10 ** 6), 4),
-            backend="vector")
-        assert np.array_equal(np.sort(sample),
-                              np.sort(dense.access_delays.ravel()))
-
-    def test_reservoir_deterministic_for_fixed_seed(self):
-        first = run_batch(
-            self._request(lambda: ReservoirSampleReducer(15, seed=9),
-                          5),
-            backend="vector")
-        again = run_batch(
-            self._request(lambda: ReservoirSampleReducer(15, seed=9),
-                          5),
-            backend="vector")
-        assert np.array_equal(first, again)
-
-    def test_reservoir_excludes_non_finite(self):
-        reducer = ReservoirSampleReducer(
-            8, values=lambda batch: batch)
-        reducer.update(np.array([1.0, np.nan, 2.0, np.inf]), 0, 4)
-        assert np.array_equal(np.sort(reducer.finalize()),
-                              [1.0, 2.0])
-
-    def test_reservoir_validates_k(self):
-        with pytest.raises(ValueError):
-            ReservoirSampleReducer(0)
-
-
 class TestChunkScope:
     """The ambient chunked_reps scope and its environment variable."""
 
@@ -491,27 +347,27 @@ class TestChunkScope:
             with chunked_reps(0):
                 pass
 
-    def test_request_resolution_prefers_explicit(self):
-        request = BatchRequest(repetitions=10, seed=0, chunk_reps=4)
-        with chunked_reps(2):
-            assert request.resolved_chunk_reps() == 4
-            assert replace(request, chunk_reps=None).resolved_chunk_reps() \
-                == 2
-        assert replace(request, chunk_reps=None).resolved_chunk_reps() \
-            is None
-
     def test_chunk_at_or_past_batch_is_dense(self):
-        request = BatchRequest(repetitions=10, seed=0, chunk_reps=10)
-        assert request.resolved_chunk_reps() is None
-        assert replace(request, chunk_reps=25).resolved_chunk_reps() is None
+        calls = []
+
+        def batch_task(seeds):
+            calls.append(len(seeds))
+            return simulate_probe_train_batch(
+                4, 0.003, len(seeds), size_bytes=L, seeds=seeds)
+
+        request = BatchRequest(repetitions=10, seed=0,
+                               batch_task=batch_task, spec=WLAN_TRAIN)
+        for chunk in (10, 25):
+            calls.clear()
+            with chunked_reps(chunk):
+                run_batch(request, backend="vector")
+            assert calls == [10]
 
 
 class TestBatchRequestAPI:
     def test_request_validates(self):
         with pytest.raises(ValueError, match="repetitions"):
             BatchRequest(repetitions=0, seed=0)
-        with pytest.raises(ValueError, match="chunk_reps"):
-            BatchRequest(repetitions=5, seed=0, chunk_reps=0)
 
     def test_unknown_backend_message_pinned(self):
         request = BatchRequest(repetitions=2, seed=0,
@@ -549,10 +405,11 @@ class TestCallerKernelResolution:
                                     access_delays=np.full(send.shape, 0.1),
                                     size_bytes=L)
 
-        out = run_batch(BatchRequest(repetitions=7, seed=0,
-                                     batch_task=batch_task,
-                                     chunk_reps=3, spec=WLAN_TRAIN),
-                        backend="vector")
+        with chunked_reps(3):
+            out = run_batch(BatchRequest(repetitions=7, seed=0,
+                                         batch_task=batch_task,
+                                         spec=WLAN_TRAIN),
+                            backend="vector")
         assert sizes == [3, 3, 1]
         assert out.repetitions == 7
 
@@ -603,7 +460,9 @@ class TestRunnersReachTheBackend:
             assert families and set(families) == {backend}
             return json.dumps(report.result.to_dict(), sort_keys=True)
 
-        assert payload("vector", chunk_reps=3) == payload("vector")
+        with chunked_reps(3):
+            chunked = payload("vector")
+        assert chunked == payload("vector")
         assert payload("event", jobs=2) == payload("event", jobs=1)
 
 
@@ -672,12 +531,9 @@ class TestOneResultForm:
         assert event.repetitions == vector.repetitions == 5
         _same_batch(answer("event", jobs=2), event)
 
-    def test_reducer_folds_event_batches(self):
-        channel = SimulatedWlanChannel(
-            [("cross", PoissonGenerator(3e6, L))], warmup=0.05)
-        request = channel.batch_request(ProbeTrain.at_rate(8, 4e6, L), 6,
-                                        seed=5)
-        dense = run_batch(request, backend="event")
-        gaps = run_batch(replace(request, reducer=OutputGapReducer),
-                         backend="event")
-        assert np.array_equal(gaps, output_gaps_batch(dense.recv_times))
+    def test_single_row_passes_through_unfolded(self):
+        """One part is the batch itself: the fold adds no copy."""
+        row = object()
+        request = BatchRequest(repetitions=1, seed=0,
+                               event_task=lambda seed: row)
+        assert run_batch(request, backend="event") is row

@@ -246,6 +246,11 @@ class TestCommands:
                                "repetitions=4", "--no-cache"])
 
 
+#: One out-of-range value per execution flag.
+_BAD_EXECUTION_FLAGS = [("--chunk-reps", "0"), ("--jobs", "-1"),
+                        ("--retries", "-1"), ("--shard-timeout", "0")]
+
+
 def _default_store(tmp_path, experiment="fig6"):
     """Where a ``sweep`` without ``--store`` writes (see the autouse
     ``isolated_cache`` fixture)."""
@@ -363,51 +368,11 @@ class TestCrashSafety:
         assert code == 2
         assert "No space left on device" in capsys.readouterr().err
 
-    def test_run_resume_serves_done_experiment_from_cache(self, tmp_path,
-                                                          capsys):
-        path = tmp_path / "m.jsonl"
-        report_path = tmp_path / "report.json"
-        argv = ["run", "fig6", "--scale", "0.02", "--seed", "2"]
-        assert main(argv + ["--manifest", str(path)]) == 0
-        first = capsys.readouterr().out
-        lines_after_run = path.read_text().count("\n")
-        code = main(argv + ["--resume", str(path),
-                            "--report", str(report_path)])
-        second = capsys.readouterr().out
-        assert code == 0
-        assert "[cache hit " in second
-        (point,) = json.loads(report_path.read_text())["points"]
-        assert point["resumed"] is True and point["cached"] is True
-        assert point["status"] == "done"
-        # The journal already says done: nothing is appended.
-        assert path.read_text().count("\n") == lines_after_run
-        strip = lambda text: [line for line in text.splitlines()
-                              if not line.startswith("   [")]
-        assert strip(first) == strip(second)
-
-    def test_run_resume_reruns_when_cache_entry_is_gone(self, tmp_path,
-                                                        capsys):
-        """The journal alone is not enough: a done experiment whose
-        cache entry is gone re-runs, and is journalled again."""
-        path = tmp_path / "m.jsonl"
-        report_path = tmp_path / "report.json"
-        argv = ["run", "fig6", "--scale", "0.02", "--seed", "2"]
-        main(argv + ["--manifest", str(path)])
-        lines_after_run = path.read_text().count("\n")
-        ResultCache().clear()
-        capsys.readouterr()
-        code = main(argv + ["--resume", str(path),
-                            "--report", str(report_path)])
-        assert code == 0
-        assert "computed in" in capsys.readouterr().out
-        (point,) = json.loads(report_path.read_text())["points"]
-        assert point["resumed"] is False and point["cached"] is False
-        assert path.read_text().count("\n") == lines_after_run + 1
-
     def test_killed_run_all_resumes_unfinished_experiments(
             self, tmp_path, capsys, monkeypatch):
         """``kill-after-points=1`` stops ``run all`` after its first
-        experiment; ``--resume`` serves that one and runs the rest."""
+        experiment; a plain re-run serves that one from the cache and
+        runs the rest."""
         import dataclasses
         import os
         import signal
@@ -428,35 +393,62 @@ class TestCrashSafety:
             for name in ("t-a", "t-b", "t-c")})
         monkeypatch.setattr(os, "kill", kill)
         monkeypatch.setenv("REPRO_FAULTS", "kill-after-points=1")
-        path = tmp_path / "m.jsonl"
         argv = ["run", "all", "--scale", "0.02", "--seed", "2"]
         with pytest.raises(Killed):
-            main(argv + ["--manifest", str(path)])
-        assert [r.label for r in Manifest.load(path).records.values()] \
+            main(argv)
+        assert [entry.experiment for entry in ResultCache().entries()] \
             == ["t-a"]
         monkeypatch.delenv("REPRO_FAULTS")
         report_path = tmp_path / "report.json"
         capsys.readouterr()
-        code = main(argv + ["--resume", str(path),
-                            "--report", str(report_path)])
+        code = main(argv + ["--report", str(report_path)])
         assert code == 0
         assert capsys.readouterr().out.count("[cache hit ") == 1
         points = json.loads(report_path.read_text())["points"]
-        assert [(p["experiment"], p["resumed"]) for p in points] \
+        assert [(p["experiment"], p["cached"]) for p in points] \
             == [("t-a", True), ("t-b", False), ("t-c", False)]
-        assert {r.status for r in Manifest.load(path).records.values()} \
-            == {"done"}
+        assert all("resumed" not in p for p in points)
 
-    def test_resume_refuses_no_cache(self, tmp_path, capsys):
-        """``run --resume`` serves finished experiments from the result
-        cache, so it cannot work with ``--no-cache``."""
-        path = tmp_path / "m.jsonl"
+    def test_run_has_no_journal_flags(self, tmp_path, capsys):
+        """``run`` resumes through the result cache; the journal flags
+        belong to ``sweep`` alone."""
+        for flag in ("--manifest", "--resume"):
+            with pytest.raises(SystemExit) as exit_:
+                main(["run", "fig6", flag, str(tmp_path / "m.jsonl")])
+            assert exit_.value.code == 2
+            assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("flag", _BAD_EXECUTION_FLAGS,
+                             ids=lambda flag: flag[0])
+    def test_run_rejects_out_of_range_execution_flag(self, flag, warm,
+                                                     capsys):
+        """An out-of-range execution flag exits 2 before anything runs,
+        even when the cache could serve every result."""
         argv = ["run", "fig6", "--scale", "0.02", "--seed", "2"]
-        main(argv + ["--manifest", str(path)])
+        if warm:
+            assert main(argv) == 0
         capsys.readouterr()
-        code = main(argv + ["--resume", str(path), "--no-cache"])
-        assert code == 2
-        assert "--no-cache" in capsys.readouterr().err
+        assert main(argv + list(flag)) == 2
+        captured = capsys.readouterr()
+        assert "must be" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", _BAD_EXECUTION_FLAGS,
+                             ids=lambda flag: flag[0])
+    def test_sweep_bad_flag_keeps_the_store(self, flag, tmp_path, capsys):
+        """A new sweep replaces its store, so an out-of-range execution
+        flag must exit 2 before it touches the old one."""
+        main(self._sweep())
+        store = _default_store(tmp_path)
+        before = {path.name: path.read_bytes() for path in store.iterdir()}
+        capsys.readouterr()
+        assert main(self._sweep(*flag)) == 2
+        captured = capsys.readouterr()
+        assert "must be" in captured.err
+        assert captured.out == ""
+        assert {path.name: path.read_bytes()
+                for path in store.iterdir()} == before
 
     def test_resume_refuses_wrong_experiment(self, tmp_path, capsys):
         main(self._sweep())

@@ -13,8 +13,8 @@ contract (see ``repro.runtime.faults``):
 * a sweep SIGKILLed mid-flight and restarted with ``--resume`` from
   its default store re-executes only the incomplete points, and every
   stored payload is byte-identical to a standalone run of the point;
-* a ``run`` SIGKILLed after journalling its experiment resumes as a
-  cache hit, journal and cache bytes unchanged.
+* a ``run`` SIGKILLed after caching its experiment is served as a
+  cache hit by a plain re-run, cache bytes unchanged.
 
 All tests are ``chaos``-marked: tier-1 skips them, the CI chaos job
 runs them with ``pytest -m chaos``.
@@ -183,26 +183,22 @@ class TestKillAndResume:
 
     def test_sigkilled_run_resumes_from_cache(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        journal = tmp_path / "m.jsonl"
         report = tmp_path / "report.json"
         argv = ["run", "fig6", "--scale", "0.05", "--seed", "3"]
 
-        # Killed right after the experiment is journalled.
-        killed = run_cli(argv + ["--manifest", str(journal)], cache_dir,
+        # Killed right after the experiment is cached.
+        killed = run_cli(argv, cache_dir,
                          env_extra={"REPRO_FAULTS": "kill-after-points=1"})
         assert killed.returncode == -signal.SIGKILL
-        journal_bytes = journal.read_bytes()
-        rows = [json.loads(line) for line in journal_bytes.splitlines()]
-        assert [r["status"] for r in rows if r["kind"] == "point"] \
-            == ["done"]
+        stored = cache_bytes(cache_dir)
+        assert len(stored) == 1
 
-        resumed = run_cli(argv + ["--resume", str(journal),
-                                  "--report", str(report)], cache_dir)
-        assert resumed.returncode == 0, resumed.stderr
-        assert "[cache hit " in resumed.stdout
+        rerun = run_cli(argv + ["--report", str(report)], cache_dir)
+        assert rerun.returncode == 0, rerun.stderr
+        assert "[cache hit " in rerun.stdout
         (point,) = json.loads(report.read_text())["points"]
-        assert point["resumed"] is True
-        assert journal.read_bytes() == journal_bytes
+        assert point["cached"] is True
+        assert cache_bytes(cache_dir) == stored
         # The cache holds exactly what an undisturbed run stores.
         clean = run_cli(argv, tmp_path / "clean")
         assert clean.returncode == 0, clean.stderr
