@@ -21,7 +21,7 @@ from conftest import bench_scale
 from repro.analysis.saturation import simulate_saturated
 from repro.backends import BatchRequest, ScenarioSpec, dispatch
 from repro.core.dispersion import output_gaps_batch
-from repro.runtime.executor import chunked_reps, run_batch
+from repro.runtime.executor import chunked_reps, derive_seeds, run_batch
 from repro.mac.scenario import StationSpec, WlanScenario
 from repro.queueing.lindley import lindley_batch, lindley_recursion
 from repro.sim.engine import Simulator
@@ -342,6 +342,48 @@ def test_fig8_queue_trace_backend_speedup():
         f"(last: event {event_s:.3f}s vs vector {vector_s:.3f}s)")
 
 
+def test_fused_scan_speedup():
+    """One fused rate-scan call must beat its per-point calls by >= 4x.
+
+    Acceptance floor of the fused steady-state scan: fig1's 20-rate
+    scan (4.5 Mb/s Poisson contender, 3 repetitions per rate, 1 s runs
+    with a 0.25 s warm-up) as one 60-row
+    ``simulate_steady_state_batch`` call with a probe rate per row,
+    against 20 separate 3-row calls.  Every row must be bit-identical.
+    Deliberately *not* scaled by ``REPRO_BENCH_SCALE``, like fig8's
+    floor: the saving is per-event numpy dispatch shared across rows,
+    which only shows at the figure's own scan width.
+    """
+    rates = np.arange(0.5e6, 10.01e6, 0.5e6)
+    reps = 3
+    kwargs = dict(size_bytes=1500,
+                  cross=[PoissonCrossSpec(4.5e6 / (1500 * 8), 1500)],
+                  duration=1.0, warmup=0.25)
+    point_seeds = [derive_seeds(k, reps) for k in range(len(rates))]
+    out = {}
+
+    def per_point():
+        out["per_point"] = np.concatenate([
+            simulate_steady_state_batch(rate, reps, seeds=seeds,
+                                        **kwargs).probe_bits
+            for rate, seeds in zip(rates, point_seeds)])
+
+    def fused():
+        out["fused"] = simulate_steady_state_batch(
+            np.repeat(rates, reps), len(rates) * reps,
+            seeds=np.concatenate(point_seeds), **kwargs).probe_bits
+
+    best, (per_point_s, fused_s) = _best_speedup(per_point, fused,
+                                                 floor=4.0)
+    assert np.array_equal(out["fused"], out["per_point"])
+    print(f"\nfused scan speedup: {best:.1f}x (last attempt: "
+          f"{len(rates)} calls {per_point_s:.3f}s, fused {fused_s:.3f}s)")
+    assert best >= 4.0, (
+        f"fused scan only {best:.1f}x faster across 3 attempts "
+        f"(last: {len(rates)} calls {per_point_s:.3f}s vs fused "
+        f"{fused_s:.3f}s)")
+
+
 def test_rts_cts_backend_speedup():
     """ablation-rts's vector path must beat the event engine by >= 5x.
 
@@ -529,13 +571,13 @@ def test_chunked_probe_batch_memory(benchmark):
 
     spec = ScenarioSpec(system="wlan", workload="train")
 
-    def batch_task(seeds):
+    def batch_task(seeds, points):
         return simulate_probe_train_batch(
             train.n, train.gap, len(seeds), size_bytes=1500,
             warmup=0.0, seeds=seeds)
 
-    request = BatchRequest(repetitions=repetitions, seed=1,
-                           batch_task=batch_task, spec=spec)
+    request = BatchRequest.scan([1], repetitions, batch_task=batch_task,
+                                spec=spec)
 
     def gaps(chunk_reps):
         with chunked_reps(chunk_reps):

@@ -81,7 +81,7 @@ def ablation_bianchi_calibration(station_counts: Sequence[int] = (1, 2, 3, 4, 5)
     pps = offered_bps / (size_bytes * 8)
     scenario = WlanScenario(phy)
     for k, n in enumerate(counts):
-        def event_task(rep_seed: int) -> SteadyBatchResult:
+        def event_task(rep_seed: int, point: int) -> SteadyBatchResult:
             """One saturated repetition's delivered bits, one row."""
             specs = [StationSpec(f"s{i}",
                                  generator=CBRGenerator(offered_bps,
@@ -98,15 +98,15 @@ def ablation_bianchi_calibration(station_counts: Sequence[int] = (1, 2, 3, 4, 5)
                 cross_bits=np.array([bits[1:]], dtype=float),
                 warmup=warmup, duration=duration, size_bytes=size_bytes)
 
-        def batch_task(seeds) -> SteadyBatchResult:
+        def batch_task(seeds, points) -> SteadyBatchResult:
             """The steady-state kernel over one (possibly chunked) slice."""
             return simulate_steady_state_batch(
                 offered_bps, len(seeds), size_bytes=size_bytes,
                 cross=[CbrCrossSpec(pps, size_bytes)] * (n - 1),
                 duration=duration, warmup=warmup, phy=phy, seeds=seeds)
 
-        out = resolution.backend.run_batch(BatchRequest(
-            repetitions=repetitions, seed=seed + k, event_task=event_task,
+        out = resolution.backend.run_batch(BatchRequest.scan(
+            [seed + k], repetitions, event_task=event_task,
             batch_task=batch_task, spec=spec))
         simulated[k] = float(np.mean(out.probe_throughput_bps()
                                      + out.cross_throughput_bps()))

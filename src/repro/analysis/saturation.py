@@ -37,9 +37,9 @@ def _event_repetition(n_stations: int, packets_per_station: int,
                       size_bytes: int, phy: Optional[PhyParams],
                       rts_threshold: Optional[int],
                       retry_limit: Optional[int],
-                      seed: int) -> VectorBatchResult:
+                      seed: int, point: int) -> VectorBatchResult:
     """One saturated repetition through the event engine, as a
-    one-row batch.
+    one-row batch (every row measures the one point).
 
     Delays come back NaN-padded per station so retry-limited runs —
     where a dropped packet has no access delay — keep the batch shape.
@@ -100,16 +100,16 @@ def simulate_saturated(n_stations: int, packets_per_station: int,
                                    packets_per_station, size_bytes, phy,
                                    rts_threshold, retry_limit)
 
-    def batch_task(seeds) -> VectorBatchResult:
-        """The kernel over one (possibly chunked) seed slice."""
+    def batch_task(seeds, points) -> VectorBatchResult:
+        """The kernel over one (possibly chunked) row slice."""
         return simulate_saturated_batch(
             n_stations, packets_per_station, len(seeds),
             size_bytes=size_bytes, phy=phy, seeds=seeds,
             rts_threshold=rts_threshold, retry_limit=retry_limit)
 
-    return run_batch(BatchRequest(repetitions=repetitions, seed=seed,
-                                  event_task=event_task,
-                                  batch_task=batch_task, spec=spec),
+    return run_batch(BatchRequest.scan([seed], repetitions,
+                                       event_task=event_task,
+                                       batch_task=batch_task, spec=spec),
                      backend=backend)
 
 

@@ -5,31 +5,35 @@ uses >10000 packets and evaluates in steady state), so the runners here
 drive the probing flow as a long CBR flow and measure throughputs over
 a window that skips the warm-up, which is equivalent and cheaper.
 
-Each measurement point is a repetition batch routed through
-:func:`repro.runtime.executor.run_batch`: the ``event`` backend maps
-one event-engine repetition over the derived per-repetition seeds
-(sharded across the ambient worker pool), the ``vector`` backend hands
-the whole batch to
-:func:`repro.sim.probe_vector.simulate_steady_state_batch`.  Both
-answer with a :class:`repro.sim.probe_vector.SteadyBatchResult` of
-delivered bits, and the throughputs are read off it.
+A whole rate scan is one batch of rows routed through
+:func:`repro.runtime.executor.run_batch` (:func:`steady_state_scan`):
+every rate contributes its repetitions as rows, the ``event`` backend
+maps one event-engine repetition over the rows (sharded across the
+ambient worker pool), the ``vector`` backend hands the rows to one
+:func:`repro.sim.probe_vector.simulate_steady_state_batch` call with a
+probe rate per row.  Both answer with a
+:class:`repro.sim.probe_vector.SteadyBatchResult` of delivered bits,
+and the throughputs are read off it point by point.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.analysis.results import ExperimentResult
 from repro.analytic.bianchi import BianchiModel
-from repro.analytic.rate_response import complete_rate_response
+from repro.analytic.rate_response import (
+    achievable_throughput_complete,
+    complete_rate_response,
+)
 from repro.mac.params import PhyParams
 from repro.mac.scenario import StationSpec, WlanScenario
 from repro.sim.probe_vector import (
     PoissonCrossSpec,
     SteadyBatchResult,
+    check_steady_state,
     simulate_steady_state_batch,
 )
 from repro.traffic.generators import CBRGenerator, PoissonGenerator
@@ -53,8 +57,6 @@ def _event_repetition(probe_rate_bps: float, cross_rate_bps: float,
                       seed: int) -> SteadyBatchResult:
     """One steady-state repetition on the event engine, as a one-row
     batch of the bits each flow delivered in ``(warmup, duration]``."""
-    if duration <= warmup:
-        raise ValueError("duration must exceed warmup")
     # FIFO cross-traffic shares the probe station's transmission queue:
     # the probe flow goes in as explicit arrivals, the FIFO flow as the
     # same station's generator.
@@ -98,6 +100,7 @@ def steady_state_throughputs(probe_rate_bps: float,
     queue; ``cross_rate_bps`` of Poisson traffic contends from a second
     station.  Throughputs are measured over ``(warmup, duration]``.
     """
+    check_steady_state(probe_rate_bps, duration, warmup)
     batch = _event_repetition(probe_rate_bps, cross_rate_bps,
                               fifo_rate_bps, phy, size_bytes, duration,
                               warmup, seed)
@@ -105,46 +108,60 @@ def steady_state_throughputs(probe_rate_bps: float,
             for flow, rates in _flow_throughputs(batch).items()}
 
 
-def steady_state_samples(probe_rate_bps: float,
-                         cross_rate_bps: float,
-                         fifo_rate_bps: float = 0.0,
-                         phy: Optional[PhyParams] = None,
-                         size_bytes: int = 1500,
-                         duration: float = 4.0,
-                         warmup: float = 0.5,
-                         repetitions: int = 3,
-                         seed: int = 0,
-                         backend: str = "event") -> Dict[str, np.ndarray]:
-    """Per-repetition steady-state throughput samples, any backend.
+def steady_state_scan(probe_rates_bps: Sequence[float],
+                      cross_rate_bps: float,
+                      fifo_rate_bps: float = 0.0,
+                      phy: Optional[PhyParams] = None,
+                      size_bytes: int = 1500,
+                      duration: float = 4.0,
+                      warmup: float = 0.5,
+                      repetitions: int = 3,
+                      seed: int = 0,
+                      backend: str = "event") -> Dict[str, np.ndarray]:
+    """Per-repetition steady-state throughput samples of a rate scan.
 
-    One measurement point of figures 1/4 as a repetition batch:
-    returns ``flow -> (repetitions,)`` arrays for the probe, FIFO and
-    contending flows.  The event path maps one event-engine repetition
-    over the canonical per-repetition seeds (honouring the ambient
-    ``--jobs`` scope); the vector path resolves the whole batch in the
-    steady-state mode of the probe-train kernel; ``backend="auto"``
-    lets the dispatcher decide from this measurement's own scenario
-    spec.  The backends are statistically equivalent —
+    Returns ``flow -> (points, repetitions)`` arrays for the probe,
+    FIFO and contending flows, one row per probe rate.  The whole scan
+    is one request: point ``k`` (rate ``probe_rates_bps[k]``) carries
+    ``repetitions`` rows seeded from ``seed + k``, exactly the rows a
+    one-point scan from that seed carries, so fusing never changes a
+    sample.  The event path maps one event-engine repetition over the
+    rows (the ambient ``--jobs`` scope splits the whole scan); the
+    vector path resolves every row in one call of the probe-train
+    kernel's steady-state mode, with a probe rate per row (in
+    ``--chunk-reps`` chunks, which may straddle points);
+    ``backend="auto"`` lets the dispatcher decide from the scan's own
+    scenario spec.  The points share station count, frame size, PHY
+    and kernel mode — the conditions for rows to stack.  The backends
+    are statistically equivalent —
     ``tests/test_auto_backend_equivalence.py`` pins the per-flow
     throughput distributions with KS tests.
+
+    Rates and the window are checked before dispatch
+    (:func:`~repro.sim.probe_vector.check_steady_state`), so every
+    backend refuses the same scans.
     """
     # Imported lazily: repro.runtime sits above the analysis layer.
     from repro.backends import BatchRequest, ScenarioSpec
     from repro.runtime.executor import run_batch
 
+    rates = np.asarray(probe_rates_bps, dtype=float)
+    check_steady_state(rates, duration, warmup)
     spec = ScenarioSpec(
         system="wlan", workload="steady-cbr",
         cross_traffic="poisson" if cross_rate_bps > 0 else "none",
         fifo_cross="poisson" if fifo_rate_bps > 0 else "none")
 
-    event_task = functools.partial(
-        _event_repetition, probe_rate_bps, cross_rate_bps, fifo_rate_bps,
-        phy, size_bytes, duration, warmup)
+    def event_task(rep_seed: int, point: int) -> SteadyBatchResult:
+        """One event-engine repetition of point ``point``."""
+        return _event_repetition(rates[point], cross_rate_bps,
+                                 fifo_rate_bps, phy, size_bytes, duration,
+                                 warmup, rep_seed)
 
-    def batch_task(seeds) -> SteadyBatchResult:
+    def batch_task(seeds, points) -> SteadyBatchResult:
         """The steady-state kernel over one (possibly chunked) slice."""
         return simulate_steady_state_batch(
-            probe_rate_bps, len(seeds), size_bytes=size_bytes,
+            rates[np.asarray(points)], len(seeds), size_bytes=size_bytes,
             cross=[PoissonCrossSpec(cross_rate_bps / (size_bytes * 8),
                                     size_bytes)]
             if cross_rate_bps > 0 else [],
@@ -153,11 +170,13 @@ def steady_state_samples(probe_rate_bps: float,
             if fifo_rate_bps > 0 else None,
             duration=duration, warmup=warmup, phy=phy, seeds=seeds)
 
-    return _flow_throughputs(run_batch(
-        BatchRequest(repetitions=repetitions, seed=seed,
-                     event_task=event_task, batch_task=batch_task,
-                     spec=spec),
-        backend=backend))
+    batch = run_batch(
+        BatchRequest.scan([seed + k for k in range(len(rates))],
+                          repetitions, event_task=event_task,
+                          batch_task=batch_task, spec=spec),
+        backend=backend)
+    return {flow: rows.reshape(len(rates), repetitions)
+            for flow, rows in _flow_throughputs(batch).items()}
 
 
 def fig1_rate_response(probe_rates_bps: Optional[Sequence[float]] = None,
@@ -183,15 +202,11 @@ def fig1_rate_response(probe_rates_bps: Optional[Sequence[float]] = None,
     bianchi = BianchiModel(phy, size_bytes)
     capacity = bianchi.capacity()
     fair_share = bianchi.fair_share(2)
-    probe_out = np.zeros(len(rates))
-    cross_out = np.zeros(len(rates))
-    for k, rate in enumerate(rates):
-        samples = steady_state_samples(
-            rate, cross_rate_bps, 0.0, phy, size_bytes, duration,
-            warmup, repetitions=repetitions, seed=seed + k,
-            backend=backend)
-        probe_out[k] = float(samples["probe"].mean())
-        cross_out[k] = float(samples["cross"].mean())
+    samples = steady_state_scan(
+        rates, cross_rate_bps, 0.0, phy, size_bytes, duration, warmup,
+        repetitions=repetitions, seed=seed, backend=backend)
+    probe_out = samples["probe"].mean(axis=1)
+    cross_out = samples["cross"].mean(axis=1)
 
     available = max(0.0, capacity - cross_rate_bps)
     result = ExperimentResult(
@@ -258,17 +273,12 @@ def fig4_complete_picture(probe_rates_bps: Optional[Sequence[float]] = None,
     rates = np.asarray(sorted(probe_rates_bps), dtype=float)
     bianchi = BianchiModel(phy, size_bytes)
     fair_share = bianchi.fair_share(2)
-    probe_out = np.zeros(len(rates))
-    cross_out = np.zeros(len(rates))
-    fifo_out = np.zeros(len(rates))
-    for k, rate in enumerate(rates):
-        samples = steady_state_samples(
-            rate, cross_rate_bps, fifo_rate_bps, phy, size_bytes,
-            duration, warmup, repetitions=repetitions, seed=seed + k,
-            backend=backend)
-        probe_out[k] = float(samples["probe"].mean())
-        cross_out[k] = float(samples["cross"].mean())
-        fifo_out[k] = float(samples["fifo"].mean())
+    samples = steady_state_scan(
+        rates, cross_rate_bps, fifo_rate_bps, phy, size_bytes, duration,
+        warmup, repetitions=repetitions, seed=seed, backend=backend)
+    probe_out = samples["probe"].mean(axis=1)
+    cross_out = samples["cross"].mean(axis=1)
+    fifo_out = samples["fifo"].mean(axis=1)
 
     u_fifo = min(0.95, fifo_rate_bps / fair_share)
     model = complete_rate_response(rates, fair_share, u_fifo)
@@ -288,7 +298,7 @@ def fig4_complete_picture(probe_rates_bps: Optional[Sequence[float]] = None,
             "backend": backend,
         },
     )
-    b_complete = fair_share * (1 - u_fifo)
+    b_complete = achievable_throughput_complete(fair_share, u_fifo)
     low = rates <= 0.8 * b_complete
     if np.any(low):
         result.add_check(

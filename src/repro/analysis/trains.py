@@ -16,7 +16,10 @@ import numpy as np
 from repro.analysis.results import ExperimentResult
 from repro.analytic.bianchi import BianchiModel
 from repro.analytic.metrics import fluid_achievable_throughput
-from repro.analytic.rate_response import complete_rate_response
+from repro.analytic.rate_response import (
+    achievable_throughput_complete,
+    complete_rate_response,
+)
 from repro.core.correction import mser_corrected_rate
 from repro.core.estimators import packet_pair_capacity, train_dispersion_rate
 from repro.mac.params import PhyParams
@@ -179,7 +182,7 @@ def fig15_short_trains_fifo(probe_rates_bps: Optional[Sequence[float]] = None,
         result.add_check(
             "overestimates-despite-fifo",
             bool(np.all(curves[shortest][high] > steady[high] * 1.02)))
-    b_complete = fair_share * (1 - u_fifo)
+    b_complete = achievable_throughput_complete(fair_share, u_fifo)
     low = rates <= 0.5 * b_complete
     if np.any(low):
         longest = max(train_lengths)

@@ -14,7 +14,7 @@ and hand it to the backend the dispatcher resolved.
 Five backends exist:
 
 * :class:`EventBackend` — the discrete-event engine; supports every
-  scenario and shards repetitions over worker processes;
+  scenario and shards rows over worker processes;
 * :class:`ProbeTrainVectorBackend` — :mod:`repro.sim.probe_vector`:
   probe trains (and steady CBR flows) through DCF contended by
   Poisson/CBR/on-off traffic, with RTS/CTS, retry limits and queue
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 from repro.backends.spec import Capabilities, ScenarioSpec
 
@@ -60,47 +60,76 @@ KERNEL_FAMILIES = ("vector", "jit")
 
 @dataclass(frozen=True)
 class BatchRequest:
-    """One repetition batch, described once, executed by any backend.
+    """One batch of rows, described once, executed by any backend.
 
-    The one argument every ``run_batch`` takes: a request names the
-    batch (``repetitions``, ``seed``), the two task forms a backend
-    may consume, and the declarative scenario the dispatcher matches
-    capabilities against.  The vector backends take the streaming
-    chunk size from the ambient
+    The one argument every ``run_batch`` takes: a request names its
+    rows (each row's ``seed`` and ``point``), the two task forms a
+    backend may consume, and the declarative scenario the dispatcher
+    matches capabilities against.  A row is one repetition of one
+    measurement point; a batch holds the repetitions of one point or
+    of a whole scan of points that share a kernel configuration.
+    Build requests with :meth:`scan`.  The vector backends take the
+    streaming chunk size from the ambient
     :func:`repro.runtime.executor.chunked_reps` scope, an execution
     detail like the job count.
 
     Attributes
     ----------
-    repetitions / seed:
-        Batch size and the master seed the canonical per-repetition
-        seeds derive from (``SeedSequence(seed).generate_state``).
+    seeds / points:
+        Each row's seed and the index of the point it measures, in
+        row order.  Every row owns the generator its seed starts, so
+        a row's draws never depend on the rows around it.
     event_task:
-        Pure ``rep_seed -> one-row batch`` function (of the class
+        Pure ``(seed, point) -> one-row batch`` function (of the class
         ``batch_task`` returns); the event backend maps it over the
-        derived seeds and folds the rows like kernel chunks, with the
-        batch class's ``concat``.
+        rows and folds them like kernel chunks, with the batch class's
+        ``concat``.
     batch_task:
-        ``seeds -> RepetitionBatch`` kernel entry: receives the
-        per-repetition seed slice of the chunk it must resolve (the
-        dense call passes the full seed array).  Kernels derive
-        nothing from the batch size, so any contiguous slice
-        reproduces exactly the dense run's rows.
+        ``(seeds, points) -> RepetitionBatch`` kernel entry: receives
+        the rows of the chunk it must resolve (the dense call passes
+        every row).  Kernels derive nothing from the batch size or
+        from neighbouring rows, so any contiguous slice reproduces
+        exactly the dense run's rows.
     spec:
         Declarative :class:`~repro.backends.spec.ScenarioSpec` for the
         dispatcher; ``None`` means "nothing declared".
     """
 
-    repetitions: int
-    seed: int
-    event_task: Optional[Callable[[int], Any]] = None
+    seeds: Tuple[int, ...]
+    points: Tuple[int, ...]
+    event_task: Optional[Callable[[int, int], Any]] = None
     batch_task: Optional[Callable[..., Any]] = None
     spec: Optional[ScenarioSpec] = None
 
     def __post_init__(self) -> None:
-        if self.repetitions < 1:
-            raise ValueError(
-                f"repetitions must be >= 1, got {self.repetitions}")
+        object.__setattr__(self, "seeds", tuple(self.seeds))
+        object.__setattr__(self, "points", tuple(self.points))
+        if not self.seeds:
+            raise ValueError("a batch needs at least one row")
+        if len(self.points) != len(self.seeds):
+            raise ValueError(f"got {len(self.points)} points for "
+                             f"{len(self.seeds)} rows")
+
+    @classmethod
+    def scan(cls, point_seeds: Sequence[int], repetitions: int,
+             **tasks: Any) -> "BatchRequest":
+        """``repetitions`` rows for each of ``len(point_seeds)`` points.
+
+        Point ``k``'s rows carry
+        :func:`~repro.runtime.executor.derive_seeds` ``(point_seeds[k],
+        repetitions)`` — exactly the seeds a one-point request for
+        that point carries — so a fused scan's rows are bit-identical
+        to its per-point batches.  Rows are point-major.  ``tasks``
+        are the remaining fields (``event_task``, ``batch_task``,
+        ``spec``).
+        """
+        # Imported lazily: repro.runtime sits above this layer.
+        from repro.runtime.executor import derive_seeds
+        seeds = [row for seed in point_seeds
+                 for row in derive_seeds(seed, repetitions)]
+        points = [k for k in range(len(point_seeds))
+                  for _ in range(repetitions)]
+        return cls(seeds, points, **tasks)
 
 
 class Backend(abc.ABC):
@@ -134,12 +163,11 @@ class Backend(abc.ABC):
     def run_batch(self, request: "BatchRequest"):
         """Execute one :class:`BatchRequest` on this backend.
 
-        The event backend maps ``request.event_task`` over the derived
-        per-repetition seeds; kernels hand ``request.batch_task`` the
-        per-repetition seed slices of each chunk (the whole array when
-        dense).  Both fold their parts with :func:`_fold`, so every
-        backend returns the request's dense batch.  Each backend
-        consumes exactly one of the two tasks.
+        The event backend maps ``request.event_task`` over the rows;
+        kernels hand ``request.batch_task`` the rows of each chunk
+        (every row when dense).  Both fold their parts with
+        :func:`_fold`, so every backend returns the request's dense
+        batch.  Each backend consumes exactly one of the two tasks.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -147,8 +175,8 @@ class Backend(abc.ABC):
 
 
 def _fold(parts):
-    """Fold a batch's parts, in repetition order, with the batch
-    class's ``concat``; a single part passes through untouched."""
+    """Fold a batch's parts, in row order, with the batch class's
+    ``concat``; a single part passes through untouched."""
     if len(parts) == 1:
         return parts[0]
     return type(parts[0]).concat(parts)
@@ -162,20 +190,21 @@ class EventBackend(Backend):
     speed_rank = 100
 
     def run_batch(self, request):
-        """Map the event task over the seeds and fold the rows.
+        """Map the event task over the rows and fold them.
 
-        Fans out across the ambient worker pool
-        (:func:`repro.runtime.executor.parallel_jobs`); the one-row
-        batches come back in repetition order, so the folded batch is
-        bit-identical for any job count.  The chunk size is ignored.
+        Fans the rows out across the ambient worker pool
+        (:func:`repro.runtime.executor.parallel_jobs`) — a fused scan
+        splits as a whole, not point by point; the one-row batches
+        come back in row order, so the folded batch is bit-identical
+        for any job count.  The chunk size is ignored.
         """
-        if request.event_task is None:
+        task = request.event_task
+        if task is None:
             raise ValueError("the event backend needs an event_task")
         # Imported lazily: repro.runtime sits above this layer.
-        from repro.runtime.executor import derive_seeds, map_ordered
-        return _fold(map_ordered(
-            request.event_task,
-            derive_seeds(request.seed, request.repetitions)))
+        from repro.runtime.executor import map_ordered
+        return _fold(map_ordered(lambda row: task(*row),
+                                 zip(request.seeds, request.points)))
 
 
 class _VectorBackend(Backend):
@@ -188,15 +217,14 @@ class _VectorBackend(Backend):
         """Resolve the batch with the kernel, chunked when requested.
 
         Dense (the default, and any chunk size at or above the batch):
-        one ``batch_task(seeds)`` call with the full canonical
-        per-repetition seed array.  Chunked (the ambient
+        one ``batch_task(seeds, points)`` call with every row.
+        Chunked (the ambient
         :func:`repro.runtime.executor.chunked_reps` scope, i.e.
-        ``--chunk-reps`` or ``REPRO_CHUNK_REPS``): the seed array is
-        sliced into contiguous chunks, each resolved by its own
-        ``batch_task(seeds[lo:hi])`` call and folded with
-        :func:`_fold`.  The slices are taken from the *dense*
-        derivation, so chunk boundaries never change which random
-        universe a repetition index maps to — dense and chunked rows
+        ``--chunk-reps`` or ``REPRO_CHUNK_REPS``): the rows are sliced
+        into contiguous chunks — a chunk may straddle points — each
+        resolved by its own ``batch_task`` call and folded with
+        :func:`_fold`.  A row's seed fixes its random universe
+        wherever the chunk boundaries fall, so dense and chunked rows
         are bit-identical.
         """
         task = request.batch_task
@@ -204,15 +232,15 @@ class _VectorBackend(Backend):
             raise ValueError("this batch has no vector kernel; "
                              "run it with backend='event'")
         # Imported lazily: repro.runtime sits above this layer.
-        from repro.runtime.executor import active_chunk_reps, derive_seeds
-        seeds = derive_seeds(request.seed, request.repetitions)
+        from repro.runtime.executor import active_chunk_reps
+        seeds, points = request.seeds, request.points
         chunk = active_chunk_reps()
-        if chunk is None or chunk >= request.repetitions:
-            return task(seeds)
+        if chunk is None or chunk >= len(seeds):
+            return task(seeds, points)
         # Imported lazily: repro.core sits above this layer.
         from repro.core.batch import chunk_bounds
-        return _fold([task(seeds[lo:hi]) for lo, hi
-                      in chunk_bounds(request.repetitions, chunk)])
+        return _fold([task(seeds[lo:hi], points[lo:hi]) for lo, hi
+                      in chunk_bounds(len(seeds), chunk)])
 
 
 class ProbeTrainVectorBackend(_VectorBackend):

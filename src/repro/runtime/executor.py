@@ -41,10 +41,11 @@ Chunking works the same way: :func:`chunked_reps` installs an ambient
 streaming chunk size (CLI: ``--chunk-reps``; environment:
 ``REPRO_CHUNK_REPS``) that the vector backends read through
 :func:`active_chunk_reps` — a kernel batch is then resolved in
-contiguous chunks of that many repetitions and the chunks are folded
-into the dense batch.  The kernel's working memory scales with the
-chunk; the folded result stays batch-sized (at 1000-repetition chunks
-a 20,000-repetition probe batch peaks at 6.5 MB instead of 69.3 MB).
+contiguous chunks of that many rows (a fused scan's chunks may
+straddle points) and the chunks are folded into the dense batch.  The
+kernel's working memory scales with the chunk; the folded result stays
+batch-sized (at 1000-repetition chunks a 20,000-repetition probe batch
+peaks at 6.5 MB instead of 69.3 MB).
 Like ``--jobs``, the chunk size never changes results (chunks replay
 the exact seed slice of the dense derivation), so it stays out of
 cache keys.
@@ -55,6 +56,7 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import os
+import signal
 import sys
 import time
 import warnings
@@ -214,16 +216,15 @@ def run_batch(request: BatchRequest, *, backend: str = "event"):
     """Route one repetition batch through the backend dispatcher.
 
     ``request`` is a :class:`repro.backends.BatchRequest` describing
-    the batch once for every backend: the event backend maps
-    ``request.event_task`` (a pure ``rep_seed -> one-row batch``
-    function) over the derived per-repetition seeds through
-    :func:`map_ordered`; the vector backends hand
-    ``request.batch_task`` the per-repetition seed array — sliced into
-    contiguous chunks when the ambient :func:`chunked_reps` scope sets
-    a chunk size.  Either way the parts fold with the batch class's
-    ``concat``, so every backend returns the same dense batch.  Dense
-    and chunked runs are bit-identical: a chunk replays exactly the
-    seed slice of the dense derivation.
+    the batch's rows once for every backend: the event backend maps
+    ``request.event_task`` (a pure ``(seed, point) -> one-row batch``
+    function) over the rows through :func:`map_ordered`; the vector
+    backends hand ``request.batch_task`` the rows' seeds and points —
+    sliced into contiguous chunks when the ambient
+    :func:`chunked_reps` scope sets a chunk size.  Either way the
+    parts fold with the batch class's ``concat``, so every backend
+    returns the same dense batch.  Dense and chunked runs are
+    bit-identical: each row's seed fixes its random universe.
 
     ``backend="auto"`` asks :func:`repro.backends.dispatch.resolve` to
     pick the fastest backend eligible for the request's spec (a
@@ -423,6 +424,23 @@ def _note_failure(record: Dict[str, object]) -> None:
 # Supervised shard execution
 # ----------------------------------------------------------------------
 
+@contextmanager
+def _sigint_held() -> Iterator[None]:
+    """Hold SIGINT off in this thread for the block.
+
+    A Ctrl-C that arrives meanwhile stays pending and is delivered, as
+    the usual ``KeyboardInterrupt``, when the block ends.
+    """
+    if not hasattr(signal, "pthread_sigmask"):  # pragma: no cover
+        yield
+        return
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
 def _shard_main(conn, fn: Callable, items: Sequence, shard_index: int,
                 attempt: int) -> None:
     """Entry point of one supervised shard process.
@@ -434,6 +452,9 @@ def _shard_main(conn, fn: Callable, items: Sequence, shard_index: int,
     """
     global _IN_WORKER
     _IN_WORKER = True
+    if hasattr(signal, "pthread_sigmask"):
+        # Forked while the supervisor held SIGINT off (_sigint_held).
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     from repro.runtime import faults
     faults.maybe_crash_worker(shard_index, attempt)
     faults.maybe_slow_shard(shard_index)
@@ -465,17 +486,27 @@ class _ShardRun:
 
     def start(self, ctx, fn: Callable,
               policy: RetryPolicy) -> None:
-        """(Re)spawn the worker process for the current attempt."""
+        """(Re)spawn the worker process for the current attempt.
+
+        SIGINT is held off until the forked process is recorded, so a
+        Ctrl-C during the fork lands after it and the cleanup reaps
+        the worker; a start that fails records no process, so the
+        cleanup never joins one that was never started.
+        """
         recv, send = ctx.Pipe(duplex=False)
-        self.process = ctx.Process(
+        self.conn = recv
+        process = ctx.Process(
             target=_shard_main,
             args=(send, fn, self.items, self.index, self.attempt),
             daemon=True)
-        self.process.start()
-        # Close the parent's copy of the send end: a worker dying
-        # without sending then reads as EOF instead of a hang.
-        send.close()
-        self.conn = recv
+        try:
+            with _sigint_held():
+                process.start()
+                self.process = process
+        finally:
+            # Close the parent's copy of the send end: a worker dying
+            # without sending then reads as EOF instead of a hang.
+            send.close()
         self.resume_at = None
         self.deadline = (time.monotonic() + policy.shard_timeout
                          if policy.shard_timeout is not None else None)

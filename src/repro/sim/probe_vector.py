@@ -298,17 +298,19 @@ def fifo_size_mismatch_detail(probe_size: int, fifo_size: int) -> str:
             "run with backend='event'")
 
 
-def _pad_concat_rows(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack ``inf``-padded row blocks, re-padding to the widest.
+def _pad_concat_rows(blocks: Sequence[np.ndarray],
+                     fill: float = np.inf) -> np.ndarray:
+    """Stack ``fill``-padded row blocks, re-padding to the widest.
 
-    Each block's rows are valid up to some count and ``inf`` past it;
-    the stacked array pads every row to the widest block, which is
-    exactly the width a dense run over all rows would have produced —
-    so chunked and dense traces are bit-identical.
+    Each block's rows are valid up to some count and ``fill`` past it
+    (``inf`` for instants, ``-1`` for flow tags); the stacked array
+    pads every row to the widest block, which is exactly the width a
+    dense run over all rows would have produced — so chunked and dense
+    traces are bit-identical.
     """
     width = max(block.shape[1] for block in blocks)
     rows = sum(block.shape[0] for block in blocks)
-    out = np.full((rows, width), np.inf)
+    out = np.full((rows, width), fill, dtype=blocks[0].dtype)
     lo = 0
     for block in blocks:
         out[lo:lo + block.shape[0], :block.shape[1]] = block
@@ -1158,8 +1160,27 @@ class SteadyBatchResult:
         return self.cross_bits.sum(axis=1) / self.window_s
 
 
+def check_steady_state(probe_rates_bps, duration: float,
+                       warmup: float) -> None:
+    """Refuse a steady-state measurement no backend can make.
+
+    Every probe rate must be positive, and the measurement window
+    ``(warmup, duration]`` must be non-empty and start at or after
+    time zero.  :func:`simulate_steady_state_batch` checks its own
+    arguments with it; the steady-state runners call it before
+    dispatch, so the event engine refuses exactly what the kernel
+    refuses.
+    """
+    rates = np.asarray(probe_rates_bps, dtype=float).ravel()
+    bad = rates[~(rates > 0)]
+    if bad.size:
+        raise ValueError(f"probe rate must be positive, got {bad[0]}")
+    if duration <= warmup or warmup < 0:
+        raise ValueError("need duration > warmup >= 0")
+
+
 def simulate_steady_state_batch(
-        probe_rate_bps: float,
+        probe_rate_bps,
         repetitions: int,
         *,
         size_bytes: int = 1500,
@@ -1188,6 +1209,15 @@ def simulate_steady_state_batch(
     and the simulation stops at ``duration`` — throughputs are read
     off the bits delivered in ``(warmup, duration]``.
 
+    ``probe_rate_bps`` is one rate for every repetition or a
+    ``(repetitions,)`` array of per-row rates — a whole rate scan in
+    one call.  Each run of equal rates gets the CBR schedule and FIFO
+    merge a one-rate call builds, the blocks stack padded to the
+    widest, and the cross and FIFO sample paths are drawn over the
+    shared ``duration``; every row owns its generator and retires on
+    its own clock, so a scan's rows are bit-identical to the one-rate
+    calls of its points.
+
     The contract with the event backend is distributional, like the
     train kernel's: the per-repetition throughput samples of every
     flow match under the repo's KS thresholds.
@@ -1196,28 +1226,20 @@ def simulate_steady_state_batch(
     with explicit values (one per repetition), as in
     :func:`simulate_probe_train_batch` — the chunked execution hook.
     """
-    if probe_rate_bps <= 0:
-        raise ValueError(
-            f"probe rate must be positive, got {probe_rate_bps}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if duration <= warmup or warmup < 0:
-        raise ValueError("need duration > warmup >= 0")
+    rates = np.asarray(probe_rate_bps, dtype=float)
+    if rates.ndim == 0:
+        rates = np.full(repetitions, float(rates))
+    elif rates.shape != (repetitions,):
+        raise ValueError(f"got {rates.size} probe rates for "
+                         f"{repetitions} repetitions")
+    check_steady_state(rates, duration, warmup)
 
     cross = list(cross)
     if fifo_cross is not None and fifo_cross.size_bytes != size_bytes:
         raise ValueError(
             fifo_size_mismatch_detail(size_bytes, fifo_cross.size_bytes))
-
-    # The event path's CBR schedule: packets at k * interval, k >= 0,
-    # clipped to [0, duration).
-    interval = size_bytes * 8 / probe_rate_bps
-    count = int(duration / interval) + 1
-    times = np.arange(count) * interval
-    times = times[times < duration]
-    n_probe = len(times)
-    if n_probe < 1:  # pragma: no cover - degenerate rates only
-        raise ValueError("probe flow emits no packet before duration")
 
     reps = repetitions
     if seeds is None:
@@ -1228,14 +1250,28 @@ def simulate_steady_state_batch(
             f"got {len(seeds)} seeds for {repetitions} repetitions")
     gens = [np.random.default_rng(int(s)) for s in seeds]
 
-    probe_times = np.broadcast_to(times, (reps, n_probe)).copy()
     cross_paths = [spec.sample_paths(gens, duration) for spec in cross]
     if fifo_cross is not None:
         fifo_times, fifo_counts = fifo_cross.sample_paths(gens, duration)
-    else:
-        fifo_times, fifo_counts = None, None
-    probe_arr, probe_seq, probe_counts = _merge_probe_queue(
-        probe_times, n_probe, fifo_times, fifo_counts)
+    blocks = []
+    n_probe = 0
+    edges = [0, *(np.flatnonzero(np.diff(rates)) + 1), reps]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        # The event path's CBR schedule: packets at k * interval,
+        # k >= 0, clipped to [0, duration).
+        interval = size_bytes * 8 / rates[lo]
+        times = np.arange(int(duration / interval) + 1) * interval
+        times = times[times < duration]
+        n_probe = max(n_probe, len(times))
+        fifo = ((None, None) if fifo_cross is None
+                else (fifo_times[lo:hi], fifo_counts[lo:hi]))
+        blocks.append(_merge_probe_queue(
+            np.broadcast_to(times, (hi - lo, len(times))).copy(),
+            len(times), *fifo))
+    arrivals, tags, counts = zip(*blocks)
+    probe_arr = _pad_concat_rows(arrivals)
+    probe_seq = _pad_concat_rows(tags, fill=-1)
+    probe_counts = np.concatenate(counts)
 
     _, _, bits, queues = _resolve_batch(
         probe_arr, probe_seq, probe_counts, cross_paths, n_probe,

@@ -98,22 +98,21 @@ class Channel(abc.ABC):
                       seed: int = 0) -> BatchRequest:
         """``repetitions`` independent trains, described for any backend.
 
-        The event task is :meth:`_train_task` (one repetition per
-        derived seed, as a one-row batch), the batch task
-        :meth:`send_trains_batch` over a seed slice, and the spec
-        :meth:`scenario_spec` for ``train``.
+        A one-point :meth:`BatchRequest.scan`: the event task is
+        :meth:`_train_task` (one repetition per row, as a one-row
+        batch), the batch task :meth:`send_trains_batch` over a row
+        slice, and the spec :meth:`scenario_spec` for ``train``.
         Whichever backend the dispatcher resolves runs the request —
-        fanning repetitions out over ``--jobs`` workers or resolving
-        them in ``--chunk-reps`` kernel chunks — so every channel
-        batch, on every backend, takes its seeds from the same
-        derivation.
+        fanning rows out over ``--jobs`` workers or resolving them in
+        ``--chunk-reps`` kernel chunks — so every channel batch, on
+        every backend, takes its seeds from the same derivation.
         """
-        def batch_task(seeds) -> ProbeBatchResult:
+        def batch_task(seeds, points) -> ProbeBatchResult:
             """The channel's kernel over one (possibly chunked) slice."""
             return self.send_trains_batch(train, len(seeds), seeds=seeds)
 
-        return BatchRequest(
-            repetitions=repetitions, seed=seed,
+        return BatchRequest.scan(
+            [seed], repetitions,
             event_task=functools.partial(self._train_task, train),
             batch_task=batch_task, spec=self.scenario_spec(train))
 
@@ -182,11 +181,12 @@ class Channel(abc.ABC):
         return dispatch.resolve(request.spec, backend).backend.run_batch(
             request)
 
-    def _train_task(self, train: ProbeTrain, seed: int
+    def _train_task(self, train: ProbeTrain, seed: int, point: int
                     ) -> ProbeBatchResult:
-        """One batch repetition as a one-row :class:`ProbeBatchResult`
-        (NaN access delays where the channel cannot observe them); the
+        """One batch row as a one-row :class:`ProbeBatchResult` (NaN
+        access delays where the channel cannot observe them); the
         bulky event scenario never crosses a worker-process boundary.
+        Every row measures the one point, ``train``.
         """
         raw = self.send_train(train, seed)
         delays = raw.access_delays

@@ -25,7 +25,7 @@ previously covered probe-train family is pinned by
 import numpy as np
 import pytest
 
-from repro.analysis.steady_state import steady_state_samples
+from repro.analysis.steady_state import steady_state_scan
 from repro.testbed.channel import SimulatedWlanChannel
 from repro.traffic.generators import PoissonGenerator
 from repro.traffic.probe import ProbeTrain
@@ -57,19 +57,19 @@ class TestSteadyStateFigures:
     @pytest.fixture(scope="class")
     def fig1_pair(self):
         kwargs = dict(repetitions=self.N_REPS, seed=5, **self.WINDOW)
-        event = steady_state_samples(5e6, 4.5e6, 0.0, backend="event",
-                                     **kwargs)
-        vector = steady_state_samples(5e6, 4.5e6, 0.0, backend="vector",
-                                      **kwargs)
+        event = steady_state_scan([5e6], 4.5e6, 0.0, backend="event",
+                                  **kwargs)
+        vector = steady_state_scan([5e6], 4.5e6, 0.0, backend="vector",
+                                   **kwargs)
         return event, vector
 
     @pytest.fixture(scope="class")
     def fig4_pair(self):
         kwargs = dict(repetitions=self.N_REPS, seed=6, **self.WINDOW)
-        event = steady_state_samples(6e6, 3e6, 1.5e6, backend="event",
-                                     **kwargs)
-        vector = steady_state_samples(6e6, 3e6, 1.5e6, backend="vector",
-                                      **kwargs)
+        event = steady_state_scan([6e6], 3e6, 1.5e6, backend="event",
+                                  **kwargs)
+        vector = steady_state_scan([6e6], 3e6, 1.5e6, backend="vector",
+                                   **kwargs)
         return event, vector
 
     def test_fig1_probe_throughput_distribution(self, fig1_pair, ks_assert):

@@ -333,10 +333,11 @@ class TestChannelIntegration:
 
 def _flavored_request(repetitions, spec=None):
     """A batch whose results say which task produced them."""
-    return BatchRequest(repetitions=repetitions, seed=9,
-                        event_task=lambda s: SeedRows("event", [s]),
-                        batch_task=lambda seeds: ("vector", seeds),
-                        spec=spec)
+    return BatchRequest.scan([9], repetitions,
+                             event_task=lambda s, p: SeedRows("event", [s]),
+                             batch_task=lambda seeds, points: (
+                                 "vector", list(seeds)),
+                             spec=spec)
 
 
 class TestExecutorDelegation:

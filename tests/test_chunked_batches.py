@@ -21,7 +21,7 @@ import pytest
 
 from helpers import seed_params
 from repro.analysis.saturation import simulate_saturated
-from repro.analysis.steady_state import steady_state_samples
+from repro.analysis.steady_state import steady_state_scan
 from repro.backends import (
     BackendUnavailableError,
     BatchRequest,
@@ -240,25 +240,26 @@ class TestChunkedBitIdentity:
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_steady_state_chunks_bit_identical(self, chunk):
-        dense = steady_state_samples(2e6, 3e6, repetitions=REPS,
-                                     duration=0.2, warmup=0.05,
-                                     seed=29, backend="vector")
+        # Two points: chunks of 1 and 7 rows straddle them.
+        dense = steady_state_scan([2e6, 5e6], 3e6, repetitions=REPS,
+                                  duration=0.2, warmup=0.05,
+                                  seed=29, backend="vector")
         with chunked_reps(chunk):
-            chunked = steady_state_samples(2e6, 3e6, repetitions=REPS,
-                                           duration=0.2, warmup=0.05,
-                                           seed=29, backend="vector")
+            chunked = steady_state_scan([2e6, 5e6], 3e6, repetitions=REPS,
+                                        duration=0.2, warmup=0.05,
+                                        seed=29, backend="vector")
         for flow in dense:
             assert np.array_equal(chunked[flow], dense[flow])
 
     def test_explicit_request_chunks_bit_identical(self):
         """A caller-built request under the --chunk-reps scope."""
-        def batch_task(seeds):
+        def batch_task(seeds, points):
             return simulate_probe_train_batch(
                 6, 0.0025, len(seeds), size_bytes=L,
                 cross=[PoissonCrossSpec(250.0, L)], seeds=seeds)
 
-        request = BatchRequest(repetitions=REPS, seed=31,
-                               batch_task=batch_task, spec=WLAN_TRAIN)
+        request = BatchRequest.scan([31], REPS, batch_task=batch_task,
+                                    spec=WLAN_TRAIN)
         dense = run_batch(request, backend="vector")
         for chunk in CHUNKS:
             with chunked_reps(chunk):
@@ -350,13 +351,13 @@ class TestChunkScope:
     def test_chunk_at_or_past_batch_is_dense(self):
         calls = []
 
-        def batch_task(seeds):
+        def batch_task(seeds, points):
             calls.append(len(seeds))
             return simulate_probe_train_batch(
                 4, 0.003, len(seeds), size_bytes=L, seeds=seeds)
 
-        request = BatchRequest(repetitions=10, seed=0,
-                               batch_task=batch_task, spec=WLAN_TRAIN)
+        request = BatchRequest.scan([0], 10, batch_task=batch_task,
+                                    spec=WLAN_TRAIN)
         for chunk in (10, 25):
             calls.clear()
             with chunked_reps(chunk):
@@ -367,23 +368,25 @@ class TestChunkScope:
 class TestBatchRequestAPI:
     def test_request_validates(self):
         with pytest.raises(ValueError, match="repetitions"):
-            BatchRequest(repetitions=0, seed=0)
+            BatchRequest.scan([0], 0)
+        with pytest.raises(ValueError, match="at least one row"):
+            BatchRequest.scan([], 3)
+        with pytest.raises(ValueError, match="2 points for 3 rows"):
+            BatchRequest(seeds=[1, 2, 3], points=[0, 0])
 
     def test_unknown_backend_message_pinned(self):
-        request = BatchRequest(repetitions=2, seed=0,
-                               event_task=lambda s: s)
+        request = BatchRequest.scan([0], 2, event_task=lambda s, p: s)
         with pytest.raises(ValueError, match="unknown backend"):
             run_batch(request, backend="quantum")
 
     def test_forced_vector_without_kernel_pinned(self):
-        request = BatchRequest(repetitions=2, seed=0,
-                               event_task=lambda s: s)
+        request = BatchRequest.scan([0], 2, event_task=lambda s, p: s)
         with pytest.raises(ValueError, match="no vector kernel"):
             run_batch(request, backend="vector")
 
     def test_event_backend_needs_event_task(self):
-        request = BatchRequest(repetitions=2, seed=0,
-                               batch_task=lambda seeds: list(seeds))
+        request = BatchRequest.scan(
+            [0], 2, batch_task=lambda seeds, points: list(seeds))
         with pytest.raises(ValueError, match="event_task"):
             run_batch(request, backend="event")
 
@@ -398,7 +401,7 @@ class TestCallerKernelResolution:
     def test_caller_kernel_chunks_like_any_vector_backend(self):
         sizes = []
 
-        def batch_task(seeds):
+        def batch_task(seeds, points):
             sizes.append(len(seeds))
             send = np.cumsum(np.ones((len(seeds), 3)), axis=1)
             return ProbeBatchResult(send_times=send, recv_times=send + 0.1,
@@ -406,23 +409,29 @@ class TestCallerKernelResolution:
                                     size_bytes=L)
 
         with chunked_reps(3):
-            out = run_batch(BatchRequest(repetitions=7, seed=0,
-                                         batch_task=batch_task,
-                                         spec=WLAN_TRAIN),
+            out = run_batch(BatchRequest.scan([0], 7,
+                                              batch_task=batch_task,
+                                              spec=WLAN_TRAIN),
                             backend="vector")
         assert sizes == [3, 3, 1]
         assert out.repetitions == 7
 
 
 class TestRunnersReachTheBackend:
-    """Every runner's batches — channel, queue-traced, multihop and
-    ablation ones — run through ``Backend.run_batch``, so ``--jobs``
-    and ``--chunk-reps`` apply to all of them without changing a
-    payload byte."""
+    """Every runner's batches — channel, queue-traced, multihop,
+    ablation and fused-scan ones — run through ``Backend.run_batch``,
+    so ``--jobs`` and ``--chunk-reps`` apply to all of them without
+    changing a payload byte."""
 
     #: Runner overrides keeping each case small, with enough
-    #: repetitions for a chunk size of 3 to split every batch.
+    #: repetitions for a chunk size of 3 to split every batch.  The
+    #: fused rate scans carry 2 rows per point, so their chunks
+    #: straddle points.
     OVERRIDES = {
+        "fig1": {"repetitions": 2, "duration": 0.3, "warmup": 0.1,
+                 "probe_rates_bps": [1e6, 3e6, 6e6]},
+        "fig4": {"repetitions": 2, "duration": 0.3, "warmup": 0.1,
+                 "probe_rates_bps": [1e6, 3e6, 6e6]},
         "fig8": {"repetitions": 12},
         "ablation-bianchi": {"duration": 0.5, "warmup": 0.1,
                              "repetitions": 4},
@@ -494,8 +503,8 @@ class TestOneResultForm:
             ProbeTrain.at_rate(6, 3e6, L)),
         "saturated": lambda backend: simulate_saturated(
             3, 8, 5, seed=3, retry_limit=2, backend=backend),
-        "steady-state": lambda backend: steady_state_samples(
-            2e6, 3e6, 1e6, duration=0.2, warmup=0.05, repetitions=5,
+        "steady-state": lambda backend: steady_state_scan(
+            [2e6], 3e6, 1e6, duration=0.2, warmup=0.05, repetitions=5,
             seed=3, backend=backend),
     }
 
@@ -534,6 +543,6 @@ class TestOneResultForm:
     def test_single_row_passes_through_unfolded(self):
         """One part is the batch itself: the fold adds no copy."""
         row = object()
-        request = BatchRequest(repetitions=1, seed=0,
-                               event_task=lambda seed: row)
+        request = BatchRequest.scan([0], 1,
+                                    event_task=lambda seed, point: row)
         assert run_batch(request, backend="event") is row

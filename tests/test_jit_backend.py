@@ -31,6 +31,7 @@ import pytest
 
 from helpers import seed_params
 from repro.analysis.saturation import simulate_saturated
+from repro.analysis.steady_state import steady_state_scan
 from repro.backends import BackendUnavailableError, ScenarioSpec, dispatch
 from repro.queueing.lindley import lindley_batch
 from repro.runtime import registry
@@ -218,6 +219,17 @@ class TestBitIdentityWithNumpyTier:
         jitted = channel.send_trains_dense(train, 13, seed=seed,
                                            backend="jit")
         _batches_equal(jitted, vector)
+
+    def test_fused_steady_scan_bit_identical(self, jit_forced):
+        """A fused rate scan — a probe rate per row, FIFO tags padded
+        with -1 — runs per row on the jit tier and moves no bit."""
+        scan = dict(probe_rates_bps=[1e6, 6e6], cross_rate_bps=3e6,
+                    fifo_rate_bps=1.5e6, duration=0.3, warmup=0.1,
+                    repetitions=3, seed=2)
+        vector = steady_state_scan(backend="vector", **scan)
+        jitted = steady_state_scan(backend="jit", **scan)
+        for flow in vector:
+            assert np.array_equal(jitted[flow], vector[flow])
 
     def test_lindley_batch_function_level(self, jit_forced):
         rng = np.random.default_rng(5)

@@ -251,6 +251,7 @@ class TestSupervision:
             from repro.runtime.executor import map_ordered
 
             def slow(x):
+                print("STARTED", x, flush=True)
                 time.sleep(60)
                 return x
 
@@ -264,7 +265,10 @@ class TestSupervision:
             start_new_session=True)
         try:
             assert proc.stdout.readline().strip() == b"READY"
-            time.sleep(1.0)  # let the workers spawn and block
+            # Interrupt once every worker has spawned and blocked.
+            started = {proc.stdout.readline().split()[-1]
+                       for _ in range(4)}
+            assert started == {b"0", b"1", b"2", b"3"}
             os.kill(proc.pid, signal.SIGINT)
             proc.wait(timeout=15)
             # The leader is gone; nothing else may survive in its
@@ -284,6 +288,62 @@ class TestSupervision:
                 os.killpg(proc.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
+
+    def test_interrupt_during_worker_start_propagates(self, tmp_path):
+        """A Ctrl-C that lands inside ``Process.start`` — right after
+        the fork — surfaces as ``KeyboardInterrupt`` and leaves no
+        forked worker alive."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        script = textwrap.dedent("""
+            import os, signal, threading, time
+            import multiprocessing.popen_fork as popen_fork
+            from repro.runtime.executor import map_ordered
+
+            forked = []
+            launch = popen_fork.Popen._launch
+
+            def interrupted_launch(self, process_obj):
+                launch(self, process_obj)  # the child never returns
+                forked.append(self.pid)
+                if len(forked) == 3:
+                    signal.pthread_kill(threading.get_ident(),
+                                        signal.SIGINT)
+
+            popen_fork.Popen._launch = interrupted_launch
+
+            def slow(x):
+                time.sleep(60)
+                return x
+
+            try:
+                map_ordered(slow, list(range(4)), jobs=4)
+            except KeyboardInterrupt:
+                print("INTERRUPTED", flush=True)
+            alive = 0
+            for pid in forked:
+                try:
+                    os.kill(pid, 0)
+                    alive += 1
+                except ProcessLookupError:
+                    pass
+            print("FORKED", len(forked), "ALIVE", alive, flush=True)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        # Files, not pipes: a surviving worker would hold a pipe open.
+        out, err = tmp_path / "out", tmp_path / "err"
+        with open(out, "wb") as stdout, open(err, "wb") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", script], env=env, stdout=stdout,
+                stderr=stderr, start_new_session=True)
+        try:
+            proc.wait(timeout=30)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        assert out.read_text().split() == [
+            "INTERRUPTED", "FORKED", "3", "ALIVE", "0"], err.read_text()
 
 
 class TestShardedSendTrains:

@@ -149,34 +149,32 @@ class TestEventEquivalence:
 
 class TestBatchRouting:
     def test_unknown_backend_rejected(self):
-        request = BatchRequest(repetitions=4, seed=0,
-                               event_task=lambda s: s)
+        request = BatchRequest.scan([0], 4, event_task=lambda s, p: s)
         with pytest.raises(ValueError, match="unknown backend"):
             executor.run_batch(request, backend="quantum")
 
     def test_vector_requires_kernel(self):
-        request = BatchRequest(repetitions=4, seed=0,
-                               event_task=lambda s: s)
+        request = BatchRequest.scan([0], 4, event_task=lambda s, p: s)
         with pytest.raises(ValueError, match="no vector kernel"):
             executor.run_batch(request, backend="vector")
 
     def test_event_maps_derived_seeds(self):
         out = executor.run_batch(
-            BatchRequest(repetitions=5, seed=7,
-                         event_task=lambda s: SeedRows("event", [s])),
+            BatchRequest.scan(
+                [7], 5, event_task=lambda s, p: SeedRows("event", [s])),
             backend="event")
         assert out == SeedRows("event", executor.derive_seeds(7, 5))
 
     def test_vector_gets_derived_seed_array(self):
         seen = []
         executor.run_batch(
-            BatchRequest(repetitions=5, seed=7,
-                         event_task=lambda s: seen.append(s),
-                         batch_task=lambda seeds: seen.append(seeds),
-                         spec=ScenarioSpec(system="wlan",
-                                           workload="train")),
+            BatchRequest.scan(
+                [7], 5, event_task=lambda s, p: seen.append(s),
+                batch_task=lambda seeds, points: seen.append(
+                    (list(seeds), list(points))),
+                spec=ScenarioSpec(system="wlan", workload="train")),
             backend="vector")
-        assert seen == [executor.derive_seeds(7, 5)]
+        assert seen == [(executor.derive_seeds(7, 5), [0] * 5)]
 
     def test_legacy_positional_call_rejected(self):
         with pytest.raises(TypeError):
