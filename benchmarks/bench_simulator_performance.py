@@ -19,6 +19,8 @@ import numpy as np
 from conftest import bench_scale
 
 from repro.analysis.saturation import simulate_saturated
+from repro.analytic.bianchi import BianchiModel
+from repro.analytic.metrics import fluid_achievable_throughput
 from repro.backends import BatchRequest, ScenarioSpec, dispatch
 from repro.core.dispersion import output_gaps_batch
 from repro.runtime.executor import chunked_reps, derive_seeds, run_batch
@@ -381,6 +383,59 @@ def test_fused_scan_speedup():
     assert best >= 4.0, (
         f"fused scan only {best:.1f}x faster across 3 attempts "
         f"(last: {len(rates)} calls {per_point_s:.3f}s vs fused "
+        f"{fused_s:.3f}s)")
+
+
+def test_fused_probe_scan_speedup():
+    """One fused probe-train scan call must beat its per-point calls by
+    >= 3x.
+
+    Acceptance floor of the fused probe-train scan: one ext-topp scan
+    (3 Mb/s Poisson contender, 10 rates from 0.6 B to 2.4 B, 8
+    repetitions of 300-packet trains) as one 80-row
+    ``simulate_probe_train_batch`` call with a schedule and a horizon
+    per row, against 10 separate 8-row calls.  Every row must be
+    bit-identical.  Deliberately *not* scaled by ``REPRO_BENCH_SCALE``,
+    like the steady-state floor: the saving is per-event numpy
+    dispatch shared across rows, which only shows at the experiment's
+    own scan width.
+    """
+    bianchi = BianchiModel(None, 1500)
+    b = fluid_achievable_throughput(bianchi.capacity(), 3e6,
+                                    bianchi.fair_share(2))
+    channel = SimulatedWlanChannel([("cross", PoissonGenerator(3e6, 1500))])
+    trains = [ProbeTrain.at_rate(300, rate, 1500)
+              for rate in np.linspace(0.6 * b, 2.4 * b, 10)]
+    reps = 8
+    kwargs = dict(size_bytes=1500,
+                  cross=[PoissonCrossSpec(3e6 / (1500 * 8), 1500)])
+    point_seeds = [derive_seeds(k, reps) for k in range(len(trains))]
+    out = {}
+
+    def per_point():
+        out["per_point"] = np.concatenate([
+            simulate_probe_train_batch(
+                train.n, train.gap, reps, seeds=seeds,
+                horizon=channel.horizon_for(train), **kwargs).recv_times
+            for train, seeds in zip(trains, point_seeds)])
+
+    def fused():
+        rows = np.repeat(np.arange(len(trains)), reps)
+        out["fused"] = simulate_probe_train_batch(
+            300, np.stack([t.arrival_times(0.0) for t in trains])[rows],
+            len(rows), seeds=np.concatenate(point_seeds),
+            horizon=np.array([channel.horizon_for(t)
+                              for t in trains])[rows],
+            **kwargs).recv_times
+
+    best, (per_point_s, fused_s) = _best_speedup(per_point, fused,
+                                                 floor=3.0)
+    assert np.array_equal(out["fused"], out["per_point"])
+    print(f"\nfused probe scan speedup: {best:.1f}x (last attempt: "
+          f"{len(trains)} calls {per_point_s:.3f}s, fused {fused_s:.3f}s)")
+    assert best >= 3.0, (
+        f"fused probe scan only {best:.1f}x faster across 3 attempts "
+        f"(last: {len(trains)} calls {per_point_s:.3f}s vs fused "
         f"{fused_s:.3f}s)")
 
 

@@ -95,25 +95,28 @@ def bounds_consistency(probe_rates_bps: Optional[Sequence[float]] = None,
     For each probing rate: measure the per-index mean access delays
     E[mu_i] and the mean output gap on the DCF simulator, evaluate the
     bounds from the measured E[mu_i] profile, and verify the measured
-    gap lies between them (with a small statistical slack).  The
-    ``vector`` backend reads both statistics off the kernel's dense
-    batch arrays.
+    gap lies between them (with a small statistical slack).  The rate
+    scan is one channel request — one kernel call on the ``vector``
+    backend — and both statistics are read off each point's rows of
+    the dense batch.
     """
     if probe_rates_bps is None:
         probe_rates_bps = np.array([1e6, 2e6, 3e6, 4e6, 6e6, 8e6])
     rates = np.asarray(sorted(probe_rates_bps), dtype=float)
     channel = SimulatedWlanChannel(
         [("cross", PoissonGenerator(cross_rate_bps, size_bytes))], phy=phy)
+    trains = [ProbeTrain.at_rate(n_packets, rate, size_bytes)
+              for rate in rates]
+    batch = channel.send_scan(trains, repetitions,
+                              [seed + 37 * k for k in range(len(rates))],
+                              backend=backend)
     lower = np.zeros(len(rates))
     upper = np.zeros(len(rates))
     measured = np.zeros(len(rates))
-    for k, rate in enumerate(rates):
-        train = ProbeTrain.at_rate(n_packets, rate, size_bytes)
-        batch = channel.send_trains_dense(train, repetitions,
-                                          seed=seed + 37 * k,
-                                          backend=backend)
-        mu_means = batch.access_delays.mean(axis=0)
-        measured[k] = float(output_gaps_batch(batch.recv_times).mean())
+    for k, train in enumerate(trains):
+        rows = slice(k * repetitions, (k + 1) * repetitions)
+        mu_means = batch.access_delays[rows].mean(axis=0)
+        measured[k] = float(output_gaps_batch(batch.recv_times[rows]).mean())
         bounds = output_gap_bounds_strict(train.gap, mu_means)
         lower[k] = bounds.lower
         upper[k] = bounds.upper

@@ -60,17 +60,19 @@ def _short_train_curves(rates: np.ndarray,
                         phy: Optional[PhyParams],
                         seed: int,
                         backend: str = "event") -> Dict[int, np.ndarray]:
+    """``L/E[g_O]`` per rate for each train length: one scan (one
+    channel request) per length, point ``k`` of length ``n`` seeded
+    from ``seed + 101 * n + k``."""
     prober = _wlan_prober(cross_rate_bps, size_bytes, phy,
                           fifo_rate_bps=fifo_rate_bps,
                           repetitions=repetitions,
                           backend=backend)
     curves: Dict[int, np.ndarray] = {}
     for n in train_lengths:
-        outputs = np.zeros(len(rates))
-        for k, rate in enumerate(rates):
-            outputs[k] = prober.dispersion_rate(
-                n, rate, seed=seed + 101 * n + k)
-        curves[n] = outputs
+        scan = prober.measure_scan(
+            n, rates, [seed + 101 * n + k for k in range(len(rates))])
+        curves[n] = np.array([train_dispersion_rate(measurements)
+                              for measurements in scan])
     return curves
 
 
@@ -281,13 +283,12 @@ def fig17_mser(probe_rates_bps: Optional[Sequence[float]] = None,
     fair_share = bianchi.fair_share(2)
     prober = _wlan_prober(cross_rate_bps, size_bytes, phy,
                           repetitions=repetitions, backend=backend)
-    raw = np.zeros(len(rates))
-    corrected = np.zeros(len(rates))
-    for k, rate in enumerate(rates):
-        measurements = prober.measure_train(n_packets, rate,
-                                            seed=seed + 53 * k)
-        raw[k] = train_dispersion_rate(measurements)
-        corrected[k] = mser_corrected_rate(measurements, m=mser_batch)
+    scan = prober.measure_scan(n_packets, rates,
+                               [seed + 53 * k for k in range(len(rates))])
+    raw = np.array([train_dispersion_rate(measurements)
+                    for measurements in scan])
+    corrected = np.array([mser_corrected_rate(measurements, m=mser_batch)
+                          for measurements in scan])
     steady = _steady_series(rates, fair_share, 0.0)
     result = ExperimentResult(
         experiment="fig17",

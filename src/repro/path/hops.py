@@ -304,16 +304,18 @@ class WlanHop(PathHop):
         Mirrors :meth:`carry` per repetition: the hop's local clock is
         shifted so cross-traffic warms up before the first probe
         arrival, the arrival matrix rides the probe station's queue,
-        and cross stations replay their batched sample paths.
-        Statistically equivalent to the event hop (pinned by the
-        multihop KS tests); departures include ``prop_delay``.
+        and cross stations replay their batched sample paths over the
+        repetition's own horizon — the event hop's — so a row's draws
+        never depend on the rows batched with it.  Statistically
+        equivalent to the event hop (pinned by the multihop KS tests);
+        departures include ``prop_delay``.
         """
         times = np.asarray(times, dtype=float)
-        reps, n = times.shape
+        n = times.shape[1]
         offset = np.maximum(0.0, times[:, 0] - self.warmup)
         local = times - offset[:, None]
         drain = n * size_bytes * 8 / self.drain_rate_floor
-        horizon = float(np.max(local[:, -1])) + drain + 0.1
+        horizon = local[:, -1] + drain + 0.1
         cross = [cross_spec_from_generator(generator)
                  for _, generator in self.cross_stations]
         fifo = (cross_spec_from_generator(self.fifo_cross)

@@ -7,7 +7,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backends import ScenarioSpec
-from repro.core.batch import resolve_rep_seeds
 from repro.path.hops import PathHop
 from repro.sim.probe_vector import ProbeBatchResult
 from repro.testbed.channel import Channel, RawTrainResult
@@ -158,38 +157,30 @@ class SimulatedPathChannel(Channel):
             access_delays=None,  # not observable end-to-end
         )
 
-    def send_trains_batch(self, train: ProbeTrain, repetitions: int,
-                          seed: int = 0,
-                          seeds: Optional[np.ndarray] = None
-                          ) -> ProbeBatchResult:
-        """One chained-kernel pass over the whole repetition batch.
+    def _send_rows(self, trains: Sequence[ProbeTrain], seeds,
+                   points) -> ProbeBatchResult:
+        """One chained-kernel pass over the rows.
 
-        The multihop vector backend: every hop resolves the batch at
+        The multihop vector backend: every hop resolves the rows at
         once and feeds the next (statistically equivalent to mapping
-        :meth:`send_train` over the derived per-repetition seeds; the
-        per-repetition seed mapping is the executor's).  Access delays
-        are not observable end-to-end, so the result carries NaNs
-        there, like the event path's ``access_delays=None``.
-        ``seeds`` overrides the per-repetition seed derivation (see
-        :meth:`repro.testbed.channel.Channel.send_trains_batch`); each
-        hop derives its streams per repetition, so a chunk's rows are
-        bit-identical to the dense run's.
+        :meth:`send_train` over the rows; the per-row seed is the
+        executor's).  Each row sends its own train from ``start``.
+        Access delays are not observable end-to-end, so the result
+        carries NaNs there, like the event path's
+        ``access_delays=None``.  Each hop derives its streams and
+        horizons per row, so a chunk's rows are bit-identical to the
+        dense run's.
         """
-        if seeds is None:
-            seeds = resolve_rep_seeds(seed, repetitions)
-        elif len(seeds) != repetitions:
-            raise ValueError(
-                f"got {len(seeds)} seeds for {repetitions} repetitions")
         # An ineligible path raises BackendUnavailableError (a
         # ValueError) with the structured capability mismatches.
-        self.resolve_backend("vector", train=train)
-        send = np.broadcast_to(train.arrival_times(self.start),
-                               (repetitions, train.n)).copy()
-        recv = self.path.carry_batch(send, train.size_bytes,
+        self.resolve_backend("vector", train=trains[0])
+        send = np.stack([t.arrival_times(self.start)
+                         for t in trains])[np.asarray(points)]
+        recv = self.path.carry_batch(send, trains[0].size_bytes,
                                      [int(s) for s in seeds])
         return ProbeBatchResult(
             send_times=send,
             recv_times=recv,
-            access_delays=np.full((repetitions, train.n), np.nan),
-            size_bytes=train.size_bytes,
+            access_delays=np.full(send.shape, np.nan),
+            size_bytes=trains[0].size_bytes,
         )

@@ -318,6 +318,41 @@ def _pad_concat_rows(blocks: Sequence[np.ndarray],
     return out
 
 
+def _runs(values: np.ndarray) -> List[Tuple[int, int]]:
+    """``[lo, hi)`` bounds of the runs of equal adjacent values."""
+    edges = [0, *(np.flatnonzero(np.diff(values)) + 1), len(values)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _row_paths(spec, gens: Sequence[np.random.Generator],
+               horizons: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``spec``'s sample paths with a horizon per row.
+
+    Drawn once per run of equal horizon — each run exactly the call a
+    batch with that one horizon makes, so the Poisson block size (set
+    by the horizon) and hence every row's draws match it — and stacked
+    with :func:`_pad_concat_rows`.
+    """
+    parts = [spec.sample_paths(gens[lo:hi], float(horizons[lo]))
+             for lo, hi in _runs(horizons)]
+    if len(parts) == 1:
+        return parts[0]
+    times, counts = zip(*parts)
+    return _pad_concat_rows(times), np.concatenate(counts)
+
+
+def _row_horizons(horizon, default: np.ndarray) -> np.ndarray:
+    """One horizon per row: ``default`` (already per row) when
+    ``horizon`` is ``None``, else ``horizon`` broadcast to the rows."""
+    if horizon is None:
+        return default
+    horizons = np.asarray(horizon, dtype=float)
+    if horizons.ndim and horizons.shape != default.shape:
+        raise ValueError(f"got {horizons.size} horizons for "
+                         f"{default.size} repetitions")
+    return np.broadcast_to(horizons, default.shape)
+
+
 @dataclass
 class QueueTraceBatch:
     """Arrival/departure sample paths of one station's queue, batched.
@@ -529,13 +564,13 @@ def _merge_probe_queue(probe_times: np.ndarray, n_probe: int,
 
 def simulate_probe_train_batch(
         n_probe: int,
-        probe_gap: float,
+        schedule,
         repetitions: int,
         *,
         size_bytes: int = 1500,
         cross: Sequence[object] = (),
         fifo_cross: Optional[object] = None,
-        horizon: Optional[float] = None,
+        horizon=None,
         phy: Optional[PhyParams] = None,
         warmup: float = 0.25,
         start_jitter: float = 0.01,
@@ -550,19 +585,28 @@ def simulate_probe_train_batch(
     Each repetition mirrors one
     :meth:`repro.testbed.channel.SimulatedWlanChannel.send_train`
     call: cross-traffic warms the channel up for ``warmup`` seconds,
-    the ``n_probe``-packet train (input gap ``probe_gap``) starts
-    after an extra ``Uniform(0, start_jitter)`` delay, optional
-    ``fifo_cross`` traffic shares the probe station's FIFO queue, and
-    cross-traffic keeps flowing over ``[0, horizon)`` (default: the
-    train window plus one second of drain headroom) while the probe
-    queue drains through DCF contention.  ``cross`` and ``fifo_cross``
-    take :class:`PoissonCrossSpec` / :class:`CbrCrossSpec` /
+    the ``n_probe``-packet train starts after an extra
+    ``Uniform(0, start_jitter)`` delay, optional ``fifo_cross``
+    traffic shares the probe station's FIFO queue, and cross-traffic
+    keeps flowing over ``[0, horizon)`` (default: the train window
+    plus one second of drain headroom) while the probe queue drains
+    through DCF contention.  ``cross`` and ``fifo_cross`` take
+    :class:`PoissonCrossSpec` / :class:`CbrCrossSpec` /
     :class:`OnOffCrossSpec` values; ``rts_threshold`` enables the
     RTS/CTS handshake, ``retry_limit`` caps per-packet transmission
     attempts (a probe packet lost at the limit raises, exactly like
     the event channel's lost-probe guard), and ``track_queues`` keeps
     per-cross-station queue traces
     (:attr:`ProbeBatchResult.queue_traces`).
+
+    ``schedule`` is the input gap of a periodic train (every row), or
+    a ``(repetitions, n_probe)`` array of each row's send offsets from
+    its train start (a probe train's ``arrival_times(0.0)``, a
+    chirp's included); a gap ``g`` means the offsets
+    ``arange(n_probe) * g``.  ``horizon`` is one value or one per row.  A whole rate scan is then one call: each run of
+    equal horizons draws its cross and FIFO sample paths exactly as a
+    one-point call does, so a scan's rows are bit-identical to the
+    calls of its points.
 
     A repetition stops consuming events once its last probe packet has
     departed; the statistical contract with the event backend is
@@ -575,20 +619,29 @@ def simulate_probe_train_batch(
     """
     if n_probe < 2:
         raise ValueError(f"a train needs at least 2 packets, got {n_probe}")
-    if probe_gap < 0:
-        raise ValueError(f"gap must be non-negative, got {probe_gap}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if warmup < 0 or start_jitter < 0:
         raise ValueError("warmup and start_jitter must be non-negative")
+    offsets = np.asarray(schedule, dtype=float)
+    if offsets.ndim == 0:
+        if offsets < 0:
+            raise ValueError(f"gap must be non-negative, got {schedule}")
+        offsets = np.broadcast_to(np.arange(n_probe) * offsets,
+                                  (repetitions, n_probe))
+    elif offsets.shape != (repetitions, n_probe):
+        raise ValueError(
+            f"schedule must be a gap or ({repetitions}, {n_probe}) send "
+            f"offsets, got shape {offsets.shape}")
+    elif np.any(np.diff(offsets) < 0):
+        raise ValueError("send offsets must be non-decreasing")
 
     cross = list(cross)
     if fifo_cross is not None and fifo_cross.size_bytes != size_bytes:
         raise ValueError(
             fifo_size_mismatch_detail(size_bytes, fifo_cross.size_bytes))
-    train_span = (n_probe - 1) * probe_gap
-    if horizon is None:
-        horizon = warmup + start_jitter + train_span + 1.0
+    horizons = _row_horizons(
+        horizon, warmup + start_jitter + offsets[:, -1] + 1.0)
 
     reps = repetitions
     if seeds is None:
@@ -608,11 +661,11 @@ def simulate_probe_train_batch(
     else:
         jitter = np.zeros(reps)
     start = warmup + jitter
-    probe_times = start[:, None] + np.arange(n_probe) * probe_gap
+    probe_times = start[:, None] + offsets
 
-    cross_paths = [spec.sample_paths(gens, horizon) for spec in cross]
+    cross_paths = [_row_paths(spec, gens, horizons) for spec in cross]
     if fifo_cross is not None:
-        fifo_times, fifo_counts = fifo_cross.sample_paths(gens, horizon)
+        fifo_times, fifo_counts = _row_paths(fifo_cross, gens, horizons)
     else:
         fifo_times, fifo_counts = None, None
     probe_arr, probe_seq, probe_counts = _merge_probe_queue(
@@ -643,7 +696,7 @@ def simulate_probe_arrivals_batch(
         seeds: np.ndarray,
         cross: Sequence[object] = (),
         fifo_cross: Optional[object] = None,
-        horizon: Optional[float] = None,
+        horizon=None,
         phy: Optional[PhyParams] = None,
         immediate_access: bool = True,
         rts_threshold: Optional[int] = None,
@@ -654,7 +707,10 @@ def simulate_probe_arrivals_batch(
     ``(repetitions, n)`` matrix of arrival instants at *this* hop —
     typically the previous hop's departure matrix — and ``seeds`` the
     per-repetition streams (one uint32 each, the caller derives them
-    per hop).  Everything else matches
+    per hop).  ``horizon`` is one value or one per row (default: each
+    row's last arrival plus one second), and the sample paths are
+    drawn once per run of equal horizon, so a row never depends on
+    the rows batched with it.  Everything else matches
     :func:`simulate_probe_train_batch`; there is no warmup or start
     jitter because the arrival process already encodes the probing
     schedule.
@@ -673,14 +729,13 @@ def simulate_probe_arrivals_batch(
         raise ValueError(
             fifo_size_mismatch_detail(size_bytes, fifo_cross.size_bytes))
     n_probe = probe_times.shape[1]
-    if horizon is None:
-        horizon = float(np.max(probe_times)) + 1.0
+    horizons = _row_horizons(horizon, probe_times.max(axis=1) + 1.0)
 
     seeds = np.asarray(seeds, dtype=np.uint64)
     gens = [np.random.default_rng(int(s)) for s in seeds]
-    cross_paths = [spec.sample_paths(gens, horizon) for spec in cross]
+    cross_paths = [_row_paths(spec, gens, horizons) for spec in cross]
     if fifo_cross is not None:
-        fifo_times, fifo_counts = fifo_cross.sample_paths(gens, horizon)
+        fifo_times, fifo_counts = _row_paths(fifo_cross, gens, horizons)
     else:
         fifo_times, fifo_counts = None, None
     probe_arr, probe_seq, probe_counts = _merge_probe_queue(
@@ -1255,8 +1310,7 @@ def simulate_steady_state_batch(
         fifo_times, fifo_counts = fifo_cross.sample_paths(gens, duration)
     blocks = []
     n_probe = 0
-    edges = [0, *(np.flatnonzero(np.diff(rates)) + 1), reps]
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    for lo, hi in _runs(rates):
         # The event path's CBR schedule: packets at k * interval,
         # k >= 0, clipped to [0, duration).
         interval = size_bytes * 8 / rates[lo]

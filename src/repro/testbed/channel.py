@@ -94,27 +94,57 @@ class Channel(abc.ABC):
         """
         return dispatch.resolve(self.scenario_spec(train=train), requested)
 
-    def batch_request(self, train: ProbeTrain, repetitions: int,
-                      seed: int = 0) -> BatchRequest:
-        """``repetitions`` independent trains, described for any backend.
+    def batch_request(self, trains: Sequence[ProbeTrain], repetitions: int,
+                      point_seeds: Sequence[int]) -> BatchRequest:
+        """A scan of trains, ``repetitions`` each, for any backend.
 
-        A one-point :meth:`BatchRequest.scan`: the event task is
-        :meth:`_train_task` (one repetition per row, as a one-row
-        batch), the batch task :meth:`send_trains_batch` over a row
-        slice, and the spec :meth:`scenario_spec` for ``train``.
-        Whichever backend the dispatcher resolves runs the request —
-        fanning rows out over ``--jobs`` workers or resolving them in
-        ``--chunk-reps`` kernel chunks — so every channel batch, on
-        every backend, takes its seeds from the same derivation.
+        Point ``k`` sends ``trains[k]`` from the rows
+        :meth:`BatchRequest.scan` seeds from ``point_seeds[k]``, so a
+        scan's rows are exactly its one-point requests' rows.  The
+        event task is :meth:`_train_task` (one row, as a one-row
+        batch), the batch task :meth:`_send_rows` over a row slice —
+        each row sends its own point's train — and the spec
+        :meth:`scenario_spec`.  Whichever backend the dispatcher
+        resolves runs the request, fanning rows out over ``--jobs``
+        workers or resolving them in ``--chunk-reps`` kernel chunks.
+
+        Rows form one dense batch, so the trains must share their
+        length and packet size; a scan mixing either is refused here,
+        before dispatch.
         """
-        def batch_task(seeds, points) -> ProbeBatchResult:
-            """The channel's kernel over one (possibly chunked) slice."""
-            return self.send_trains_batch(train, len(seeds), seeds=seeds)
-
+        trains = list(trains)
+        if not trains:
+            raise ValueError("a scan needs at least one train")
+        if len(trains) != len(point_seeds):
+            raise ValueError(f"got {len(trains)} trains for "
+                             f"{len(point_seeds)} point seeds")
+        for what, values in (("lengths", {t.n for t in trains}),
+                             ("packet sizes",
+                              {t.size_bytes for t in trains})):
+            if len(values) > 1:
+                raise ValueError(f"cannot scan trains of different "
+                                 f"{what}: {sorted(values)}")
         return BatchRequest.scan(
-            [seed], repetitions,
-            event_task=functools.partial(self._train_task, train),
-            batch_task=batch_task, spec=self.scenario_spec(train))
+            point_seeds, repetitions,
+            event_task=functools.partial(self._train_task, trains),
+            batch_task=functools.partial(self._send_rows, trains),
+            spec=self.scenario_spec(trains[0]))
+
+    def send_scan(self, trains: Sequence[ProbeTrain], repetitions: int,
+                  point_seeds: Sequence[int],
+                  backend: str = "event") -> ProbeBatchResult:
+        """Run :meth:`batch_request` on the resolved backend.
+
+        Returns the scan's dense batch, point-major: point ``k``'s
+        repetitions are rows ``k * repetitions`` to
+        ``(k + 1) * repetitions - 1``.  Every backend returns the same
+        :class:`ProbeBatchResult` (the event backend concatenates
+        :meth:`_train_task`'s one-row batches), so runners never
+        branch on the backend.
+        """
+        request = self.batch_request(trains, repetitions, point_seeds)
+        return dispatch.resolve(request.spec, backend).backend.run_batch(
+            request)
 
     def send_trains(self, train: ProbeTrain, repetitions: int,
                     seed: int = 0,
@@ -128,7 +158,7 @@ class Channel(abc.ABC):
         back in repetition order, so the output is bit-identical to a
         serial run regardless of the job count.  ``backend="vector"``
         resolves the whole batch with the channel's kernel instead
-        (:meth:`send_trains_batch`) — statistically equivalent, no
+        (:meth:`_send_rows`) — statistically equivalent, no
         worker pool at all; channels without a vector kernel raise
         ``ValueError``.  ``backend="jit"`` runs the same batch path
         with the kernel's hot core compiled (bit-identical to
@@ -154,14 +184,29 @@ class Channel(abc.ABC):
                           ) -> ProbeBatchResult:
         """Resolve a whole repetition batch with the vector kernel.
 
-        Channels with a batched numpy backend override this; the
-        result's row ``r`` is statistically equivalent to
+        The one-point case of :meth:`_send_rows`: the result's row
+        ``r`` is statistically equivalent to
         ``send_train(train, derive_seeds(seed, repetitions)[r])``.
         ``seeds`` overrides the derivation with explicit
-        per-repetition values — the batch task of
-        :meth:`batch_request` passes contiguous slices of the dense
-        derivation, so chunk rows are bit-identical to the dense
-        run's.
+        per-repetition values.  Channels without a kernel raise
+        ``ValueError``.
+        """
+        if seeds is None:
+            seeds = resolve_rep_seeds(seed, repetitions)
+        elif len(seeds) != repetitions:
+            raise ValueError(
+                f"got {len(seeds)} seeds for {repetitions} repetitions")
+        return self._send_rows([train], seeds, [0] * repetitions)
+
+    def _send_rows(self, trains: Sequence[ProbeTrain], seeds,
+                   points) -> ProbeBatchResult:
+        """The channel's kernel over rows: row ``r`` sends
+        ``trains[points[r]]`` from ``seeds[r]``.
+
+        The batch task of :meth:`batch_request`, which hands it
+        contiguous row slices; kernels derive nothing from the rows
+        around a row, so chunk rows are bit-identical to the dense
+        run's.  Channels with a batched numpy backend override this.
         """
         raise ValueError(
             f"{type(self).__name__} has no vector kernel; "
@@ -170,24 +215,18 @@ class Channel(abc.ABC):
     def send_trains_dense(self, train: ProbeTrain, repetitions: int,
                           seed: int = 0,
                           backend: str = "event") -> ProbeBatchResult:
-        """Send a repetition batch and return it in dense batch form.
+        """Send a repetition batch and return it in dense batch form:
+        the one-point :meth:`send_scan`."""
+        return self.send_scan([train], repetitions, [seed], backend)
 
-        :meth:`batch_request` runs on the resolved backend, and every
-        backend returns the same :class:`ProbeBatchResult` (the event
-        backend concatenates :meth:`_train_task`'s one-row batches),
-        so runners never branch on the backend.
+    def _train_task(self, trains: Sequence[ProbeTrain], seed: int,
+                    point: int) -> ProbeBatchResult:
+        """One batch row, sending ``trains[point]``, as a one-row
+        :class:`ProbeBatchResult` (NaN access delays where the channel
+        cannot observe them); the bulky event scenario never crosses a
+        worker-process boundary.
         """
-        request = self.batch_request(train, repetitions, seed)
-        return dispatch.resolve(request.spec, backend).backend.run_batch(
-            request)
-
-    def _train_task(self, train: ProbeTrain, seed: int, point: int
-                    ) -> ProbeBatchResult:
-        """One batch row as a one-row :class:`ProbeBatchResult` (NaN
-        access delays where the channel cannot observe them); the
-        bulky event scenario never crosses a worker-process boundary.
-        Every row measures the one point, ``train``.
-        """
+        train = trains[point]
         raw = self.send_train(train, seed)
         delays = raw.access_delays
         if delays is None:  # end-to-end channels cannot observe them
@@ -338,40 +377,40 @@ class SimulatedWlanChannel(Channel):
             fifo_detail=fifo_detail,
         )
 
-    def send_trains_batch(self, train: ProbeTrain, repetitions: int,
-                          seed: int = 0,
-                          seeds: Optional[np.ndarray] = None
-                          ) -> ProbeBatchResult:
-        """One vectorized pass over the whole repetition batch.
+    def _send_rows(self, trains: Sequence[ProbeTrain], seeds,
+                   points) -> ProbeBatchResult:
+        """One vectorized pass over the rows.
 
         Statistically equivalent to mapping :meth:`send_train` over
-        the derived per-repetition seeds (the KS tests in
-        ``tests/test_probe_vector_backend.py`` pin the two); the
-        per-repetition seed mapping is the executor's, so repetition
-        ``r`` refers to the same random universe on either backend.
-        ``seeds`` overrides the derivation (see
-        :meth:`Channel.send_trains_batch`).
+        the rows (the KS tests in ``tests/test_probe_vector_backend.py``
+        pin the two); the per-row seed is the executor's, so a row
+        refers to the same random universe on either backend.  Each
+        row hands the kernel its own train's send offsets
+        (``arrival_times(0.0)``, so chirps ride too) and
+        :meth:`horizon_for`.
 
         An ineligible channel raises
         :class:`repro.backends.BackendUnavailableError` (a
         ``ValueError``) carrying the structured capability mismatches,
         before any kernel state is built.
         """
-        self.resolve_backend("vector", train=train)
+        self.resolve_backend("vector", train=trains[0])
         cross = [cross_spec_from_generator(generator)
                  for _, generator in self.cross_stations]
         fifo = (cross_spec_from_generator(self.fifo_cross)
                 if self.fifo_cross is not None else None)
+        rows = np.asarray(points)
         return simulate_probe_train_batch(
-            train.n, train.gap, repetitions,
-            size_bytes=train.size_bytes,
+            trains[0].n,
+            np.stack([t.arrival_times(0.0) for t in trains])[rows],
+            len(seeds),
+            size_bytes=trains[0].size_bytes,
             cross=cross,
             fifo_cross=fifo,
-            horizon=self.horizon_for(train),
+            horizon=np.array([self.horizon_for(t) for t in trains])[rows],
             phy=self.phy,
             warmup=self.warmup,
             start_jitter=self.start_jitter,
-            seed=seed,
             seeds=seeds,
             immediate_access=self.immediate_access,
             rts_threshold=self.rts_threshold,
@@ -471,38 +510,28 @@ class SimulatedFifoChannel(Channel):
             access_delays=np.array([r.access_delay for r in probe]),
         )
 
-    def send_trains_batch(self, train: ProbeTrain, repetitions: int,
-                          seed: int = 0,
-                          seeds: Optional[np.ndarray] = None
-                          ) -> ProbeBatchResult:
-        """All repetitions through one batched Lindley recursion.
+    def _send_rows(self, trains: Sequence[ProbeTrain], seeds,
+                   points) -> ProbeBatchResult:
+        """All rows through one batched Lindley recursion.
 
-        Each repetition replays :meth:`send_train`'s exact sample path
-        (same per-repetition generator, same draw order, same stable
-        merge of probe and cross arrivals), so the departures agree
-        with the event path to float rounding — the per-packet Python
-        loop of :class:`repro.queueing.fifo.FifoHop` is simply replaced
-        by one ``(repetitions, n)`` cumulative-max pass.  ``seeds``
-        overrides the per-repetition seed derivation (see
-        :meth:`Channel.send_trains_batch`).
+        Each row replays :meth:`send_train`'s exact sample path for
+        its own train (same per-row generator, same draw order, same
+        stable merge of probe and cross arrivals), so the departures
+        agree with the event path to float rounding — the per-packet
+        Python loop of :class:`repro.queueing.fifo.FifoHop` is simply
+        replaced by one ``(rows, n)`` cumulative-max pass.
         """
-        if repetitions < 1:
-            raise ValueError(
-                f"repetitions must be >= 1, got {repetitions}")
-        if seeds is None:
-            seeds = resolve_rep_seeds(seed, repetitions)
-        elif len(seeds) != repetitions:
-            raise ValueError(
-                f"got {len(seeds)} seeds for {repetitions} repetitions")
-        n = train.n
+        repetitions = len(seeds)
+        n = trains[0].n
         probe_services = np.full(
-            n, (train.size_bytes + self.hop.overhead_bytes) * 8
+            n, (trains[0].size_bytes + self.hop.overhead_bytes) * 8
             / self.hop.capacity_bps)
         rep_times: List[np.ndarray] = []
         rep_services: List[np.ndarray] = []
         rep_probe_pos: List[np.ndarray] = []
         send = np.zeros((repetitions, n))
-        for r, rep_seed in enumerate(seeds):
+        for r, (rep_seed, point) in enumerate(zip(seeds, points)):
+            train = trains[point]
             rng = np.random.default_rng(int(rep_seed))
             start = self.warmup + (rng.uniform(0, self.start_jitter)
                                    if self.start_jitter > 0 else 0.0)
@@ -545,5 +574,5 @@ class SimulatedFifoChannel(Channel):
             send_times=send,
             recv_times=recv,
             access_delays=recv - hol,
-            size_bytes=train.size_bytes,
+            size_bytes=trains[0].size_bytes,
         )

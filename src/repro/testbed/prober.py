@@ -15,7 +15,7 @@ paper explains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from repro.core.estimators import (
     rate_response_from_measurements,
     train_dispersion_rate,
 )
-from repro.testbed.channel import Channel, RawTrainResult
+from repro.testbed.channel import Channel
 from repro.testbed.clocks import ClockModel, ntp_synced_pair
 from repro.traffic.probe import PacketPair, ProbeTrain
 
@@ -79,34 +79,62 @@ class Prober:
 
     # ------------------------------------------------------------------
 
-    def _stamp(self, raw: RawTrainResult) -> TrainMeasurement:
-        """Apply the clock error models to a raw channel result."""
+    def _stamp(self, send_times: np.ndarray, recv_times: np.ndarray,
+               size_bytes: int) -> TrainMeasurement:
+        """Apply the clock error models to one train's true instants."""
         return TrainMeasurement(
-            send_times=self.sender_clock.timestamps(raw.send_times,
+            send_times=self.sender_clock.timestamps(send_times,
                                                     self._clock_rng),
-            recv_times=self.receiver_clock.timestamps(raw.recv_times,
+            recv_times=self.receiver_clock.timestamps(recv_times,
                                                       self._clock_rng),
-            size_bytes=raw.size_bytes,
+            size_bytes=size_bytes,
         )
+
+    def _measure(self, trains: Sequence[object],
+                 point_seeds: Sequence[int],
+                 repetitions: Optional[int]
+                 ) -> List[List[TrainMeasurement]]:
+        """``repetitions`` copies of each train-shaped object, one
+        list of measurements per train.
+
+        Point ``k`` sends ``trains[k]`` from ``point_seeds[k]``; the
+        whole scan is one channel request
+        (:meth:`repro.testbed.channel.Channel.send_scan`), so a kernel
+        backend resolves it in one call and its rows are exactly the
+        one-point requests' rows.  Clocks stamp the rows in row
+        order, point-major, as a loop over the points would.
+        """
+        reps = (repetitions if repetitions is not None
+                else self.config.repetitions)
+        batch = self.channel.send_scan(trains, reps, point_seeds,
+                                       backend=self.config.backend)
+        rows = [self._stamp(send, recv, batch.size_bytes)
+                for send, recv in zip(batch.send_times, batch.recv_times)]
+        return [rows[k * reps:(k + 1) * reps] for k in range(len(trains))]
+
+    def measure_scan(self, n: int, rates_bps: Sequence[float],
+                     point_seeds: Sequence[int],
+                     repetitions: Optional[int] = None
+                     ) -> List[List[TrainMeasurement]]:
+        """``repetitions`` trains of ``n`` packets at each rate, as one
+        channel request; point ``k`` probes at ``rates_bps[k]`` from
+        ``point_seeds[k]``.  Returns one list of measurements per
+        point, in the order given."""
+        return self._measure(
+            [ProbeTrain.at_rate(n, rate, self.config.size_bytes)
+             for rate in rates_bps], point_seeds, repetitions)
 
     def measure_train(self, n: int, rate_bps: float,
                       repetitions: Optional[int] = None,
                       seed: int = 0) -> List[TrainMeasurement]:
         """Send ``repetitions`` trains of ``n`` packets at ``rate_bps``."""
-        train = ProbeTrain.at_rate(n, rate_bps, self.config.size_bytes)
-        reps = repetitions if repetitions is not None else self.config.repetitions
-        raws = self.channel.send_trains(train, reps, seed=seed,
-                                        backend=self.config.backend)
-        return [self._stamp(raw) for raw in raws]
+        return self.measure_scan(n, [rate_bps], [seed], repetitions)[0]
 
     def measure_pairs(self, repetitions: Optional[int] = None,
                       seed: int = 0) -> List[TrainMeasurement]:
         """Send back-to-back packet pairs."""
-        pair = PacketPair(self.config.size_bytes)
-        reps = repetitions if repetitions is not None else self.config.repetitions
-        raws = self.channel.send_trains(pair, reps, seed=seed,
-                                        backend=self.config.backend)
-        return [self._stamp(raw) for raw in raws]
+        return self._measure([PacketPair(self.config.size_bytes)], [seed],
+                             repetitions)[0]
 
     def measure_sequence(self, n: int, rate_bps: float, m: int,
                          mean_spacing: float = 0.2, guard: float = 0.05,
@@ -126,17 +154,15 @@ class Prober:
         train = ProbeTrain.at_rate(n, rate_bps, self.config.size_bytes)
         sequence = TrainSequence(train, m=m, mean_spacing=mean_spacing,
                                  guard=guard)
-        return [self._stamp(raw) for raw in send(sequence, seed)]
+        return [self._stamp(raw.send_times, raw.recv_times, raw.size_bytes)
+                for raw in send(sequence, seed)]
 
     def measure_chirps(self, chirp, repetitions: Optional[int] = None,
                        seed: int = 0) -> List[TrainMeasurement]:
         """Send pathChirp-style chirps (any train-shaped object works:
-        the channel only needs ``n``, ``duration``, ``size_bytes`` and
-        ``packets(start)``)."""
-        reps = repetitions if repetitions is not None else self.config.repetitions
-        raws = self.channel.send_trains(chirp, reps, seed=seed,
-                                        backend=self.config.backend)
-        return [self._stamp(raw) for raw in raws]
+        the channel only needs ``n``, ``duration``, ``size_bytes``,
+        ``packets(start)`` and ``arrival_times(start)``)."""
+        return self._measure([chirp], [seed], repetitions)[0]
 
     # ------------------------------------------------------------------
     # The measurements of the paper
@@ -157,12 +183,16 @@ class Prober:
     def rate_scan(self, rates_bps: Sequence[float], n: int,
                   repetitions: Optional[int] = None,
                   seed: int = 0) -> RateResponseCurve:
-        """Measure a rate-response curve over ``rates_bps``."""
-        by_rate: Dict[float, List[TrainMeasurement]] = {}
-        for k, rate in enumerate(sorted(rates_bps)):
-            by_rate[rate] = self.measure_train(
-                n, rate, repetitions, seed=seed + 7919 * k)
-        return rate_response_from_measurements(by_rate)
+        """Measure a rate-response curve over ``rates_bps``.
+
+        One :meth:`measure_scan` over the sorted rates, point ``k``
+        seeded from ``seed + 7919 * k``.
+        """
+        rates = sorted(rates_bps)
+        scan = self.measure_scan(
+            n, rates, [seed + 7919 * k for k in range(len(rates))],
+            repetitions)
+        return rate_response_from_measurements(dict(zip(rates, scan)))
 
     def achievable_throughput(self, rates_bps: Sequence[float], n: int,
                               repetitions: Optional[int] = None,

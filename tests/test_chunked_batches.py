@@ -197,6 +197,23 @@ class TestChunkedBitIdentity:
                                              backend="vector")
         _same_batch(chunked, dense)
 
+    @pytest.mark.parametrize("chunk", CHUNKS + (4,))
+    def test_path_rows_keep_their_own_horizon(self, chunk):
+        """Cross-traffic on the upstream hop staggers the arrivals at
+        the WLAN hop row by row; each row's cross-traffic horizon
+        there is its own (the event hop's), never its chunk's."""
+        path = SimulatedPathChannel(NetworkPath([
+            WiredHop(10e6, cross_generator=PoissonGenerator(6e6, L)),
+            WlanHop([("neighbour", PoissonGenerator(3e6, L))]),
+        ]))
+        train = ProbeTrain.at_rate(20, 4e6, L)
+        dense = path.send_trains_dense(train, 12, seed=3,
+                                       backend="vector")
+        with chunked_reps(chunk):
+            chunked = path.send_trains_dense(train, 12, seed=3,
+                                             backend="vector")
+        _same_batch(chunked, dense)
+
     def test_queue_traced_batches_chunk(self, monkeypatch):
         from repro.analysis.transient import collect_delay_matrix
         from repro.testbed import channel
@@ -425,8 +442,8 @@ class TestRunnersReachTheBackend:
 
     #: Runner overrides keeping each case small, with enough
     #: repetitions for a chunk size of 3 to split every batch.  The
-    #: fused rate scans carry 2 rows per point, so their chunks
-    #: straddle points.
+    #: fused rate scans (steady-state and probe-train) carry 2 rows
+    #: per point, so their chunks straddle points.
     OVERRIDES = {
         "fig1": {"repetitions": 2, "duration": 0.3, "warmup": 0.1,
                  "probe_rates_bps": [1e6, 3e6, 6e6]},
@@ -437,6 +454,10 @@ class TestRunnersReachTheBackend:
                              "repetitions": 4},
         "ext-multihop": {"repetitions": 5, "probe_rates_bps": [2e6, 5e6]},
         "eq1": {},
+        "fig13": {"repetitions": 2, "probe_rates_bps": [1e6, 4e6, 8e6],
+                  "train_lengths": [3, 10]},
+        "ext-topp": {"repetitions": 2, "cross_rates_bps": [3e6],
+                     "n_packets": 30},
     }
 
     @pytest.fixture
@@ -478,7 +499,7 @@ class TestRunnersReachTheBackend:
 def _channel_case(channel, train):
     """Run the channel's own request on a backend."""
     return lambda backend: run_batch(
-        channel.batch_request(train, 5, seed=3), backend=backend)
+        channel.batch_request([train], 5, [3]), backend=backend)
 
 
 class TestOneResultForm:

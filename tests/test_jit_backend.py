@@ -231,6 +231,19 @@ class TestBitIdentityWithNumpyTier:
         for flow in vector:
             assert np.array_equal(jitted[flow], vector[flow])
 
+    def test_fused_probe_scan_bit_identical(self, jit_forced):
+        """A fused probe-train scan — a schedule and a horizon per
+        row, FIFO cross-traffic in the probe queue — runs per row on
+        the jit tier and moves no bit."""
+        channel = SimulatedWlanChannel(
+            [("cross", PoissonGenerator(3e6, L))],
+            fifo_cross=PoissonGenerator(1e6, L, flow="fifo"), warmup=0.05)
+        trains = [ProbeTrain.at_rate(10, rate, L)
+                  for rate in (2e6, 5e6, 8e6)]
+        vector = channel.send_scan(trains, 4, [3, 4, 5], backend="vector")
+        jitted = channel.send_scan(trains, 4, [3, 4, 5], backend="jit")
+        _batches_equal(jitted, vector)
+
     def test_lindley_batch_function_level(self, jit_forced):
         rng = np.random.default_rng(5)
         arrivals = np.sort(rng.random((6, 40)), axis=1)

@@ -12,13 +12,17 @@ The load-bearing guarantees:
   when) the ``vector`` backend is selected, and reject channels the
   kernel cannot model;
 * the wired-FIFO vector path (batched Lindley) replays the event
-  path's sample paths to float rounding.
+  path's sample paths to float rounding;
+* chirps run on every backend of the WLAN channel: the kernel sends
+  each row on its chirp's own schedule, KS-equivalent to the event
+  engine.
 """
 
 import numpy as np
 import pytest
 
 from helpers import seed_params
+from repro.core.chirp import ChirpTrain
 from repro.core.dispersion import TrainMeasurement, output_gaps_batch
 from repro.core.estimators import train_dispersion_rate
 from repro.mac.frames import AirtimeModel
@@ -238,6 +242,46 @@ class TestFifoCrossEquivalence:
         _, batch = pair
         assert batch.recv_times.shape == (self.REPS, self.N)
         assert np.all(np.diff(batch.recv_times, axis=1) > 0)
+
+
+class TestChirps:
+    """Chirps ride the WLAN kernel: each row's send offsets are its
+    train's ``arrival_times``, so a geometric schedule needs no gap."""
+
+    CHIRP = ChirpTrain.covering_rates(1e6, 8e6, spread_factor=1.25)
+
+    @staticmethod
+    def _channel():
+        return SimulatedWlanChannel([("cross", PoissonGenerator(2e6, L))],
+                                    warmup=0.05)
+
+    @pytest.mark.parametrize("backend", ["event", "vector", "auto"])
+    def test_chirps_run_on_every_backend(self, backend):
+        prober = Prober(self._channel(), ProbeSessionConfig(
+            repetitions=4, ideal_clocks=True, backend=backend))
+        measurements = prober.measure_chirps(self.CHIRP, seed=3)
+        assert len(measurements) == 4
+        for m in measurements:
+            assert m.n == self.CHIRP.n
+            assert np.all(m.recv_times > m.send_times)
+
+    def test_kernel_sends_the_chirp_schedule(self):
+        batch = self._channel().send_trains_dense(self.CHIRP, 6, seed=5,
+                                                  backend="vector")
+        for row in batch.send_times:
+            assert np.array_equal(row, self.CHIRP.arrival_times(row[0]))
+
+    @pytest.mark.parametrize("seed", seed_params(13, 113, 213))
+    def test_output_gaps_match_event_engine(self, seed, ks_assert):
+        """Per-row output gaps are iid across rows (each row redraws
+        its cross-traffic), so they pin the kernel's chirps to the
+        event engine's."""
+        channel = self._channel()
+        event = channel.send_trains_dense(self.CHIRP, 60, seed=seed,
+                                          backend="event")
+        vector = channel.send_trains_dense(self.CHIRP, 60, seed=seed,
+                                           backend="vector")
+        ks_assert(event.output_gaps, vector.output_gaps)
 
 
 class TestChannelRouting:
