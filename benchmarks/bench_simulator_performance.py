@@ -439,6 +439,56 @@ def test_fused_probe_scan_speedup():
         f"{fused_s:.3f}s)")
 
 
+def test_fused_station_count_speedup():
+    """One fused steady-state call over station counts must beat its
+    per-count calls by >= 2.5x.
+
+    Acceptance floor of rows with their own station count:
+    ablation-bianchi's scan (1 to 5 stations offering 9 Mb/s CBR each,
+    3 repetitions, 4 s runs with a 0.5 s warm-up) as one 15-row
+    ``simulate_steady_state_batch`` call whose rows carry their own
+    cross stations, against 5 separate 3-row calls.  Every row must be
+    bit-identical.  Deliberately *not* scaled by ``REPRO_BENCH_SCALE``,
+    like the other fused floors: the saving is per-event numpy
+    dispatch shared across rows.
+    """
+    counts = [1, 2, 3, 4, 5]
+    reps = 3
+    cbr = CbrCrossSpec(9e6 / (1500 * 8), 1500)
+    kwargs = dict(size_bytes=1500, duration=4.0, warmup=0.5)
+    point_seeds = [derive_seeds(k, reps) for k in range(len(counts))]
+    points = np.repeat(np.arange(len(counts)), reps)
+    out = {}
+
+    def bits(batch):
+        """Each row's probe bits and total cross bits."""
+        return np.column_stack([batch.probe_bits,
+                                batch.cross_bits.sum(axis=1)])
+
+    def per_count():
+        out["per_count"] = np.concatenate([
+            bits(simulate_steady_state_batch(
+                9e6, reps, cross=[cbr] * (n - 1), seeds=seeds, **kwargs))
+            for n, seeds in zip(counts, point_seeds)])
+
+    def fused():
+        out["fused"] = bits(simulate_steady_state_batch(
+            9e6, len(points), seeds=np.concatenate(point_seeds),
+            cross=[[cbr if c < counts[p] - 1 else None for p in points]
+                   for c in range(max(counts) - 1)],
+            **kwargs))
+
+    best, (per_count_s, fused_s) = _best_speedup(per_count, fused,
+                                                 floor=2.5)
+    assert np.array_equal(out["fused"], out["per_count"])
+    print(f"\nfused station-count speedup: {best:.1f}x (last attempt: "
+          f"{len(counts)} calls {per_count_s:.3f}s, fused {fused_s:.3f}s)")
+    assert best >= 2.5, (
+        f"fused station-count scan only {best:.1f}x faster across 3 "
+        f"attempts (last: {len(counts)} calls {per_count_s:.3f}s vs "
+        f"fused {fused_s:.3f}s)")
+
+
 def test_rts_cts_backend_speedup():
     """ablation-rts's vector path must beat the event engine by >= 5x.
 

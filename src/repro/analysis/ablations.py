@@ -56,16 +56,19 @@ def ablation_bianchi_calibration(station_counts: Sequence[int] = (1, 2, 3, 4, 5)
     network is saturated; the simulator's aggregate throughput —
     averaged over ``repetitions`` independent runs per station count —
     must track the analytical prediction within a few percent for
-    every n.  Each station count is one repetition batch on the
-    resolved backend: the event engine runs the symmetric CBR
-    scenario per repetition (fanned out over ``--jobs``), the kernel
-    arm resolves the batch (in ``--chunk-reps`` chunks) through the
+    every n.  All station counts are one scan of rows on the resolved
+    backend, point ``k`` (station count ``station_counts[k]``) seeded
+    from ``seed + k``: the event engine runs the symmetric CBR
+    scenario per row (fanned out over ``--jobs``), the kernel arm
+    resolves the rows (in ``--chunk-reps`` chunks) through the
     probe-train kernel's steady-state mode with batched CBR
     cross-traffic — station 0 carries the CBR flow as the "probe", the
     remaining n-1 stations contend with identical CBR sample paths,
-    exactly the event scenario's symmetric configuration.  Both arms
-    answer in that layout (a :class:`SteadyBatchResult` whose probe
-    flow is station 0), and the aggregate is probe plus cross.
+    exactly the event scenario's symmetric configuration, and each row
+    has its own point's station count.  Both arms answer in that
+    layout (a :class:`SteadyBatchResult` whose probe flow is station
+    0, cross bits zero past the row's stations), and the aggregate is
+    probe plus cross.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
@@ -75,42 +78,49 @@ def ablation_bianchi_calibration(station_counts: Sequence[int] = (1, 2, 3, 4, 5)
 
     counts = list(station_counts)
     bianchi = BianchiModel(phy, size_bytes)
-    simulated = np.zeros(len(counts))
-    predicted = np.zeros(len(counts))
     offered_bps = 9e6
     pps = offered_bps / (size_bytes * 8)
     scenario = WlanScenario(phy)
-    for k, n in enumerate(counts):
-        def event_task(rep_seed: int, point: int) -> SteadyBatchResult:
-            """One saturated repetition's delivered bits, one row."""
-            specs = [StationSpec(f"s{i}",
-                                 generator=CBRGenerator(offered_bps,
-                                                        size_bytes))
-                     for i in range(n)]
-            result = scenario.run(specs, horizon=duration,
-                                  seed=rep_seed, until=duration)
-            bits = [result.station(f"s{i}").delivered_bits(warmup,
-                                                           duration)
-                    for i in range(n)]
-            return SteadyBatchResult(
-                probe_bits=np.array(bits[:1], dtype=float),
-                fifo_bits=np.zeros(1),
-                cross_bits=np.array([bits[1:]], dtype=float),
-                warmup=warmup, duration=duration, size_bytes=size_bytes)
+    # Rows carry the widest station count's cross slots, zero-padded
+    # past their own count: the kernel's layout.
+    slots = max(counts) - 1
 
-        def batch_task(seeds, points) -> SteadyBatchResult:
-            """The steady-state kernel over one (possibly chunked) slice."""
-            return simulate_steady_state_batch(
-                offered_bps, len(seeds), size_bytes=size_bytes,
-                cross=[CbrCrossSpec(pps, size_bytes)] * (n - 1),
-                duration=duration, warmup=warmup, phy=phy, seeds=seeds)
+    def event_task(rep_seed: int, point: int) -> SteadyBatchResult:
+        """One saturated repetition's delivered bits, one row."""
+        n = counts[point]
+        specs = [StationSpec(f"s{i}",
+                             generator=CBRGenerator(offered_bps, size_bytes))
+                 for i in range(n)]
+        result = scenario.run(specs, horizon=duration, seed=rep_seed,
+                              until=duration)
+        bits = [result.station(f"s{i}").delivered_bits(warmup, duration)
+                for i in range(n)]
+        cross_bits = np.zeros((1, slots))
+        cross_bits[0, :n - 1] = bits[1:]
+        return SteadyBatchResult(
+            probe_bits=np.array(bits[:1], dtype=float),
+            fifo_bits=np.zeros(1), cross_bits=cross_bits,
+            warmup=warmup, duration=duration, size_bytes=size_bytes)
 
-        out = resolution.backend.run_batch(BatchRequest.scan(
-            [seed + k], repetitions, event_task=event_task,
-            batch_task=batch_task, spec=spec))
-        simulated[k] = float(np.mean(out.probe_throughput_bps()
-                                     + out.cross_throughput_bps()))
-        predicted[k] = bianchi.solve(n).total_throughput_bps
+    def batch_task(seeds, points) -> SteadyBatchResult:
+        """The steady-state kernel over one (possibly chunked) slice:
+        each row contends with its own station count's CBR stations."""
+        cbr = CbrCrossSpec(pps, size_bytes)
+        return simulate_steady_state_batch(
+            offered_bps, len(seeds), size_bytes=size_bytes,
+            cross=[[cbr if c < counts[p] - 1 else None for p in points]
+                   for c in range(slots)],
+            duration=duration, warmup=warmup, phy=phy, seeds=seeds)
+
+    out = resolution.backend.run_batch(BatchRequest.scan(
+        [seed + k for k in range(len(counts))], repetitions,
+        event_task=event_task, batch_task=batch_task, spec=spec))
+    aggregate = (out.probe_throughput_bps()
+                 + out.cross_throughput_bps()).reshape(len(counts),
+                                                       repetitions)
+    simulated = np.array([float(np.mean(row)) for row in aggregate])
+    predicted = np.array([bianchi.solve(n).total_throughput_bps
+                          for n in counts])
     result = ExperimentResult(
         experiment="ablation-bianchi",
         title="DCF simulator vs. Bianchi saturation throughput",

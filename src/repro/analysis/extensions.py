@@ -28,12 +28,24 @@ from repro.analytic.bianchi import BianchiModel
 from repro.analytic.bounds import (steady_state_achievable_throughput,
                                    transient_achievable_throughput)
 from repro.analytic.metrics import fluid_achievable_throughput
-from repro.core.tools import IterativeProbeTool
+from repro.core.tools import IterativeProbeTool, search_lockstep
 from repro.mac.params import PhyParams
-from repro.testbed.channel import SimulatedWlanChannel
-from repro.testbed.prober import Prober, ProbeSessionConfig
+from repro.testbed.channel import SimulatedWlanChannel, send_scan
+from repro.testbed.prober import Prober, ProbeSessionConfig, rate_scans
 from repro.traffic.generators import OnOffGenerator, PoissonGenerator
 from repro.traffic.probe import ProbeTrain
+
+
+def _poisson_prober(cross_rate_bps: float, size_bytes: int,
+                    repetitions: int, phy: Optional[PhyParams],
+                    backend: str) -> Prober:
+    """An ideal-clock prober on a WLAN link with one Poisson
+    contender."""
+    channel = SimulatedWlanChannel(
+        [("cross", PoissonGenerator(cross_rate_bps, size_bytes))], phy=phy)
+    return Prober(channel, ProbeSessionConfig(
+        size_bytes=size_bytes, repetitions=repetitions, ideal_clocks=True,
+        backend=backend))
 
 
 def tool_convergence_study(cross_rates_bps: Optional[Sequence[float]] = None,
@@ -49,7 +61,8 @@ def tool_convergence_study(cross_rates_bps: Optional[Sequence[float]] = None,
     turning-point search and compare its estimate with the achievable
     throughput (fluid response) and the available bandwidth.  The
     estimate must track B and sit far from A once the two separate —
-    every probing train the search sends rides the selected backend.
+    every probing train the search sends rides the selected backend,
+    and the searches advance in lockstep, one fused scan per round.
     """
     if cross_rates_bps is None:
         cross_rates_bps = np.arange(1e6, 5.01e6, 1e6)
@@ -57,22 +70,18 @@ def tool_convergence_study(cross_rates_bps: Optional[Sequence[float]] = None,
     bianchi = BianchiModel(phy, size_bytes)
     capacity = bianchi.capacity()
     fair_share = bianchi.fair_share(2)
-    estimates = np.zeros(len(cross_rates))
-    actual_b = np.zeros(len(cross_rates))
-    available = np.zeros(len(cross_rates))
-    for k, cross_rate in enumerate(cross_rates):
-        channel = SimulatedWlanChannel(
-            [("cross", PoissonGenerator(cross_rate, size_bytes))], phy=phy)
-        prober = Prober(channel, ProbeSessionConfig(
-            size_bytes=size_bytes, repetitions=repetitions,
-            ideal_clocks=True, backend=backend))
-        tool = IterativeProbeTool(prober, n=n_packets,
-                                  repetitions=repetitions)
-        result = tool.search(0.5e6, capacity * 1.3, seed=seed + 11 * k)
-        estimates[k] = result.estimate_bps
-        actual_b[k] = fluid_achievable_throughput(capacity, cross_rate,
-                                                  fair_share)
-        available[k] = max(0.0, capacity - cross_rate)
+    tools = [IterativeProbeTool(
+                 _poisson_prober(cross_rate, size_bytes, repetitions, phy,
+                                 backend),
+                 n=n_packets, repetitions=repetitions)
+             for cross_rate in cross_rates]
+    searches = search_lockstep(tools, 0.5e6, capacity * 1.3,
+                               [seed + 11 * k for k in range(len(tools))])
+    estimates = np.array([search.estimate_bps for search in searches])
+    actual_b = np.array([fluid_achievable_throughput(capacity, cross_rate,
+                                                     fair_share)
+                         for cross_rate in cross_rates])
+    available = np.maximum(0.0, capacity - cross_rates)
     result = ExperimentResult(
         experiment="ext-tool-convergence",
         title="Pathload-style tool vs. B and A on a CSMA/CA link",
@@ -117,7 +126,7 @@ def topp_on_wlan_study(cross_rates_bps: Optional[Sequence[float]] = None,
     section 6 (it sits a few percent *above* Bf, shrinking with the
     train length), so the check allows a one-sided margin.
     """
-    from repro.core.topp import topp_from_prober
+    from repro.core.topp import topp_estimate
 
     if cross_rates_bps is None:
         cross_rates_bps = np.array([2e6, 3e6, 4e6, 5e6])
@@ -125,23 +134,19 @@ def topp_on_wlan_study(cross_rates_bps: Optional[Sequence[float]] = None,
     bianchi = BianchiModel(phy, size_bytes)
     capacity = bianchi.capacity()
     fair_share = bianchi.fair_share(2)
-    topp_capacity = np.zeros(len(cross_rates))
-    topp_available = np.zeros(len(cross_rates))
-    achievable = np.zeros(len(cross_rates))
-    for k, cross_rate in enumerate(cross_rates):
-        achievable[k] = fluid_achievable_throughput(capacity, cross_rate,
-                                                    fair_share)
-        channel = SimulatedWlanChannel(
-            [("cross", PoissonGenerator(cross_rate, size_bytes))], phy=phy)
-        prober = Prober(channel, ProbeSessionConfig(
-            size_bytes=size_bytes, repetitions=repetitions,
-            ideal_clocks=True, backend=backend))
-        scan_rates = np.arange(0.6 * achievable[k], 2.6 * achievable[k],
-                               0.2 * achievable[k])
-        estimate = topp_from_prober(prober, scan_rates, n=n_packets,
-                                    seed=seed + 13 * k)
-        topp_capacity[k] = estimate.capacity_bps
-        topp_available[k] = estimate.available_bps
+    achievable = np.array([fluid_achievable_throughput(capacity, cross_rate,
+                                                       fair_share)
+                           for cross_rate in cross_rates])
+    # Every cross rate's scan rides one fused request.
+    curves = rate_scans(
+        [(_poisson_prober(cross_rate, size_bytes, repetitions, phy,
+                          backend),
+          np.arange(0.6 * b, 2.6 * b, 0.2 * b), seed + 13 * k)
+         for k, (cross_rate, b) in enumerate(zip(cross_rates, achievable))],
+        n=n_packets)
+    estimates = [topp_estimate(curve) for curve in curves]
+    topp_capacity = np.array([e.capacity_bps for e in estimates])
+    topp_available = np.array([e.available_bps for e in estimates])
     result = ExperimentResult(
         experiment="ext-topp",
         title="TOPP on a CSMA/CA link: 'capacity' = achievable throughput",
@@ -344,30 +349,25 @@ def onoff_cross_study(burst_scales: Optional[Sequence[float]] = None,
     mean_rate = duty_cycle * peak_rate_bps
     train = ProbeTrain.at_rate(n_probe, probe_rate_bps, size_bytes)
 
-    reference = SimulatedWlanChannel(
-        [("cross", PoissonGenerator(mean_rate, size_bytes))], phy=phy,
-        warmup=0.1)
-    ref_batch = reference.send_trains_dense(train, repetitions, seed=seed,
-                                            backend=backend)
-    ref_means = ref_batch.access_delays.mean(axis=1)
-
-    mean_delay = np.zeros(len(scales))
-    rep_spread = np.zeros(len(scales))
-    rep_q90 = np.zeros(len(scales))
-    for k, scale in enumerate(scales):
-        mean_off = scale * (1 - duty_cycle) / duty_cycle
-        generator = OnOffGenerator(peak_rate_bps, mean_on=scale,
-                                   mean_off=mean_off,
-                                   size_bytes=size_bytes)
-        channel = SimulatedWlanChannel([("cross", generator)], phy=phy,
-                                       warmup=0.1)
-        batch = channel.send_trains_dense(train, repetitions,
-                                          seed=seed + 173 * k,
-                                          backend=backend)
-        means = batch.access_delays.mean(axis=1)
-        mean_delay[k] = means.mean()
-        rep_spread[k] = means.std()
-        rep_q90[k] = np.quantile(means, 0.9)
+    # The Poisson reference, then one on-off channel per burst scale,
+    # all in one scan.
+    generators = [PoissonGenerator(mean_rate, size_bytes)] + [
+        OnOffGenerator(peak_rate_bps, mean_on=scale,
+                       mean_off=scale * (1 - duty_cycle) / duty_cycle,
+                       size_bytes=size_bytes)
+        for scale in scales]
+    channels = [SimulatedWlanChannel([("cross", generator)], phy=phy,
+                                     warmup=0.1)
+                for generator in generators]
+    batch = send_scan(channels, [train] * len(channels), repetitions,
+                      [seed] + [seed + 173 * k for k in range(len(scales))],
+                      backend=backend)
+    per_point = batch.access_delays.mean(axis=1).reshape(len(channels),
+                                                         repetitions)
+    ref_means = per_point[0]
+    mean_delay = np.array([means.mean() for means in per_point[1:]])
+    rep_spread = np.array([means.std() for means in per_point[1:]])
+    rep_q90 = np.array([np.quantile(means, 0.9) for means in per_point[1:]])
     result = ExperimentResult(
         experiment="ext-onoff",
         title="Probe trains vs. on-off cross-traffic burst time scale",

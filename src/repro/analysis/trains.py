@@ -24,8 +24,9 @@ from repro.core.correction import mser_corrected_rate
 from repro.core.estimators import packet_pair_capacity, train_dispersion_rate
 from repro.mac.params import PhyParams
 from repro.testbed.channel import SimulatedWlanChannel
-from repro.testbed.prober import Prober, ProbeSessionConfig
+from repro.testbed.prober import Prober, ProbeSessionConfig, measure_points
 from repro.traffic.generators import PoissonGenerator
+from repro.traffic.probe import PacketPair
 
 
 def _wlan_prober(cross_rate_bps: float, size_bytes: int,
@@ -217,16 +218,18 @@ def fig16_packet_pair(cross_rates_bps: Optional[Sequence[float]] = None,
     bianchi = BianchiModel(phy, size_bytes)
     capacity = bianchi.capacity()
     fair_share = bianchi.fair_share(2)
-    pair_estimates = np.zeros(len(cross_rates))
-    fluid_actual = np.zeros(len(cross_rates))
-    for k, cross_rate in enumerate(cross_rates):
-        prober = _wlan_prober(cross_rate, size_bytes, phy,
-                              repetitions=pair_repetitions,
-                              backend=backend)
-        pairs = prober.measure_pairs(seed=seed + 31 * k)
-        pair_estimates[k] = packet_pair_capacity(pairs)
-        fluid_actual[k] = fluid_achievable_throughput(
-            capacity, cross_rate, fair_share)
+    # One scan of pairs over every cross rate: the zero-rate point's
+    # channel has no contender, so its rows have one station.
+    probers = [_wlan_prober(cross_rate, size_bytes, phy,
+                            repetitions=pair_repetitions, backend=backend)
+               for cross_rate in cross_rates]
+    scan = measure_points(probers, [PacketPair(size_bytes)] * len(probers),
+                          [seed + 31 * k for k in range(len(probers))])
+    pair_estimates = np.array([packet_pair_capacity(pairs)
+                               for pairs in scan])
+    fluid_actual = np.array([fluid_achievable_throughput(
+                                 capacity, cross_rate, fair_share)
+                             for cross_rate in cross_rates])
     result = ExperimentResult(
         experiment="fig16",
         title="Packet-pair inference vs. actual achievable throughput",

@@ -157,7 +157,8 @@ class SimulatedPathChannel(Channel):
             access_delays=None,  # not observable end-to-end
         )
 
-    def _send_rows(self, trains: Sequence[ProbeTrain], seeds,
+    def _send_rows(self, channels: Sequence[Channel],
+                   trains: Sequence[ProbeTrain], seeds,
                    points) -> ProbeBatchResult:
         """One chained-kernel pass over the rows.
 

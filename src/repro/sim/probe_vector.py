@@ -318,23 +318,73 @@ def _pad_concat_rows(blocks: Sequence[np.ndarray],
     return out
 
 
-def _runs(values: np.ndarray) -> List[Tuple[int, int]]:
-    """``[lo, hi)`` bounds of the runs of equal adjacent values."""
-    edges = [0, *(np.flatnonzero(np.diff(values)) + 1), len(values)]
+def _runs(*columns: np.ndarray) -> List[Tuple[int, int]]:
+    """``[lo, hi)`` bounds of the runs of adjacent rows that agree in
+    every column."""
+    changed = np.zeros(len(columns[0]) - 1, dtype=bool)
+    for values in columns:
+        changed |= np.diff(values) != 0
+    edges = [0, *(np.flatnonzero(changed) + 1), len(columns[0])]
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _row_paths(spec, gens: Sequence[np.random.Generator],
-               horizons: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``spec``'s sample paths with a horizon per row.
+def _cross_slots(cross: Sequence[object], reps: int
+                 ) -> Tuple[List[List[object]], List[Optional[int]],
+                            np.ndarray]:
+    """Per-row cross specs, slot frame sizes and row station counts.
 
-    Drawn once per run of equal horizon — each run exactly the call a
-    batch with that one horizon makes, so the Poisson block size (set
-    by the horizon) and hence every row's draws match it — and stacked
-    with :func:`_pad_concat_rows`.
+    Each entry of ``cross`` is one station slot: a spec every row
+    carries, or one spec per row where ``None`` means the row has no
+    such station.  A row's absent stations must follow its present
+    ones, and a slot's present specs must share their frame size (the
+    kernel's airtimes are per station).  A row's station count is 1
+    plus its present cross stations; an absent slot's size is
+    ``None``.
     """
-    parts = [spec.sample_paths(gens[lo:hi], float(horizons[lo]))
-             for lo, hi in _runs(horizons)]
+    slots = []
+    for c, entry in enumerate(cross):
+        specs = ([entry] * reps if hasattr(entry, "sample_paths")
+                 else list(entry))
+        if len(specs) != reps:
+            raise ValueError(f"cross station {c} has {len(specs)} specs "
+                             f"for {reps} repetitions")
+        slots.append(specs)
+    present = np.array([[spec is not None for spec in specs]
+                        for specs in slots], dtype=bool).reshape(-1, reps)
+    if np.any(present[1:] & ~present[:-1]):
+        raise ValueError("a row's absent cross stations must follow its "
+                         "present ones")
+    sizes: List[Optional[int]] = []
+    for c, specs in enumerate(slots):
+        found = {spec.size_bytes for spec in specs if spec is not None}
+        if len(found) > 1:
+            raise ValueError(f"cross station {c} mixes frame sizes "
+                             f"{sorted(found)}")
+        sizes.append(found.pop() if found else None)
+    return slots, sizes, 1 + present.sum(axis=0)
+
+
+def _row_paths(specs: Sequence[object], gens: Sequence[np.random.Generator],
+               horizons: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """One station slot's sample paths with a spec and a horizon per row.
+
+    Drawn once per run of equal ``(spec, horizon)`` — each run exactly
+    the call a one-point batch with that spec and horizon makes, so the
+    Poisson block size (set by the horizon) and hence every row's draws
+    match it — and stacked with :func:`_pad_concat_rows`.  Rows without
+    the station (``None``) draw nothing and hold no arrivals.
+    """
+    codes: dict = {}
+    spec_codes = np.array([codes.setdefault(spec, len(codes))
+                           for spec in specs])
+    parts = []
+    for lo, hi in _runs(spec_codes, horizons):
+        if specs[lo] is None:
+            parts.append((np.full((hi - lo, 1), np.inf),
+                          np.zeros(hi - lo, dtype=np.int64)))
+        else:
+            parts.append(specs[lo].sample_paths(gens[lo:hi],
+                                                float(horizons[lo])))
     if len(parts) == 1:
         return parts[0]
     times, counts = zip(*parts)
@@ -418,8 +468,10 @@ def _concat_queue_traces(parts: Sequence[object]
     """Station-wise fold of per-part queue-trace lists.
 
     ``None`` when no part carries traces; mixing traced and untraced
-    parts (or different station counts) is a ``ValueError`` — such
-    batches did not come from the same scenario.
+    parts is a ``ValueError`` — such batches did not come from the
+    same scenario.  A part with fewer cross stations (a scan's rows
+    through a channel with fewer of them) has empty traces for the
+    rest, as the kernel's absent stations do.
     """
     traces = [part.queue_traces for part in parts]
     if all(trace is None for trace in traces):
@@ -427,13 +479,13 @@ def _concat_queue_traces(parts: Sequence[object]
     if any(trace is None for trace in traces):
         raise ValueError(
             "cannot concat batches with and without queue traces")
-    stations = {len(trace) for trace in traces}
-    if len(stations) != 1:
-        raise ValueError(
-            f"cannot concat batches with different cross-station "
-            f"counts: {sorted(stations)}")
-    return [QueueTraceBatch.concat([trace[c] for trace in traces])
-            for c in range(stations.pop())]
+    empty = np.full((1, 1), np.inf)
+    return [QueueTraceBatch.concat(
+                [trace[c] if c < len(trace) else QueueTraceBatch(
+                    np.repeat(empty, part.repetitions, axis=0),
+                    np.repeat(empty, part.repetitions, axis=0))
+                 for trace, part in zip(traces, parts)])
+            for c in range(max(len(trace) for trace in traces))]
 
 
 @dataclass
@@ -603,10 +655,16 @@ def simulate_probe_train_batch(
     a ``(repetitions, n_probe)`` array of each row's send offsets from
     its train start (a probe train's ``arrival_times(0.0)``, a
     chirp's included); a gap ``g`` means the offsets
-    ``arange(n_probe) * g``.  ``horizon`` is one value or one per row.  A whole rate scan is then one call: each run of
-    equal horizons draws its cross and FIFO sample paths exactly as a
-    one-point call does, so a scan's rows are bit-identical to the
-    calls of its points.
+    ``arange(n_probe) * g``.  ``horizon`` is one value or one per
+    row.  Each entry of ``cross`` is one station: a spec every row
+    carries, or one spec per row, ``None`` where the row has no such
+    station (a row's absent stations follow its present ones; its
+    station count is 1 plus its present ones).  A whole rate or
+    cross-load scan is then one call: each run of equal ``(spec,
+    horizon)`` draws its sample paths exactly as a one-point call
+    does, and each row's backoff uniforms are as wide as its own
+    station count, so a scan's rows are bit-identical to the calls
+    of its points.
 
     A repetition stops consuming events once its last probe packet has
     departed; the statistical contract with the event backend is
@@ -636,7 +694,7 @@ def simulate_probe_train_batch(
     elif np.any(np.diff(offsets) < 0):
         raise ValueError("send offsets must be non-decreasing")
 
-    cross = list(cross)
+    slots, cross_sizes, row_stations = _cross_slots(cross, repetitions)
     if fifo_cross is not None and fifo_cross.size_bytes != size_bytes:
         raise ValueError(
             fifo_size_mismatch_detail(size_bytes, fifo_cross.size_bytes))
@@ -663,18 +721,21 @@ def simulate_probe_train_batch(
     start = warmup + jitter
     probe_times = start[:, None] + offsets
 
-    cross_paths = [_row_paths(spec, gens, horizons) for spec in cross]
+    cross_paths = [_row_paths(specs, gens, horizons) for specs in slots]
     if fifo_cross is not None:
-        fifo_times, fifo_counts = _row_paths(fifo_cross, gens, horizons)
+        fifo_times, fifo_counts = _row_paths([fifo_cross] * reps, gens,
+                                             horizons)
     else:
         fifo_times, fifo_counts = None, None
     probe_arr, probe_seq, probe_counts = _merge_probe_queue(
         probe_times, n_probe, fifo_times, fifo_counts)
+    arr, n_arr = _arrival_cube(probe_arr, probe_counts, cross_paths)
+    # The cube holds every path now: the event loop need not carry them.
+    del cross_paths, fifo_times, probe_arr
 
     recv, delays, _, queues = _resolve_batch(
-        probe_arr, probe_seq, probe_counts, cross_paths, n_probe,
-        gens=gens, size_bytes=size_bytes,
-        cross_sizes=[spec.size_bytes for spec in cross], phy=phy,
+        arr, n_arr, probe_seq, n_probe, gens=gens, size_bytes=size_bytes,
+        cross_sizes=cross_sizes, row_stations=row_stations, phy=phy,
         immediate_access=immediate_access, rts_threshold=rts_threshold,
         retry_limit=retry_limit, track_queues=track_queues)
 
@@ -724,27 +785,29 @@ def simulate_probe_arrivals_batch(
         raise ValueError(
             f"need one seed per repetition, got {len(seeds)} for "
             f"{probe_times.shape[0]}")
-    cross = list(cross)
+    reps, n_probe = probe_times.shape
+    slots, cross_sizes, row_stations = _cross_slots(cross, reps)
     if fifo_cross is not None and fifo_cross.size_bytes != size_bytes:
         raise ValueError(
             fifo_size_mismatch_detail(size_bytes, fifo_cross.size_bytes))
-    n_probe = probe_times.shape[1]
     horizons = _row_horizons(horizon, probe_times.max(axis=1) + 1.0)
 
     seeds = np.asarray(seeds, dtype=np.uint64)
     gens = [np.random.default_rng(int(s)) for s in seeds]
-    cross_paths = [_row_paths(spec, gens, horizons) for spec in cross]
+    cross_paths = [_row_paths(specs, gens, horizons) for specs in slots]
     if fifo_cross is not None:
-        fifo_times, fifo_counts = _row_paths(fifo_cross, gens, horizons)
+        fifo_times, fifo_counts = _row_paths([fifo_cross] * reps, gens,
+                                             horizons)
     else:
         fifo_times, fifo_counts = None, None
     probe_arr, probe_seq, probe_counts = _merge_probe_queue(
         probe_times, n_probe, fifo_times, fifo_counts)
+    arr, n_arr = _arrival_cube(probe_arr, probe_counts, cross_paths)
+    del cross_paths, fifo_times, probe_arr
 
     recv, delays, _, _ = _resolve_batch(
-        probe_arr, probe_seq, probe_counts, cross_paths, n_probe,
-        gens=gens, size_bytes=size_bytes,
-        cross_sizes=[spec.size_bytes for spec in cross], phy=phy,
+        arr, n_arr, probe_seq, n_probe, gens=gens, size_bytes=size_bytes,
+        cross_sizes=cross_sizes, row_stations=row_stations, phy=phy,
         immediate_access=immediate_access, rts_threshold=rts_threshold,
         retry_limit=retry_limit)
 
@@ -758,13 +821,34 @@ def simulate_probe_arrivals_batch(
     )
 
 
-def _resolve_batch(probe_arr: np.ndarray, probe_seq: np.ndarray,
-                   probe_counts: np.ndarray,
-                   cross_paths: Sequence[Tuple[np.ndarray, np.ndarray]],
-                   n_probe: int, *,
+def _arrival_cube(probe_arr: np.ndarray, probe_counts: np.ndarray,
+                  cross_paths: Sequence[Tuple[np.ndarray, np.ndarray]]
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Every station's arrivals as one ``inf``-padded
+    ``(rows, stations, width)`` cube, plus their counts.
+
+    Station 0 holds the (merged) probe-queue arrivals ``probe_arr``,
+    station ``1 + c`` cross station ``c``'s sample paths.
+    """
+    reps, n_stations = probe_arr.shape[0], 1 + len(cross_paths)
+    width = max(probe_arr.shape[1],
+                max((p.shape[1] for p, _ in cross_paths), default=1))
+    arr = np.full((reps, n_stations, width), np.inf)
+    n_arr = np.zeros((reps, n_stations), dtype=np.int64)
+    arr[:, 0, :probe_arr.shape[1]] = probe_arr
+    n_arr[:, 0] = probe_counts
+    for c, (times, counts) in enumerate(cross_paths):
+        arr[:, 1 + c, :times.shape[1]] = times
+        n_arr[:, 1 + c] = counts
+    return arr, n_arr
+
+
+def _resolve_batch(arr: np.ndarray, n_arr: np.ndarray,
+                   probe_seq: np.ndarray, n_probe: int, *,
                    gens: Sequence[np.random.Generator],
                    size_bytes: int,
-                   cross_sizes: Sequence[int],
+                   cross_sizes: Sequence[Optional[int]],
+                   row_stations: np.ndarray,
                    phy: Optional[PhyParams],
                    immediate_access: bool,
                    rts_threshold: Optional[int] = None,
@@ -779,8 +863,9 @@ def _resolve_batch(probe_arr: np.ndarray, probe_seq: np.ndarray,
     """Advance every repetition event by event until it completes.
 
     The shared core of the probe-train and steady-state entry points:
-    station 0 replays the (merged) probe-queue arrivals ``probe_arr``
-    tagged by ``probe_seq``, the cross stations replay ``cross_paths``.
+    ``arr`` and ``n_arr`` are :func:`_arrival_cube`'s arrivals and
+    counts — station 0 replays the (merged) probe-queue arrivals
+    tagged by ``probe_seq``, the cross stations their sample paths.
     Without ``stop_time`` a repetition retires events until its last
     probe packet departs (train mode).  With ``stop_time`` it stops at
     the first event past that instant instead — the kernel counterpart
@@ -788,6 +873,12 @@ def _resolve_batch(probe_arr: np.ndarray, probe_seq: np.ndarray,
     additionally accumulates the delivered network-layer bits per flow
     (probe / FIFO / per cross station) whose DATA frame ends inside
     the window.
+
+    ``row_stations`` gives each row its station count.  A row's
+    absent stations hold no arrivals, so they never contend; what the
+    count changes is the width of the row's backoff uniforms, which
+    must match a batch of that width.  An absent slot's size
+    (``None``) is never used.
 
     ``rts_threshold`` protects every frame of at least that many bytes
     with an RTS/CTS handshake, applying the exact arithmetic of
@@ -815,9 +906,10 @@ def _resolve_batch(probe_arr: np.ndarray, probe_seq: np.ndarray,
     cw_by_stage = cw_table(phy)
     max_stage = phy.max_backoff_stage
 
-    reps = probe_arr.shape[0]
-    n_stations = 1 + len(cross_paths)
-    sizes = [size_bytes] + list(cross_sizes)
+    reps, n_stations, _ = arr.shape
+    n_cross = n_stations - 1
+    sizes = [size_bytes] + [size_bytes if size is None else size
+                            for size in cross_sizes]
     data_air = np.array([airtime.data_airtime(s) for s in sizes])
     # Per-station RTS protection, mirroring Medium._uses_rts: the
     # preamble precedes a protected DATA frame; during a collision a
@@ -830,26 +922,16 @@ def _resolve_batch(probe_arr: np.ndarray, probe_seq: np.ndarray,
     contention_air = np.where(protected, airtime.rts_airtime(), data_air)
     exchange_air = preamble + data_air
 
-    width = max(probe_arr.shape[1],
-                max((p.shape[1] for p, _ in cross_paths), default=1))
-    arr = np.full((reps, n_stations, width), np.inf)
-    n_arr = np.zeros((reps, n_stations), dtype=np.int64)
-    arr[:, 0, :probe_arr.shape[1]] = probe_arr
-    n_arr[:, 0] = probe_counts
-    for c, (times, counts) in enumerate(cross_paths):
-        arr[:, 1 + c, :times.shape[1]] = times
-        n_arr[:, 1 + c] = counts
-
     if _jit.active_tier() == "jit":
         return _resolve_jit_batch(
-            arr, n_arr, probe_seq, gens=gens, n_probe=n_probe,
-            slot=slot, sifs=sifs, difs=difs, ack_air=ack_air,
-            data_air=data_air, preamble=preamble,
+            arr, n_arr, probe_seq, row_stations, gens=gens,
+            n_probe=n_probe, slot=slot, sifs=sifs, difs=difs,
+            ack_air=ack_air, data_air=data_air, preamble=preamble,
             contention_air=contention_air, exchange_air=exchange_air,
             sizes=sizes, cw_by_stage=cw_by_stage, max_stage=max_stage,
             immediate_access=immediate_access, retry_limit=retry_limit,
             stop_time=stop_time, window=window,
-            track_queues=track_queues, n_cross=len(cross_paths))
+            track_queues=track_queues)
 
     # The backoff uniforms continue each repetition's private stream
     # where the jitter and sample-path draws left off — the event
@@ -857,16 +939,23 @@ def _resolve_batch(probe_arr: np.ndarray, probe_seq: np.ndarray,
     # the same generator).  Restarting from the seeds instead would
     # replay the path draws as backoff uniforms and correlate bursty
     # cross-traffic periods with contention outcomes.
-    uniforms = _UniformBlocks((), n_stations, gens=gens)
+    uniforms = _UniformBlocks((), n_stations, gens=gens,
+                              widths=row_stations)
 
     if window is not None:
         w0, w1 = window
         probe_bits = np.zeros(reps)
         fifo_bits = np.zeros(reps)
-        cross_bits = np.zeros((reps, len(cross_paths)))
+        cross_bits = np.zeros((reps, n_cross))
         size_bits = np.array(sizes, dtype=float) * 8
 
+    # The state of the rows still in the loop; ``rows`` maps them to
+    # the batch rows the outputs (and the arrival cube) are indexed by.
+    rows = np.arange(reps)
     nxt = np.zeros((reps, n_stations), dtype=np.int64)
+    # Each station's next arrival instant (``inf`` once its arrivals
+    # are exhausted), refreshed only when its queue advances.
+    head = np.where(n_arr > 0, arr[:, :, 0], np.inf)
     hol = np.zeros((reps, n_stations), dtype=bool)
     hol_t = np.zeros((reps, n_stations))
     rem = np.zeros((reps, n_stations), dtype=np.int64)
@@ -887,16 +976,25 @@ def _resolve_batch(probe_arr: np.ndarray, probe_seq: np.ndarray,
     # a collision; the guard is far above any real trajectory.
     max_events = 64 + 8 * int(n_arr.sum(axis=1).max())
     for _ in range(max_events):
-        if not active.any():
+        running = np.count_nonzero(active)
+        if not running:
             break
+        # A retired row never runs again and its outputs are written,
+        # so once at most half the rows still run the rest leave the
+        # loop; a kept row goes on reading its own uniforms.
+        if 2 * running <= len(rows):
+            keep = np.flatnonzero(active)
+            (rows, nxt, head, hol, hol_t, rem, cstart, stage, attempts,
+             idle_start, probe_left, active, n_arr) = (
+                state[keep] for state in (
+                    rows, nxt, head, hol, hol_t, rem, cstart, stage,
+                    attempts, idle_start, probe_left, active, n_arr))
+            uniforms.keep(keep)
         u = uniforms.take()
 
         expiry = np.where(hol, cstart + rem * slot, np.inf)
         t_tx = expiry.min(axis=1)
-        idx = np.minimum(np.maximum(nxt, 0), arr.shape[2] - 1)
-        gathered = np.take_along_axis(arr, idx[:, :, None], axis=2)[:, :, 0]
-        pending = ~hol & (nxt < n_arr)
-        next_arr = np.where(pending, gathered, np.inf)
+        next_arr = np.where(hol, np.inf, head)
         t_arr = next_arr.min(axis=1)
 
         # Steady mode: the first event past the stop instant never
@@ -911,7 +1009,7 @@ def _resolve_batch(probe_arr: np.ndarray, probe_seq: np.ndarray,
 
         # -- arrival to an idle station --------------------------------
         if arr_event.any():
-            adm = arr_event[:, None] & pending & (next_arr <= t_arr[:, None])
+            adm = arr_event[:, None] & (next_arr <= t_arr[:, None])
             hol[adm] = True
             a_rep, a_sta = np.nonzero(adm)
             a_time = next_arr[adm]
@@ -949,20 +1047,21 @@ def _resolve_batch(probe_arr: np.ndarray, probe_seq: np.ndarray,
             success = tx_event & (n_win == 1)
             solo = win & success[:, None]
             s_rep, s_sta = np.nonzero(solo)
+            s_row = rows[s_rep]
             data_end = t_tx[s_rep] + preamble[s_sta] + data_air[s_sta]
             served = nxt[s_rep, s_sta]
             if track_queues:
-                departures[s_rep, s_sta, served] = data_end
+                departures[s_row, s_sta, served] = data_end
 
             probe_tx = s_sta == 0
             p_rep = s_rep[probe_tx]
-            seq = probe_seq[p_rep, served[probe_tx]]
+            seq = probe_seq[s_row[probe_tx], served[probe_tx]]
             p_end = data_end[probe_tx]
             is_probe_pkt = seq >= 0
             pr = p_rep[is_probe_pkt]
-            recv[pr, seq[is_probe_pkt]] = p_end[is_probe_pkt]
-            delays[pr, seq[is_probe_pkt]] = (p_end[is_probe_pkt]
-                                             - hol_t[pr, 0])
+            recv[rows[pr], seq[is_probe_pkt]] = p_end[is_probe_pkt]
+            delays[rows[pr], seq[is_probe_pkt]] = (p_end[is_probe_pkt]
+                                                   - hol_t[pr, 0])
             probe_left[pr] -= 1
 
             # Per-flow throughput accounting: a packet counts when its
@@ -972,11 +1071,12 @@ def _resolve_batch(probe_arr: np.ndarray, probe_seq: np.ndarray,
             if window is not None:
                 in_win = (data_end > w0) & (data_end <= w1)
                 cwin = in_win & (s_sta > 0)
-                cross_bits[s_rep[cwin], s_sta[cwin] - 1] += \
+                cross_bits[s_row[cwin], s_sta[cwin] - 1] += \
                     size_bits[s_sta[cwin]]
                 p_in = in_win[probe_tx]
-                probe_bits[p_rep[p_in & is_probe_pkt]] += size_bits[0]
-                fifo_bits[p_rep[p_in & ~is_probe_pkt]] += size_bits[0]
+                p_row = s_row[probe_tx]
+                probe_bits[p_row[p_in & is_probe_pkt]] += size_bits[0]
+                fifo_bits[p_row[p_in & ~is_probe_pkt]] += size_bits[0]
 
             # Advance the winner's queue: the next packet (if it has
             # already arrived) is promoted when the DATA frame ends and
@@ -984,10 +1084,8 @@ def _resolve_batch(probe_arr: np.ndarray, probe_seq: np.ndarray,
             nxt[s_rep, s_sta] += 1
             stage[s_rep, s_sta] = 0
             attempts[s_rep, s_sta] = 0
-            nxt_time = arr[s_rep, s_sta, np.minimum(nxt[s_rep, s_sta],
-                                                    arr.shape[2] - 1)]
-            promoted = (nxt[s_rep, s_sta] < n_arr[s_rep, s_sta]) \
-                & (nxt_time <= data_end + TIME_EPS)
+            promoted = _advance_head(head, arr, n_arr, nxt, rows, s_rep,
+                                     s_sta, data_end)
             hol[s_rep, s_sta] = promoted
             hol_t[s_rep[promoted], s_sta[promoted]] = data_end[promoted]
             cw0 = cw_by_stage[0]
@@ -1012,21 +1110,19 @@ def _resolve_batch(probe_arr: np.ndarray, probe_seq: np.ndarray,
                 # the next queued packet — if it has arrived — is
                 # promoted there, at stage 0 with a fresh CW0 draw.
                 d_rep, d_sta = np.nonzero(dropping)
+                d_row = rows[d_rep]
                 b_end = busy_end[d_rep]
                 served = nxt[d_rep, d_sta]
                 if track_queues:
-                    departures[d_rep, d_sta, served] = b_end
+                    departures[d_row, d_sta, served] = b_end
                 probe_drop = d_sta == 0
-                seq_d = probe_seq[d_rep[probe_drop], served[probe_drop]]
+                seq_d = probe_seq[d_row[probe_drop], served[probe_drop]]
                 probe_left[d_rep[probe_drop][seq_d >= 0]] -= 1
                 nxt[d_rep, d_sta] += 1
                 stage[dropping] = 0
                 attempts[dropping] = 0
-                nxt_time = arr[d_rep, d_sta,
-                               np.minimum(nxt[d_rep, d_sta],
-                                          arr.shape[2] - 1)]
-                promoted = (nxt[d_rep, d_sta] < n_arr[d_rep, d_sta]) \
-                    & (nxt_time <= b_end + TIME_EPS)
+                promoted = _advance_head(head, arr, n_arr, nxt, rows,
+                                         d_rep, d_sta, b_end)
                 hol[d_rep, d_sta] = promoted
                 hol_t[d_rep[promoted], d_sta[promoted]] = b_end[promoted]
                 cw0 = cw_by_stage[0]
@@ -1061,12 +1157,29 @@ def _resolve_batch(probe_arr: np.ndarray, probe_seq: np.ndarray,
     if track_queues:
         queues = [QueueTraceBatch(arrivals=arr[:, 1 + c, :],
                                   departures=departures[:, 1 + c, :])
-                  for c in range(len(cross_paths))]
+                  for c in range(n_cross)]
     return recv, delays, bits, queues
 
 
+def _advance_head(head: np.ndarray, arr: np.ndarray, n_arr: np.ndarray,
+                  nxt: np.ndarray, rows: np.ndarray, rep: np.ndarray,
+                  sta: np.ndarray, instant: np.ndarray) -> np.ndarray:
+    """Refresh the heads of the queues that just served a packet.
+
+    ``(rep, sta)`` index the loop's state (``rows`` maps ``rep`` to
+    the arrival cube's row) and ``nxt`` already points past the served
+    packet.  Returns which of them promote their next packet at
+    ``instant``: it exists and has arrived by then.
+    """
+    after = nxt[rep, sta]
+    exists = after < n_arr[rep, sta]
+    times = arr[rows[rep], sta, np.minimum(after, arr.shape[2] - 1)]
+    head[rep, sta] = np.where(exists, times, np.inf)
+    return exists & (times <= instant + TIME_EPS)
+
+
 def _resolve_jit_batch(arr: np.ndarray, n_arr: np.ndarray,
-                       probe_seq: np.ndarray, *,
+                       probe_seq: np.ndarray, row_stations: np.ndarray, *,
                        gens: Sequence[np.random.Generator], n_probe: int,
                        slot: float, sifs: float, difs: float,
                        ack_air: float, data_air: np.ndarray,
@@ -1076,19 +1189,21 @@ def _resolve_jit_batch(arr: np.ndarray, n_arr: np.ndarray,
                        immediate_access: bool, retry_limit: Optional[int],
                        stop_time: Optional[float],
                        window: Optional[Tuple[float, float]],
-                       track_queues: bool, n_cross: int
+                       track_queues: bool
                        ) -> Tuple[np.ndarray, np.ndarray,
                                   Optional[Tuple[np.ndarray, np.ndarray,
                                                  np.ndarray]],
                                   Optional[List[QueueTraceBatch]]]:
     """Resolve the batch one repetition at a time on the jit tier.
 
-    Repetition ``r``'s backoff uniforms continue its private generator
-    where the sample-path draws left off, pre-drawn as one
-    ``(rows, n_stations)`` buffer; ``Generator.random`` is
-    prefix-consistent across call boundaries, so row ``k`` equals the
+    Repetition ``r`` runs the compiled core on its own ``k``
+    stations (``row_stations[r]``): the first ``k`` rows of its
+    arrivals, airtimes and outputs.  Its backoff uniforms continue its
+    private generator where the sample-path draws left off, pre-drawn
+    as one ``(rows, k)`` buffer; ``Generator.random`` is
+    prefix-consistent across call boundaries, so row ``i`` equals the
     block-buffered draw the numpy loop hands that repetition at event
-    ``k`` — the compiled core's results are bit-identical.  When a
+    ``i`` — the compiled core's results are bit-identical.  When a
     trajectory outlives the buffer estimate, the generator state is
     rewound and the repetition replayed with a doubled buffer.
     """
@@ -1113,19 +1228,20 @@ def _resolve_jit_batch(arr: np.ndarray, n_arr: np.ndarray,
     dummy_dep = np.empty((1, 1))
     for r in range(reps):
         gen = gens[r]
+        k = int(row_stations[r])
         state = gen.bit_generator.state
         est = min(max_events, 64 + 8 * int(n_arr[r].sum()))
         seq_r = np.ascontiguousarray(probe_seq[r], dtype=np.int64)
-        dep_r = departures[r] if track_queues else dummy_dep
+        dep_r = departures[r, :k] if track_queues else dummy_dep
         while True:
-            buf = gen.random(est * n_stations).reshape(est, n_stations)
+            buf = gen.random(est * k).reshape(est, k)
             status = _jit._probe_rep_core(
-                arr[r], n_arr[r], seq_r, buf, slot, sifs, difs,
-                ack_air, TIME_EPS, data_air, preamble, contention_air,
-                exchange_air, size_bits, cw, max_stage,
-                immediate_access, limit, has_stop, stop, has_window,
-                w0, w1, track_queues, n_probe, max_events,
-                recv[r], delays[r], bits_rows[r], dep_r)
+                arr[r, :k], n_arr[r, :k], seq_r, buf, slot, sifs, difs,
+                ack_air, TIME_EPS, data_air[:k], preamble[:k],
+                contention_air[:k], exchange_air[:k], size_bits[:k], cw,
+                max_stage, immediate_access, limit, has_stop, stop,
+                has_window, w0, w1, track_queues, n_probe, max_events,
+                recv[r], delays[r], bits_rows[r, :k + 1], dep_r)
             if status != _jit.NEED_DRAWS or est >= max_events:
                 break
             recv[r].fill(np.nan)
@@ -1146,7 +1262,7 @@ def _resolve_jit_batch(arr: np.ndarray, n_arr: np.ndarray,
     if track_queues:
         queues = [QueueTraceBatch(arrivals=arr[:, 1 + c, :],
                                   departures=departures[:, 1 + c, :])
-                  for c in range(n_cross)]
+                  for c in range(n_stations - 1)]
     return recv, delays, bits, queues
 
 
@@ -1271,7 +1387,10 @@ def simulate_steady_state_batch(
     widest, and the cross and FIFO sample paths are drawn over the
     shared ``duration``; every row owns its generator and retires on
     its own clock, so a scan's rows are bit-identical to the one-rate
-    calls of its points.
+    calls of its points.  ``cross`` takes a spec per row like
+    :func:`simulate_probe_train_batch`'s, so the rows of one call may
+    also differ in their cross stations and station count; an absent
+    station's bits stay zero.
 
     The contract with the event backend is distributional, like the
     train kernel's: the per-repetition throughput samples of every
@@ -1291,7 +1410,7 @@ def simulate_steady_state_batch(
                          f"{repetitions} repetitions")
     check_steady_state(rates, duration, warmup)
 
-    cross = list(cross)
+    slots, cross_sizes, row_stations = _cross_slots(cross, repetitions)
     if fifo_cross is not None and fifo_cross.size_bytes != size_bytes:
         raise ValueError(
             fifo_size_mismatch_detail(size_bytes, fifo_cross.size_bytes))
@@ -1305,7 +1424,8 @@ def simulate_steady_state_batch(
             f"got {len(seeds)} seeds for {repetitions} repetitions")
     gens = [np.random.default_rng(int(s)) for s in seeds]
 
-    cross_paths = [spec.sample_paths(gens, duration) for spec in cross]
+    cross_paths = [_row_paths(specs, gens, np.full(reps, duration))
+                   for specs in slots]
     if fifo_cross is not None:
         fifo_times, fifo_counts = fifo_cross.sample_paths(gens, duration)
     blocks = []
@@ -1326,11 +1446,12 @@ def simulate_steady_state_batch(
     probe_arr = _pad_concat_rows(arrivals)
     probe_seq = _pad_concat_rows(tags, fill=-1)
     probe_counts = np.concatenate(counts)
+    arr, n_arr = _arrival_cube(probe_arr, probe_counts, cross_paths)
+    del cross_paths, probe_arr, arrivals, blocks
 
     _, _, bits, queues = _resolve_batch(
-        probe_arr, probe_seq, probe_counts, cross_paths, n_probe,
-        gens=gens, size_bytes=size_bytes,
-        cross_sizes=[spec.size_bytes for spec in cross], phy=phy,
+        arr, n_arr, probe_seq, n_probe, gens=gens, size_bytes=size_bytes,
+        cross_sizes=cross_sizes, row_stations=row_stations, phy=phy,
         immediate_access=immediate_access, rts_threshold=rts_threshold,
         retry_limit=retry_limit, stop_time=duration,
         window=(warmup, duration), track_queues=track_queues)

@@ -157,34 +157,51 @@ class _UniformBlocks:
 
     Each repetition owns a private :class:`numpy.random.Generator`; the
     kernel asks for ``(repetitions, width)`` draws per round.  Draws
-    are pre-generated ``width * _BUFFER_ROUNDS`` at a time so the
-    per-round cost is a slice, and repetition ``r``'s stream layout is
-    independent of every other repetition.
+    are pre-generated ``_BUFFER_ROUNDS`` rounds at a time into a
+    ``(repetitions, rounds, width)`` buffer, so the per-round cost is
+    one slice.  A row of ``k <= width`` stations (``widths``; default
+    every row ``width``) fills ``[:, :k]`` from ``gen.random(k *
+    rounds)``: round ``i`` holds its stream's draws ``i * k`` to
+    ``i * k + k - 1``, exactly what a batch of width ``k`` hands it,
+    so repetition ``r``'s stream layout is independent of every other
+    repetition.
     """
 
     def __init__(self, seeds: np.ndarray, width: int,
-                 gens: Optional[Sequence[np.random.Generator]] = None
-                 ) -> None:
+                 gens: Optional[Sequence[np.random.Generator]] = None,
+                 widths: Optional[np.ndarray] = None) -> None:
         # ``gens`` continues already-consumed per-repetition streams
         # (the probe kernel draws its sample paths first, like the
         # event engine); ``seeds`` starts fresh ones.
         self._gens: List[np.random.Generator] = (
             list(gens) if gens is not None
             else [np.random.default_rng(int(seed)) for seed in seeds])
-        self._width = width
-        self._block = width * _BUFFER_ROUNDS
-        self._buf = np.empty((len(self._gens), self._block))
-        self._ptr = self._block  # force a fill on first take()
+        self._widths = (np.full(len(self._gens), width) if widths is None
+                        else np.asarray(widths))
+        self._buf = np.zeros((len(self._gens), _BUFFER_ROUNDS, width))
+        self._ptr = _BUFFER_ROUNDS  # force a fill on first take()
 
     def take(self) -> np.ndarray:
         """The next ``(repetitions, width)`` uniforms in [0, 1)."""
-        if self._ptr + self._width > self._block:
-            for row, gen in enumerate(self._gens):
-                self._buf[row] = gen.random(self._block)
+        if self._ptr == _BUFFER_ROUNDS:
+            for row, (gen, k) in enumerate(zip(self._gens, self._widths)):
+                self._buf[row, :, :k] = gen.random(
+                    k * _BUFFER_ROUNDS).reshape(_BUFFER_ROUNDS, k)
             self._ptr = 0
-        out = self._buf[:, self._ptr:self._ptr + self._width]
-        self._ptr += self._width
+        out = self._buf[:, self._ptr]
+        self._ptr += 1
         return out
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop every repetition but ``rows`` (ascending); each kept one
+        goes on reading its own stream where it stood."""
+        self._gens = [self._gens[row] for row in rows]
+        self._widths = self._widths[rows]
+        # Moved down in place (row ``k`` never sits above ``rows[k]``),
+        # so dropping rows allocates no second buffer.
+        for k, row in enumerate(rows):
+            self._buf[k] = self._buf[row]
+        self._buf = self._buf[:len(rows)]
 
 
 def simulate_saturated_batch(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import abc
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,55 +96,18 @@ class Channel(abc.ABC):
 
     def batch_request(self, trains: Sequence[ProbeTrain], repetitions: int,
                       point_seeds: Sequence[int]) -> BatchRequest:
-        """A scan of trains, ``repetitions`` each, for any backend.
-
-        Point ``k`` sends ``trains[k]`` from the rows
-        :meth:`BatchRequest.scan` seeds from ``point_seeds[k]``, so a
-        scan's rows are exactly its one-point requests' rows.  The
-        event task is :meth:`_train_task` (one row, as a one-row
-        batch), the batch task :meth:`_send_rows` over a row slice —
-        each row sends its own point's train — and the spec
-        :meth:`scenario_spec`.  Whichever backend the dispatcher
-        resolves runs the request, fanning rows out over ``--jobs``
-        workers or resolving them in ``--chunk-reps`` kernel chunks.
-
-        Rows form one dense batch, so the trains must share their
-        length and packet size; a scan mixing either is refused here,
-        before dispatch.
-        """
-        trains = list(trains)
-        if not trains:
-            raise ValueError("a scan needs at least one train")
-        if len(trains) != len(point_seeds):
-            raise ValueError(f"got {len(trains)} trains for "
-                             f"{len(point_seeds)} point seeds")
-        for what, values in (("lengths", {t.n for t in trains}),
-                             ("packet sizes",
-                              {t.size_bytes for t in trains})):
-            if len(values) > 1:
-                raise ValueError(f"cannot scan trains of different "
-                                 f"{what}: {sorted(values)}")
-        return BatchRequest.scan(
-            point_seeds, repetitions,
-            event_task=functools.partial(self._train_task, trains),
-            batch_task=functools.partial(self._send_rows, trains),
-            spec=self.scenario_spec(trains[0]))
+        """A scan of trains through this channel: the
+        :func:`scan_request` whose every point names this channel."""
+        return scan_request([self] * len(trains), trains, repetitions,
+                            point_seeds)
 
     def send_scan(self, trains: Sequence[ProbeTrain], repetitions: int,
                   point_seeds: Sequence[int],
                   backend: str = "event") -> ProbeBatchResult:
-        """Run :meth:`batch_request` on the resolved backend.
-
-        Returns the scan's dense batch, point-major: point ``k``'s
-        repetitions are rows ``k * repetitions`` to
-        ``(k + 1) * repetitions - 1``.  Every backend returns the same
-        :class:`ProbeBatchResult` (the event backend concatenates
-        :meth:`_train_task`'s one-row batches), so runners never
-        branch on the backend.
-        """
-        request = self.batch_request(trains, repetitions, point_seeds)
-        return dispatch.resolve(request.spec, backend).backend.run_batch(
-            request)
+        """Run :meth:`batch_request` on the resolved backend: the
+        :func:`send_scan` whose every point names this channel."""
+        return send_scan([self] * len(trains), trains, repetitions,
+                         point_seeds, backend)
 
     def send_trains(self, train: ProbeTrain, repetitions: int,
                     seed: int = 0,
@@ -196,17 +159,33 @@ class Channel(abc.ABC):
         elif len(seeds) != repetitions:
             raise ValueError(
                 f"got {len(seeds)} seeds for {repetitions} repetitions")
-        return self._send_rows([train], seeds, [0] * repetitions)
+        return self._send_rows([self], [train], seeds, [0] * repetitions)
 
-    def _send_rows(self, trains: Sequence[ProbeTrain], seeds,
+    def _scan_spec(self, channels: Sequence["Channel"],
+                   train: ProbeTrain) -> ScenarioSpec:
+        """The spec of a scan this channel leads, whose points send
+        through ``channels``.
+
+        Only WLAN channels scan across channels; any other channel
+        refuses a scan naming another channel.
+        """
+        if any(channel is not self for channel in channels):
+            raise ValueError(f"a {type(self).__name__} scan cannot span "
+                             "channels")
+        return self.scenario_spec(train)
+
+    def _send_rows(self, channels: Sequence["Channel"],
+                   trains: Sequence[ProbeTrain], seeds,
                    points) -> ProbeBatchResult:
         """The channel's kernel over rows: row ``r`` sends
-        ``trains[points[r]]`` from ``seeds[r]``.
+        ``trains[points[r]]`` through ``channels[points[r]]`` from
+        ``seeds[r]``.
 
-        The batch task of :meth:`batch_request`, which hands it
+        The batch task of :func:`scan_request`, which hands it
         contiguous row slices; kernels derive nothing from the rows
         around a row, so chunk rows are bit-identical to the dense
-        run's.  Channels with a batched numpy backend override this.
+        run's.  Channels with a batched numpy backend override this;
+        ``channels`` names this channel only, except in a WLAN scan.
         """
         raise ValueError(
             f"{type(self).__name__} has no vector kernel; "
@@ -219,30 +198,101 @@ class Channel(abc.ABC):
         the one-point :meth:`send_scan`."""
         return self.send_scan([train], repetitions, [seed], backend)
 
-    def _train_task(self, trains: Sequence[ProbeTrain], seed: int,
-                    point: int) -> ProbeBatchResult:
-        """One batch row, sending ``trains[point]``, as a one-row
-        :class:`ProbeBatchResult` (NaN access delays where the channel
-        cannot observe them); the bulky event scenario never crosses a
-        worker-process boundary.
-        """
-        train = trains[point]
-        raw = self.send_train(train, seed)
-        delays = raw.access_delays
-        if delays is None:  # end-to-end channels cannot observe them
-            delays = np.full(train.n, np.nan)
-        return ProbeBatchResult(
-            send_times=raw.send_times[None, :],
-            recv_times=raw.recv_times[None, :],
-            access_delays=delays[None, :],
-            size_bytes=raw.size_bytes,
-            queue_traces=self._queue_traces(raw))
-
     def _queue_traces(self, raw: RawTrainResult
                       ) -> Optional[List[QueueTraceBatch]]:
         """One repetition's cross-station queue traces (``None``: none
         were requested)."""
         return None
+
+
+def _traffic_key(generator: object) -> object:
+    """What two generators must share to carry the same traffic: the
+    batched spec when one exists, else the generator itself."""
+    try:
+        return classify_cross_generator(generator)[1]
+    except ValueError:
+        return generator
+
+
+def scan_request(channels: Sequence[Channel], trains: Sequence[ProbeTrain],
+                 repetitions: int, point_seeds: Sequence[int]
+                 ) -> BatchRequest:
+    """A scan of trains, ``repetitions`` each, for any backend.
+
+    Point ``k`` sends ``trains[k]`` through ``channels[k]`` from the
+    rows :meth:`BatchRequest.scan` seeds from ``point_seeds[k]``, so a
+    scan's rows are exactly its one-point requests' rows.  A scan over
+    one channel names it at every point
+    (:meth:`Channel.batch_request`).  The event task is
+    :func:`_train_task` (one row through its point's channel, as a
+    one-row batch), the batch task the first channel's
+    :meth:`Channel._send_rows` over a row slice, and the spec its
+    :meth:`Channel._scan_spec`.  Whichever backend the dispatcher
+    resolves runs the request, fanning rows out over ``--jobs``
+    workers or resolving them in ``--chunk-reps`` kernel chunks.
+
+    Rows form one dense batch, so the trains must share their length
+    and packet size, and the channels must be one channel or WLAN
+    channels that differ only in their cross-traffic generators; any
+    other scan is refused here, before dispatch.
+    """
+    channels, trains = list(channels), list(trains)
+    if not trains:
+        raise ValueError("a scan needs at least one train")
+    if len(trains) != len(point_seeds):
+        raise ValueError(f"got {len(trains)} trains for "
+                         f"{len(point_seeds)} point seeds")
+    if len(channels) != len(trains):
+        raise ValueError(f"got {len(channels)} channels for "
+                         f"{len(trains)} trains")
+    for what, values in (("lengths", {t.n for t in trains}),
+                         ("packet sizes", {t.size_bytes for t in trains})):
+        if len(values) > 1:
+            raise ValueError(f"cannot scan trains of different "
+                             f"{what}: {sorted(values)}")
+    lead = channels[0]
+    return BatchRequest.scan(
+        point_seeds, repetitions,
+        event_task=functools.partial(_train_task, channels, trains),
+        batch_task=functools.partial(lead._send_rows, channels, trains),
+        spec=lead._scan_spec(channels, trains[0]))
+
+
+def send_scan(channels: Sequence[Channel], trains: Sequence[ProbeTrain],
+              repetitions: int, point_seeds: Sequence[int],
+              backend: str = "event") -> ProbeBatchResult:
+    """Run :func:`scan_request` on the resolved backend.
+
+    Returns the scan's dense batch, point-major: point ``k``'s
+    repetitions are rows ``k * repetitions`` to
+    ``(k + 1) * repetitions - 1``.  Every backend returns the same
+    :class:`ProbeBatchResult` (the event backend concatenates
+    :func:`_train_task`'s one-row batches), so runners never branch
+    on the backend.
+    """
+    request = scan_request(channels, trains, repetitions, point_seeds)
+    return dispatch.resolve(request.spec, backend).backend.run_batch(
+        request)
+
+
+def _train_task(channels: Sequence[Channel], trains: Sequence[ProbeTrain],
+                seed: int, point: int) -> ProbeBatchResult:
+    """One batch row, sending ``trains[point]`` through
+    ``channels[point]``, as a one-row :class:`ProbeBatchResult` (NaN
+    access delays where the channel cannot observe them); the bulky
+    event scenario never crosses a worker-process boundary.
+    """
+    channel, train = channels[point], trains[point]
+    raw = channel.send_train(train, seed)
+    delays = raw.access_delays
+    if delays is None:  # end-to-end channels cannot observe them
+        delays = np.full(train.n, np.nan)
+    return ProbeBatchResult(
+        send_times=raw.send_times[None, :],
+        recv_times=raw.recv_times[None, :],
+        access_delays=delays[None, :],
+        size_bytes=raw.size_bytes,
+        queue_traces=channel._queue_traces(raw))
 
 
 class SimulatedWlanChannel(Channel):
@@ -377,7 +427,54 @@ class SimulatedWlanChannel(Channel):
             fifo_detail=fifo_detail,
         )
 
-    def _send_rows(self, trains: Sequence[ProbeTrain], seeds,
+    #: The settings every channel of a WLAN scan shares: everything
+    #: but the cross-traffic generators.
+    _SCAN_SETTINGS = ("phy", "warmup", "start_jitter", "drain_rate_floor",
+                      "retry_limit", "log_cross_queues", "immediate_access",
+                      "rts_threshold")
+
+    def _scan_spec(self, channels: Sequence[Channel],
+                   train: ProbeTrain) -> ScenarioSpec:
+        """The spec of a scan over WLAN channels this one leads.
+
+        The channels must agree on every setting but their
+        cross-traffic generators — kind, rate and number of stations
+        may differ, the frame size of each station slot may not — and
+        the spec folds every channel's cross stations with
+        :func:`classify_cross_stations`, so one channel's scan has its
+        :meth:`scenario_spec`.
+        """
+        distinct = list({id(channel): channel for channel in channels}
+                        .values())
+        for other in distinct:
+            if not isinstance(other, SimulatedWlanChannel):
+                raise ValueError(f"a WLAN scan cannot include a "
+                                 f"{type(other).__name__}")
+            for name in self._SCAN_SETTINGS:
+                if getattr(other, name) != getattr(self, name):
+                    raise ValueError(f"cannot scan WLAN channels of "
+                                     f"different {name}")
+            if _traffic_key(other.fifo_cross) != _traffic_key(
+                    self.fifo_cross):
+                raise ValueError("cannot scan WLAN channels of different "
+                                 "FIFO cross-traffic")
+        slots = max(len(channel.cross_stations) for channel in distinct)
+        for c in range(slots):
+            sizes = {getattr(channel.cross_stations[c][1], "size_bytes",
+                             None)
+                     for channel in distinct
+                     if c < len(channel.cross_stations)}
+            if len(sizes) > 1:
+                raise ValueError(f"cannot scan WLAN channels whose cross "
+                                 f"station {c} differs in frame size")
+        kind, detail = classify_cross_stations(
+            [station for channel in distinct
+             for station in channel.cross_stations])
+        return replace(self.scenario_spec(train), cross_traffic=kind,
+                       cross_detail=detail)
+
+    def _send_rows(self, channels: Sequence[Channel],
+                   trains: Sequence[ProbeTrain], seeds,
                    points) -> ProbeBatchResult:
         """One vectorized pass over the rows.
 
@@ -386,17 +483,23 @@ class SimulatedWlanChannel(Channel):
         pin the two); the per-row seed is the executor's, so a row
         refers to the same random universe on either backend.  Each
         row hands the kernel its own train's send offsets
-        (``arrival_times(0.0)``, so chirps ride too) and
+        (``arrival_times(0.0)``, so chirps ride too), its channel's
+        cross stations (absent past that channel's count) and
         :meth:`horizon_for`.
 
-        An ineligible channel raises
+        An ineligible scan raises
         :class:`repro.backends.BackendUnavailableError` (a
         ``ValueError``) carrying the structured capability mismatches,
         before any kernel state is built.
         """
-        self.resolve_backend("vector", train=trains[0])
-        cross = [cross_spec_from_generator(generator)
-                 for _, generator in self.cross_stations]
+        dispatch.resolve(self._scan_spec(channels, trains[0]), "vector")
+        point_cross = [[cross_spec_from_generator(generator)
+                        for _, generator in channel.cross_stations]
+                       for channel in channels]
+        slots = max(len(specs) for specs in point_cross)
+        cross = [[specs[c] if c < len(specs) else None
+                  for specs in (point_cross[p] for p in points)]
+                 for c in range(slots)]
         fifo = (cross_spec_from_generator(self.fifo_cross)
                 if self.fifo_cross is not None else None)
         rows = np.asarray(points)
@@ -407,7 +510,8 @@ class SimulatedWlanChannel(Channel):
             size_bytes=trains[0].size_bytes,
             cross=cross,
             fifo_cross=fifo,
-            horizon=np.array([self.horizon_for(t) for t in trains])[rows],
+            horizon=np.array([channel.horizon_for(train) for channel, train
+                              in zip(channels, trains)])[rows],
             phy=self.phy,
             warmup=self.warmup,
             start_jitter=self.start_jitter,
@@ -510,7 +614,8 @@ class SimulatedFifoChannel(Channel):
             access_delays=np.array([r.access_delay for r in probe]),
         )
 
-    def _send_rows(self, trains: Sequence[ProbeTrain], seeds,
+    def _send_rows(self, channels: Sequence[Channel],
+                   trains: Sequence[ProbeTrain], seeds,
                    points) -> ProbeBatchResult:
         """All rows through one batched Lindley recursion.
 

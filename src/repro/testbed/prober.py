@@ -15,7 +15,7 @@ paper explains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from repro.core.estimators import (
     rate_response_from_measurements,
     train_dispersion_rate,
 )
-from repro.testbed.channel import Channel
+from repro.testbed.channel import Channel, send_scan
 from repro.testbed.clocks import ClockModel, ntp_synced_pair
 from repro.traffic.probe import PacketPair, ProbeTrain
 
@@ -47,9 +47,10 @@ class ProbeSessionConfig:
     ideal_clocks:
         Disable timestamp errors entirely (simulator ground truth).
     backend:
-        Repetition backend handed to
-        :meth:`repro.testbed.channel.Channel.send_trains`: ``event``
-        (default) shards event-engine repetitions, ``vector`` resolves
+        Repetition backend of every channel request
+        (:func:`repro.testbed.channel.send_scan`; probers measured in
+        one scan must agree on it): ``event`` (default) shards
+        event-engine repetitions, ``vector`` resolves
         the whole batch with the numpy kernel on channels that have
         one, ``auto`` lets the dispatcher pick the fastest backend the
         channel is eligible for.
@@ -95,22 +96,10 @@ class Prober:
                  repetitions: Optional[int]
                  ) -> List[List[TrainMeasurement]]:
         """``repetitions`` copies of each train-shaped object, one
-        list of measurements per train.
-
-        Point ``k`` sends ``trains[k]`` from ``point_seeds[k]``; the
-        whole scan is one channel request
-        (:meth:`repro.testbed.channel.Channel.send_scan`), so a kernel
-        backend resolves it in one call and its rows are exactly the
-        one-point requests' rows.  Clocks stamp the rows in row
-        order, point-major, as a loop over the points would.
-        """
-        reps = (repetitions if repetitions is not None
-                else self.config.repetitions)
-        batch = self.channel.send_scan(trains, reps, point_seeds,
-                                       backend=self.config.backend)
-        rows = [self._stamp(send, recv, batch.size_bytes)
-                for send, recv in zip(batch.send_times, batch.recv_times)]
-        return [rows[k * reps:(k + 1) * reps] for k in range(len(trains))]
+        list of measurements per train: the :func:`measure_points`
+        whose every point names this prober."""
+        return measure_points([self] * len(trains), trains, point_seeds,
+                              repetitions)
 
     def measure_scan(self, n: int, rates_bps: Sequence[float],
                      point_seeds: Sequence[int],
@@ -183,16 +172,9 @@ class Prober:
     def rate_scan(self, rates_bps: Sequence[float], n: int,
                   repetitions: Optional[int] = None,
                   seed: int = 0) -> RateResponseCurve:
-        """Measure a rate-response curve over ``rates_bps``.
-
-        One :meth:`measure_scan` over the sorted rates, point ``k``
-        seeded from ``seed + 7919 * k``.
-        """
-        rates = sorted(rates_bps)
-        scan = self.measure_scan(
-            n, rates, [seed + 7919 * k for k in range(len(rates))],
-            repetitions)
-        return rate_response_from_measurements(dict(zip(rates, scan)))
+        """Measure a rate-response curve over ``rates_bps``: the
+        :func:`rate_scans` of this prober alone."""
+        return rate_scans([(self, rates_bps, seed)], n, repetitions)[0]
 
     def achievable_throughput(self, rates_bps: Sequence[float], n: int,
                               repetitions: Optional[int] = None,
@@ -208,3 +190,63 @@ class Prober:
         """MSER-m-truncated dispersion rate (the paper's correction)."""
         return mser_corrected_rate(
             self.measure_train(n, rate_bps, repetitions, seed), m=m)
+
+
+def _shared(probers: Sequence[Prober], setting: str):
+    """The one value of a session setting all ``probers`` share."""
+    values = {getattr(prober.config, setting) for prober in probers}
+    if len(values) > 1:
+        raise ValueError(f"the probers of one scan differ in {setting}: "
+                         f"{sorted(values)}")
+    return values.pop()
+
+
+def measure_points(probers: Sequence[Prober], trains: Sequence[object],
+                   point_seeds: Sequence[int],
+                   repetitions: Optional[int] = None
+                   ) -> List[List[TrainMeasurement]]:
+    """``repetitions`` copies of each train-shaped object, each
+    through its point's prober; one list of measurements per point.
+
+    Point ``k`` sends ``trains[k]`` through ``probers[k].channel``
+    from ``point_seeds[k]``; the whole scan is one channel request
+    (:func:`repro.testbed.channel.send_scan`) on the probers' shared
+    backend, so a kernel backend resolves it in one call and its rows
+    are exactly the one-point requests' rows.  ``repetitions``
+    defaults to the probers' shared session value.  Each prober
+    stamps its own rows with its own clocks, in row order —
+    point-major — as a loop over its points would.
+    """
+    reps = (repetitions if repetitions is not None
+            else _shared(probers, "repetitions"))
+    batch = send_scan([prober.channel for prober in probers], trains,
+                      reps, point_seeds,
+                      backend=_shared(probers, "backend"))
+    rows = [probers[r // reps]._stamp(send, recv, batch.size_bytes)
+            for r, (send, recv) in enumerate(zip(batch.send_times,
+                                                 batch.recv_times))]
+    return [rows[k * reps:(k + 1) * reps] for k in range(len(trains))]
+
+
+def rate_scans(scans: Sequence[Tuple[Prober, Sequence[float], int]],
+               n: int, repetitions: Optional[int] = None
+               ) -> List[RateResponseCurve]:
+    """One rate-response curve per ``(prober, rates, seed)`` scan, all
+    measured as one :func:`measure_points` request.
+
+    Each scan probes its sorted rates with ``n``-packet trains of its
+    prober's packet size, point ``k`` seeded from ``seed + 7919 * k``.
+    """
+    probers, trains, seeds, spans = [], [], [], []
+    for prober, rates_bps, seed in scans:
+        rates = sorted(rates_bps)
+        spans.append((len(trains), rates))
+        for k, rate in enumerate(rates):
+            probers.append(prober)
+            trains.append(ProbeTrain.at_rate(n, rate,
+                                             prober.config.size_bytes))
+            seeds.append(seed + 7919 * k)
+    measured = measure_points(probers, trains, seeds, repetitions)
+    return [rate_response_from_measurements(
+                dict(zip(rates, measured[lo:lo + len(rates)])))
+            for lo, rates in spans]

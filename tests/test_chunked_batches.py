@@ -442,8 +442,9 @@ class TestRunnersReachTheBackend:
 
     #: Runner overrides keeping each case small, with enough
     #: repetitions for a chunk size of 3 to split every batch.  The
-    #: fused rate scans (steady-state and probe-train) carry 2 rows
-    #: per point, so their chunks straddle points.
+    #: fused scans (steady-state, probe-train and cross-load) carry 2
+    #: to 4 rows per point, so their chunks straddle points — and,
+    #: in the cross-load scans, channels and station counts.
     OVERRIDES = {
         "fig1": {"repetitions": 2, "duration": 0.3, "warmup": 0.1,
                  "probe_rates_bps": [1e6, 3e6, 6e6]},
@@ -456,8 +457,12 @@ class TestRunnersReachTheBackend:
         "eq1": {},
         "fig13": {"repetitions": 2, "probe_rates_bps": [1e6, 4e6, 8e6],
                   "train_lengths": [3, 10]},
-        "ext-topp": {"repetitions": 2, "cross_rates_bps": [3e6],
+        "ext-topp": {"repetitions": 2, "cross_rates_bps": [3e6, 4e6],
                      "n_packets": 30},
+        "fig16": {"pair_repetitions": 4, "cross_rates_bps": [0.0, 3e6]},
+        "ext-onoff": {"repetitions": 4, "burst_scales": [0.02, 0.05]},
+        "ext-tool-convergence": {"repetitions": 2, "n_packets": 20,
+                                 "cross_rates_bps": [2e6, 4e6]},
     }
 
     @pytest.fixture

@@ -37,7 +37,8 @@ from repro.queueing.lindley import lindley_batch
 from repro.runtime import registry
 from repro.runtime.executor import chunked_reps
 from repro.sim import jit
-from repro.testbed.channel import SimulatedFifoChannel, SimulatedWlanChannel
+from repro.testbed.channel import (SimulatedFifoChannel, SimulatedWlanChannel,
+                                   send_scan)
 from repro.traffic.generators import PoissonGenerator
 from repro.traffic.probe import ProbeTrain
 
@@ -242,6 +243,23 @@ class TestBitIdentityWithNumpyTier:
                   for rate in (2e6, 5e6, 8e6)]
         vector = channel.send_scan(trains, 4, [3, 4, 5], backend="vector")
         jitted = channel.send_scan(trains, 4, [3, 4, 5], backend="jit")
+        _batches_equal(jitted, vector)
+
+    def test_fused_station_counts_bit_identical(self, jit_forced):
+        """A scan over WLAN channels with zero, one and two contenders
+        — a station count per row — runs each row on its own stations
+        on the jit tier and moves no bit."""
+        channels = [
+            SimulatedWlanChannel([], warmup=0.05),
+            SimulatedWlanChannel([("cross", PoissonGenerator(3e6, L))],
+                                 warmup=0.05),
+            SimulatedWlanChannel([("a", PoissonGenerator(2e6, L)),
+                                  ("b", PoissonGenerator(1e6, L))],
+                                 warmup=0.05),
+        ]
+        trains = [ProbeTrain.at_rate(10, 5e6, L)] * len(channels)
+        vector = send_scan(channels, trains, 4, [3, 4, 5], backend="vector")
+        jitted = send_scan(channels, trains, 4, [3, 4, 5], backend="jit")
         _batches_equal(jitted, vector)
 
     def test_lindley_batch_function_level(self, jit_forced):
