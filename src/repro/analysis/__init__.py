@@ -42,7 +42,6 @@ from repro.analysis.results import ExperimentResult
 from repro.analysis.steady_state import (
     fig1_rate_response,
     fig4_complete_picture,
-    steady_state_throughputs,
 )
 from repro.analysis.transient import (
     collect_delay_matrix,
@@ -111,5 +110,4 @@ __all__ = [
     "fig8_ks_and_queue",
     "fig9_ks_complex",
     "simulate_saturated",
-    "steady_state_throughputs",
 ]

@@ -1,4 +1,4 @@
-"""Ablation experiments for the design choices called out in DESIGN.md.
+"""Ablation experiments for the simulator's and the method's design choices.
 
 * :func:`ablation_bianchi_calibration` — the event simulator's
   saturation throughput vs. Bianchi's prediction across station counts

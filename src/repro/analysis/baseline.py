@@ -4,9 +4,8 @@
   rate-response model (equation (1)) on the Lindley-based hop, the
   reference against which the paper contrasts the CSMA/CA behaviour;
 * :func:`bounds_consistency` — exercises the analytical framework of
-  sections 5-6 on simulated sample paths: equation (18) must
-  reconstruct the measured output gap exactly, and the measured
-  ``E[g_O]`` must fall inside the bounds of equations (29)-(30).
+  sections 5-6 on simulated sample paths: the measured ``E[g_O]`` must
+  fall inside the strict transient bounds of equations (21) and (23).
 """
 
 from __future__ import annotations
@@ -90,12 +89,13 @@ def bounds_consistency(probe_rates_bps: Optional[Sequence[float]] = None,
                        slack_fraction: float = 0.05,
                        seed: int = 0,
                        backend: str = "event") -> ExperimentResult:
-    """Check E[g_O] against the transient bounds (eqs. 29-30).
+    """Check E[g_O] against the strict transient bounds (eqs. 21+23).
 
     For each probing rate: measure the per-index mean access delays
     E[mu_i] and the mean output gap on the DCF simulator, evaluate the
-    bounds from the measured E[mu_i] profile, and verify the measured
-    gap lies between them (with a small statistical slack).  The rate
+    bounds of :func:`repro.analytic.bounds.output_gap_bounds_strict`
+    from the measured E[mu_i] profile, and verify the measured gap
+    lies between them (with a small statistical slack).  The rate
     scan is one channel request — one kernel call on the ``vector``
     backend — and both statistics are read off each point's rows of
     the dense batch.

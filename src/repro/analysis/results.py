@@ -2,9 +2,9 @@
 
 An :class:`ExperimentResult` holds everything a figure reproduction
 produces: the x-axis, the named y-series the paper plots, a dictionary
-of *shape checks* (the qualitative assertions DESIGN.md lists for the
-figure — who wins, where the knee falls), and free-form metadata
-(parameters, repetition counts).  The benchmark harness prints
+of *shape checks* (the paper's qualitative claims about the figure —
+who wins, where the knee falls), and free-form metadata (parameters,
+repetition counts).  The benchmark harness prints
 ``result.table()`` and asserts ``result.all_checks_pass``.
 """
 
@@ -56,32 +56,24 @@ class ExperimentResult:
 
     # ------------------------------------------------------------------
 
-    def table(self, float_format: str = "{:>14.5g}") -> str:
+    def table(self) -> str:
         """Render the series as an aligned text table (bench output)."""
         names = list(self.series)
-        header = float_format.replace("14.5g", "14") \
-            if "14.5g" in float_format else "{:>14}"
         lines = [f"== {self.experiment}: {self.title} =="]
         if self.meta:
             rendered = ", ".join(f"{k}={v}" for k, v in self.meta.items())
             lines.append(f"   [{rendered}]")
-        lines.append("  ".join([header.format(self.x_label[:14])]
-                               + [header.format(n[:14]) for n in names]))
+        lines.append("  ".join(f"{label[:14]:>14}"
+                               for label in [self.x_label, *names]))
         for i in range(len(self.x)):
-            row = [float_format.format(self.x[i])]
-            row += [float_format.format(self.series[n][i]) for n in names]
-            lines.append("  ".join(row))
+            lines.append("  ".join(
+                f"{value:>14.5g}"
+                for value in [self.x[i], *(self.series[n][i] for n in names)]))
         if self.checks:
             lines.append("  checks: " + ", ".join(
                 f"{name}={'PASS' if ok else 'FAIL'}"
                 for name, ok in self.checks.items()))
         return "\n".join(lines)
-
-    def summary(self) -> str:
-        """One-line status string."""
-        status = "PASS" if self.all_checks_pass else (
-            "FAIL: " + ", ".join(self.failed_checks))
-        return f"{self.experiment}: {self.title} [{status}]"
 
     # ------------------------------------------------------------------
     # JSON round-trip (the runtime result cache stores these payloads)
@@ -139,12 +131,6 @@ def jsonable(value: object) -> object:
     if isinstance(value, dict):
         return {str(key): jsonable(item) for key, item in value.items()}
     return value
-
-
-def monotone_nonincreasing(values: np.ndarray, slack: float = 0.0) -> bool:
-    """Shape-check helper: the series never rises by more than ``slack``."""
-    values = np.asarray(values, dtype=float)
-    return bool(np.all(np.diff(values) <= slack))
 
 
 def monotone_nondecreasing(values: np.ndarray, slack: float = 0.0) -> bool:

@@ -85,29 +85,6 @@ def _event_repetition(probe_rate_bps: float, cross_rate_bps: float,
         warmup=warmup, duration=duration, size_bytes=size_bytes)
 
 
-def steady_state_throughputs(probe_rate_bps: float,
-                             cross_rate_bps: float,
-                             fifo_rate_bps: float = 0.0,
-                             phy: Optional[PhyParams] = None,
-                             size_bytes: int = 1500,
-                             duration: float = 4.0,
-                             warmup: float = 0.5,
-                             seed: int = 0) -> Dict[str, float]:
-    """Throughputs of probe / contending / FIFO flows in steady state.
-
-    The probe flow is CBR at ``probe_rate_bps`` from the probe station;
-    ``fifo_rate_bps`` of Poisson cross-traffic shares that station's
-    queue; ``cross_rate_bps`` of Poisson traffic contends from a second
-    station.  Throughputs are measured over ``(warmup, duration]``.
-    """
-    check_steady_state(probe_rate_bps, duration, warmup)
-    batch = _event_repetition(probe_rate_bps, cross_rate_bps,
-                              fifo_rate_bps, phy, size_bytes, duration,
-                              warmup, seed)
-    return {flow: float(rates[0])
-            for flow, rates in _flow_throughputs(batch).items()}
-
-
 def steady_state_scan(probe_rates_bps: Sequence[float],
                       cross_rate_bps: float,
                       fifo_rate_bps: float = 0.0,
@@ -225,7 +202,7 @@ def fig1_rate_response(probe_rates_bps: Optional[Sequence[float]] = None,
             "backend": backend,
         },
     )
-    # Shape checks (DESIGN.md, figure 1).
+    # Shape checks: the paper's claims about figure 1.
     low = rates <= 0.85 * fair_share
     result.add_check(
         "diagonal-below-B",

@@ -7,8 +7,7 @@
   to calibrate the simulator;
 * :mod:`repro.analytic.rate_response` — steady-state rate-response
   curves: FIFO (eq. 1), CSMA/CA (eq. 3), and the paper's complete model
-  with both cross-traffic types (eqs. 4–5), plus the dispersion-domain
-  restatement (eq. 20);
+  with both cross-traffic types (eqs. 4–5);
 * :mod:`repro.analytic.bounds` — the transient-state sample-path bounds
   on the expected output dispersion (eqs. 21–34).
 """
@@ -19,11 +18,9 @@ from repro.analytic.metrics import (
     fluid_achievable_throughput,
 )
 from repro.analytic.bianchi import BianchiModel, BianchiSolution
-from repro.analytic.fluid import FluidAirtimeModel, StationOffer
 from repro.analytic.rate_response import (
     complete_rate_response,
     csma_rate_response,
-    dispersion_rate_response,
     fifo_rate_response,
 )
 from repro.analytic.bounds import (
@@ -38,13 +35,10 @@ __all__ = [
     "BianchiModel",
     "BianchiSolution",
     "DispersionBounds",
-    "FluidAirtimeModel",
-    "StationOffer",
     "achievable_throughput_from_curve",
     "available_bandwidth",
     "complete_rate_response",
     "csma_rate_response",
-    "dispersion_rate_response",
     "fifo_rate_response",
     "fluid_achievable_throughput",
     "kappa",

@@ -25,6 +25,11 @@ from typing import Optional
 from repro.mac.frames import AirtimeModel
 from repro.mac.params import PhyParams
 
+# Bisection on ``p`` stops once its bracket is narrower than
+# _BISECTION_TOL, or after _BISECTION_STEPS halvings.
+_BISECTION_TOL = 1e-12
+_BISECTION_STEPS = 10_000
+
 
 @dataclass
 class BianchiSolution:
@@ -74,8 +79,7 @@ class BianchiModel:
         return (2 * (1 - 2 * p)
                 / ((1 - 2 * p) * (w + 1) + p * w * (1 - (2 * p) ** m)))
 
-    def solve(self, n_stations: int, tol: float = 1e-12,
-              max_iter: int = 10_000) -> BianchiSolution:
+    def solve(self, n_stations: int) -> BianchiSolution:
         """Solve the fixed point by bisection on ``p`` and derive rates."""
         if n_stations < 1:
             raise ValueError(f"need at least one station, got {n_stations}")
@@ -86,7 +90,7 @@ class BianchiModel:
             # f(p) = p - (1 - (1 - tau(p))^(n-1)) is increasing in p at
             # the fixed point; bisection on [0, 1) is robust.
             lo, hi = 0.0, 0.999999
-            for _ in range(max_iter):
+            for _ in range(_BISECTION_STEPS):
                 mid = (lo + hi) / 2
                 tau = self._tau_of_p(mid)
                 implied = 1 - (1 - tau) ** (n_stations - 1)
@@ -94,7 +98,7 @@ class BianchiModel:
                     lo = mid
                 else:
                     hi = mid
-                if hi - lo < tol:
+                if hi - lo < _BISECTION_TOL:
                     break
             p = (lo + hi) / 2
             tau = self._tau_of_p(p)

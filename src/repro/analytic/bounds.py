@@ -77,10 +77,6 @@ class DispersionBounds:
     lower_region: str
     upper_region: str
 
-    def contains(self, value: float, slack: float = 0.0) -> bool:
-        """Whether ``value`` lies within [lower - slack, upper + slack]."""
-        return self.lower - slack <= value <= self.upper + slack
-
 
 def output_gap_bounds(input_gap: float, mu_means: np.ndarray,
                       u_fifo: float = 0.0,

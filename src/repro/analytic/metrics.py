@@ -3,7 +3,7 @@
 Three metrics describe a CSMA/CA link:
 
 * **capacity** ``C`` — the rate a lone station achieves
-  (:meth:`repro.mac.frames.AirtimeModel.link_capacity`);
+  (:meth:`repro.analytic.bianchi.BianchiModel.capacity`);
 * **available bandwidth** ``A`` — the part of C not used by
   cross-traffic;
 * **achievable throughput** ``B`` (equation (2)) —

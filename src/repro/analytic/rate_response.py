@@ -8,11 +8,9 @@ flow to its output rate ``r_o`` through a hop:
 * :func:`csma_rate_response` — contention-only CSMA/CA link,
   ``r_o = min(r_i, B)`` (equation (3), from Bredel & Fidler);
 * :func:`complete_rate_response` — the paper's complete model with both
-  FIFO and contending cross-traffic (equations (4)–(5));
-* :func:`dispersion_rate_response` — the same relation restated for the
-  expected output *gap* (equation (20)).
+  FIFO and contending cross-traffic (equations (4)–(5)).
 
-All functions are vectorized over ``r_i`` / ``g_I``.
+All functions are vectorized over ``r_i``.
 """
 
 from __future__ import annotations
@@ -86,29 +84,3 @@ def achievable_throughput_complete(fair_share: float, u_fifo: float) -> float:
         raise ValueError(f"u_fifo must be in [0, 1), got {u_fifo}")
     return fair_share * (1 - u_fifo)
 
-
-def dispersion_rate_response(input_gap: np.ndarray, size_bytes: int,
-                             fair_share: float, u_fifo: float) -> np.ndarray:
-    """Equation (20): the steady-state expected output gap.
-
-    For probing packets of ``size_bytes`` (L bits = 8 L bytes)::
-
-        E[g_O] = g_I                       g_I >= L / B
-        E[g_O] = L / Bf + u_fifo g_I       g_I <= L / B
-
-    with ``B = Bf (1 - u_fifo)``.
-    """
-    if size_bytes <= 0:
-        raise ValueError(f"size must be positive, got {size_bytes}")
-    if fair_share <= 0:
-        raise ValueError(f"Bf must be positive, got {fair_share}")
-    if not 0 <= u_fifo < 1:
-        raise ValueError(f"u_fifo must be in [0, 1), got {u_fifo}")
-    gi = np.asarray(input_gap, dtype=float)
-    if np.any(gi < 0):
-        raise ValueError("input gaps must be non-negative")
-    bits = size_bytes * 8
-    b = fair_share * (1 - u_fifo)
-    knee = bits / b
-    loaded = bits / fair_share + u_fifo * gi
-    return np.where(gi >= knee, gi, loaded)

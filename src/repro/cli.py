@@ -95,9 +95,9 @@ from repro.runtime.executor import (chunked_reps, parallel_jobs,
 from repro.runtime.manifest import Manifest, ManifestError
 from repro.runtime.registry import RunReport
 from repro.runtime.store import StoreError, SweepStore
-from repro.runtime.sweep import (SweepPlan, expand_grid, grid_size,
-                                 parse_param_spec, run_adaptive,
-                                 run_plan)
+from repro.runtime.sweep import (SweepPlan, adapt_axis, expand_grid,
+                                 grid_size, parse_param_spec,
+                                 run_adaptive, run_plan)
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -409,6 +409,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         total = grid_size(specs)
         # Every flag before the store: a new sweep replaces the
         # store's contents, so a bad flag must exit before it does.
+        if args.adapt is not None:
+            adapt_axis(specs, args.adapt)
+        elif args.metric is not None:
+            raise ValueError("--metric needs --adapt: it scores the "
+                             "refinement waves")
         resolve_jobs(args.jobs)
         scopes = _batch_scopes(args)
     except ValueError as exc:

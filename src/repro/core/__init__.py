@@ -33,11 +33,7 @@ from repro.core.transient import (
     ks_profile,
     transient_duration,
 )
-from repro.core.tools import (
-    IterativeProbeResult,
-    IterativeProbeTool,
-    slops_trend,
-)
+from repro.core.tools import IterativeProbeResult, IterativeProbeTool
 from repro.core.correction import (
     CorrectedMeasurement,
     mser_corrected_gap,
@@ -47,7 +43,6 @@ from repro.core.correction import (
 __all__ = [
     "IterativeProbeResult",
     "IterativeProbeTool",
-    "slops_trend",
     "CorrectedMeasurement",
     "DelayMatrix",
     "KSProfile",

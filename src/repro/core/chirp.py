@@ -111,11 +111,6 @@ class ChirpAnalysis:
     delays: np.ndarray
     rates: np.ndarray
 
-    @property
-    def found_turning_point(self) -> bool:
-        """Whether an unrecovered excursion was detected."""
-        return self.turning_index < len(self.rates)
-
 
 def analyze_chirp(measurement: TrainMeasurement, chirp: ChirpTrain,
                   departure_fraction: float = 0.15) -> ChirpAnalysis:

@@ -28,11 +28,6 @@ class CorrectedMeasurement:
     truncated_packets: int
     n: int
 
-    @property
-    def changed(self) -> bool:
-        """Whether the heuristic removed anything."""
-        return self.truncated_packets > 0
-
 
 def mser_corrected_gap(measurement: TrainMeasurement,
                        m: int = 2) -> CorrectedMeasurement:
@@ -101,16 +96,3 @@ def mser_corrected_rate(measurements: Sequence[TrainMeasurement],
         raise ValueError("mean corrected gap must be positive")
     return measurements[0].size_bytes * 8 / mean_gap
 
-
-def truncation_profile(measurements: Sequence[TrainMeasurement],
-                       m: int = 2) -> np.ndarray:
-    """Distribution of MSER-m truncation points across trains.
-
-    Returns the array of per-train truncation indices — useful to
-    compare the heuristic's choices against the measured transient
-    duration (the ablation bench does exactly that).
-    """
-    if len(measurements) == 0:
-        raise ValueError("need at least one measurement")
-    return np.array([mser_corrected_gap(meas, m=m).truncated_packets
-                     for meas in measurements])

@@ -3,9 +3,9 @@
 A dispersion-based tool only ever sees two timestamp sequences: the
 send instants ``a_i`` (sender side) and the receive instants ``d_i``
 (receiver side).  :class:`TrainMeasurement` wraps one probing train's
-worth of those and exposes the quantities of section 5: the input gap
-``g_I``, the output gap ``g_O = (d_n - d_1)/(n-1)`` (equation (16)),
-per-packet dispersions, and rates ``L/g``.
+worth of those and exposes the output gap ``g_O = (d_n - d_1)/(n-1)``
+of section 5 (equation (16)), the per-packet dispersions and the
+one-way delays.
 """
 
 from __future__ import annotations
@@ -85,40 +85,14 @@ class TrainMeasurement:
         return len(self.send_times)
 
     @property
-    def input_gap(self) -> float:
-        """Mean input gap g_I (exact for periodic trains)."""
-        return float((self.send_times[-1] - self.send_times[0]) / (self.n - 1))
-
-    @property
     def output_gap(self) -> float:
         """Equation (16): (d_n - d_1)/(n - 1)."""
         return output_gap(self.recv_times)
 
     @property
-    def input_gaps(self) -> np.ndarray:
-        """Per-packet input gaps a_{i+1} - a_i."""
-        return np.diff(self.send_times)
-
-    @property
     def output_gaps(self) -> np.ndarray:
         """Per-packet dispersions d_{i+1} - d_i (MSER operates on these)."""
         return np.diff(self.recv_times)
-
-    @property
-    def input_rate(self) -> float:
-        """r_i = L / g_I (inf for back-to-back pairs)."""
-        gap = self.input_gap
-        if gap == 0:
-            return float("inf")
-        return self.size_bytes * 8 / gap
-
-    @property
-    def output_rate(self) -> float:
-        """L / g_O, the dispersion-based rate estimate for this train."""
-        gap = self.output_gap
-        if gap <= 0:
-            raise ValueError("output gap must be positive")
-        return self.size_bytes * 8 / gap
 
     @property
     def one_way_delays(self) -> np.ndarray:

@@ -74,27 +74,6 @@ def train_dispersion_rate(measurements: Measurements) -> float:
     return measurements[0].size_bytes * 8 / mean_gap
 
 
-def mean_output_rate(measurements: Measurements,
-                     horizon_from_first_send: bool = False) -> float:
-    """Throughput-style output rate ``r_o`` of the probing flow.
-
-    By default this is the per-train received rate
-    ``(n-1) L / (d_n - d_1)`` averaged over trains — equivalent to
-    ``L / E[g_O]`` when gaps concentrate.  With
-    ``horizon_from_first_send`` the denominator starts at ``a_1``,
-    which matches a long-train throughput measurement.
-    """
-    _check_measurements(measurements)
-    rates = []
-    for m in measurements:
-        start = m.send_times[0] if horizon_from_first_send else m.recv_times[0]
-        span = m.recv_times[-1] - start
-        if span <= 0:
-            raise ValueError("non-positive train span")
-        rates.append((m.n - 1) * m.size_bytes * 8 / span)
-    return float(np.mean(rates))
-
-
 @dataclass
 class RateResponseCurve:
     """A measured rate-response curve.

@@ -8,10 +8,7 @@ This module implements such a tool so the claim is machine-checkable:
 * :class:`IterativeProbeTool` — binary search for the largest rate at
   which the probing flow is undisturbed (``L/E[g_O] ~ r_i``), the core
   decision logic of pathload-like tools; :func:`search_lockstep` runs
-  several such searches with one fused probing scan per round;
-* :func:`slops_trend` — the one-way-delay trend detector (pairwise
-  comparison + deviation tests) that pathload uses to classify a
-  single train as "above" or "below" the turning point.
+  one or several such searches with one fused probing scan per round.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Generator, List, Optional, Sequence,
                     Tuple)
 
-import numpy as np
 
 from repro.core.dispersion import TrainMeasurement
 from repro.core.estimators import train_dispersion_rate
@@ -28,40 +24,6 @@ from repro.traffic.probe import ProbeTrain
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a circular import
     from repro.testbed.prober import Prober
-
-
-def slops_trend(measurement: TrainMeasurement,
-                pct_threshold: float = 0.55,
-                pdt_threshold: float = 0.4) -> str:
-    """Classify a train's one-way-delay trend (SLoPS).
-
-    Implements pathload's two trend statistics over the relative
-    one-way delays ``D_i = d_i - a_i``:
-
-    * PCT (pairwise comparison test): fraction of consecutive pairs
-      with ``D_{i+1} > D_i`` — near 1 for an increasing trend, near 0.5
-      for noise;
-    * PDT (pairwise difference test): ``(D_n - D_1) / sum |D_{i+1} -
-      D_i|`` — near 1 for increasing, near 0 for noise.
-
-    Returns ``"increasing"`` (probing above the turning point),
-    ``"no-trend"``, or ``"ambiguous"`` when the two tests disagree.
-    """
-    delays = measurement.one_way_delays
-    diffs = np.diff(delays)
-    if len(diffs) == 0:
-        raise ValueError("need at least two packets")
-    denominator = float(np.sum(np.abs(diffs)))
-    pct = float(np.mean(diffs > 0))
-    pdt = (float(delays[-1] - delays[0]) / denominator
-           if denominator > 0 else 0.0)
-    pct_up = pct > pct_threshold
-    pdt_up = pdt > pdt_threshold
-    if pct_up and pdt_up:
-        return "increasing"
-    if not pct_up and not pdt_up:
-        return "no-trend"
-    return "ambiguous"
 
 
 @dataclass
@@ -81,6 +43,7 @@ class IterativeProbeTool:
     On a FIFO path this converges to the available bandwidth A; on a
     CSMA/CA path it converges to the achievable throughput B — which is
     precisely the paper's point about reusing wired tools unchanged.
+    :func:`search_lockstep` runs the search.
 
     Parameters
     ----------
@@ -154,36 +117,25 @@ class IterativeProbeTool:
             low_bps=low_bps, high_bps=high_bps,
             iterations=iterations, history=history)
 
-    def search(self, low_bps: float, high_bps: float,
-               resolution_bps: float = 0.25e6,
-               max_iterations: int = 12,
-               seed: int = 0) -> IterativeProbeResult:
-        """Binary-search the turning point within ``[low, high]``.
-
-        ``low`` must be an undisturbed rate and ``high`` a disturbed
-        one (both are verified first and the bracket is widened upward
-        if needed).  The :func:`search_lockstep` of this tool alone.
-        """
-        return search_lockstep([self], low_bps, high_bps, [seed],
-                               resolution_bps, max_iterations)[0]
-
 
 def search_lockstep(tools: Sequence[IterativeProbeTool], low_bps: float,
                     high_bps: float, seeds: Sequence[int],
                     resolution_bps: float = 0.25e6,
                     max_iterations: int = 12
                     ) -> List[IterativeProbeResult]:
-    """One :meth:`IterativeProbeTool.search` per tool, in lockstep.
+    """One binary search per tool, in lockstep.
 
-    Tool ``k`` searches ``[low, high]`` from ``seeds[k]``.  Each round
-    probes the next rate of every search still running as one fused
-    scan (:func:`repro.testbed.prober.measure_points`, each tool's
-    prober stamping its own trains), so a kernel backend resolves a
-    round in one call; a search's probes, and hence its result, are
-    exactly those of its own :meth:`~IterativeProbeTool.search` when
-    no two tools share a prober's clocks.  The tools must share their
-    train length and repetitions, and their probers' channels must
-    form one scan (see :func:`repro.testbed.channel.scan_request`).
+    Tool ``k`` searches ``[low, high]`` from ``seeds[k]``: ``low`` must
+    be an undisturbed rate and ``high`` a disturbed one (both are
+    verified first and the bracket is widened upward if needed).  Each
+    round probes the next rate of every search still running as one
+    fused scan (:func:`repro.testbed.prober.measure_points`, each
+    tool's prober stamping its own trains), so a kernel backend
+    resolves a round in one call; a search's probes, and hence its
+    result, are exactly those of the tool searching alone when no two
+    tools share a prober's clocks.  The tools must share their train
+    length and repetitions, and their probers' channels must form one
+    scan (see :func:`repro.testbed.channel.scan_request`).
     """
     # Imported lazily: repro.testbed sits above this module.
     from repro.testbed.prober import measure_points

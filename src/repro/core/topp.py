@@ -30,6 +30,10 @@ import numpy as np
 
 from repro.core.estimators import RateResponseCurve
 
+#: Loaded points (``r_i / r_o`` above the deviation threshold) the
+#: regression needs.
+MIN_LOADED_POINTS = 3
+
 
 @dataclass
 class ToppEstimate:
@@ -53,8 +57,7 @@ class ToppEstimate:
 
 
 def topp_estimate(curve: RateResponseCurve,
-                  deviation_threshold: float = 1.05,
-                  min_points: int = 3) -> ToppEstimate:
+                  deviation_threshold: float = 1.05) -> ToppEstimate:
     """Run the TOPP regression on a measured rate-response curve.
 
     Parameters
@@ -63,14 +66,12 @@ def topp_estimate(curve: RateResponseCurve,
         A rate scan (input rates strictly increasing).
     deviation_threshold:
         Points with ``r_i / r_o`` above this enter the loaded segment.
-    min_points:
-        Minimum loaded points required for the regression.
 
     Raises
     ------
     ValueError
-        If fewer than ``min_points`` probed rates show congestion —
-        probe at higher rates.
+        If fewer than :data:`MIN_LOADED_POINTS` probed rates show
+        congestion — probe at higher rates.
     """
     ri = np.asarray(curve.input_rates, dtype=float)
     ro = np.asarray(curve.output_rates, dtype=float)
@@ -80,9 +81,9 @@ def topp_estimate(curve: RateResponseCurve,
         raise ValueError("output rates must be positive")
     ratio = ri / ro
     loaded = np.where(ratio >= deviation_threshold)[0]
-    if len(loaded) < min_points:
+    if len(loaded) < MIN_LOADED_POINTS:
         raise ValueError(
-            f"only {len(loaded)} loaded points (need {min_points}); "
+            f"only {len(loaded)} loaded points (need {MIN_LOADED_POINTS}); "
             "probe at higher rates")
     # Use the contiguous tail starting at the first loaded point: TOPP
     # fits the asymptotic segment, and isolated early outliers would

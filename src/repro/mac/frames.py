@@ -47,19 +47,6 @@ class AirtimeModel:
         return (self.rts_airtime() + self.phy.sifs
                 + self.cts_airtime() + self.phy.sifs)
 
-    def rts_success_duration(self, size_bytes: int) -> float:
-        """Busy-medium time of an RTS/CTS-protected exchange."""
-        return self.rts_preamble_duration() + self.success_duration(size_bytes)
-
-    def rts_collision_duration(self) -> float:
-        """Busy-medium time of colliding RTS frames (CTS timeout).
-
-        This is the whole point of RTS/CTS: a collision costs only an
-        RTS airtime plus a CTS timeout instead of the longest colliding
-        DATA frame.
-        """
-        return self.rts_airtime() + self.phy.sifs + self.cts_airtime()
-
     def success_duration(self, size_bytes: int) -> float:
         """Busy-medium time of a successful exchange: DATA + SIFS + ACK."""
         return self.data_airtime(size_bytes) + self.phy.sifs + self.ack_airtime()
@@ -71,37 +58,10 @@ class AirtimeModel:
         senders then wait an ACK timeout (SIFS + ACK airtime) before the
         channel is considered free again.  This matches NS2's behaviour
         to within the EIFS/DIFS difference, which does not affect the
-        phenomena studied here (documented in DESIGN.md).
+        phenomena studied here.
         """
         sizes = list(sizes_bytes)
         if len(sizes) < 2:
             raise ValueError("a collision needs at least two frames")
         longest = max(self.data_airtime(s) for s in sizes)
         return longest + self.phy.sifs + self.ack_airtime()
-
-    def min_service_time(self, size_bytes: int) -> float:
-        """Fastest possible access delay: immediate access, no backoff.
-
-        The packet still pays DATA airtime; DIFS/backoff are zero in the
-        best case (arrival to an idle medium that has been idle for at
-        least DIFS).
-        """
-        return self.data_airtime(size_bytes)
-
-    def saturation_cycle(self, size_bytes: int) -> float:
-        """Mean renewal-cycle length for a single saturated station.
-
-        DIFS + mean initial backoff + DATA + SIFS + ACK.  Its inverse
-        times the packet size is the single-station link capacity C.
-        """
-        mean_backoff = self.phy.cw_min / 2 * self.phy.slot_time
-        return (self.phy.difs + mean_backoff
-                + self.success_duration(size_bytes))
-
-    def link_capacity(self, size_bytes: int) -> float:
-        """Single-station saturation throughput C in bit/s.
-
-        This is the paper's *capacity* metric: the rate at which a lone
-        station can push ``size_bytes`` packets through the link.
-        """
-        return size_bytes * 8 / self.saturation_cycle(size_bytes)

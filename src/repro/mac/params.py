@@ -77,12 +77,6 @@ class PhyParams:
         return self.sifs + self.difs_slots * self.slot_time
 
     @property
-    def eifs(self) -> float:
-        """Extended IFS used after an erroneous frame reception."""
-        ack_airtime = self.plcp_overhead + self.ack_bytes * 8 / self.basic_rate
-        return self.sifs + ack_airtime + self.difs
-
-    @property
     def max_backoff_stage(self) -> int:
         """Number of doublings from cw_min to cw_max."""
         stage = 0
@@ -96,11 +90,6 @@ class PhyParams:
     def dot11b(cls) -> "PhyParams":
         """802.11b, 11 Mb/s, long preamble (the paper's testbed)."""
         return cls()
-
-    @classmethod
-    def dot11b_short_preamble(cls) -> "PhyParams":
-        """802.11b, 11 Mb/s, short PLCP preamble."""
-        return cls(plcp_overhead=96e-6)
 
     @classmethod
     def dot11g(cls, data_rate: float = 54e6) -> "PhyParams":

@@ -123,12 +123,6 @@ class ScenarioResult:
         """Result for station ``name``."""
         return self.stations[name]
 
-    @property
-    def collision_rate(self) -> float:
-        """Fraction of channel acquisitions that were collisions."""
-        total = self.successes + self.collisions
-        return self.collisions / total if total else 0.0
-
 
 def saturated_station_specs(n_stations: int, packets_per_station: int,
                             size_bytes: int = 1500) -> List[StationSpec]:

@@ -65,10 +65,6 @@ class PathHop(abc.ABC):
         preserved by both hop types) and includes ``prop_delay``.
         """
 
-    @abc.abstractmethod
-    def nominal_capacity_bps(self, size_bytes: int) -> float:
-        """The hop's capacity for ``size_bytes`` packets (planning aid)."""
-
     def carry_batch(self, times: np.ndarray, size_bytes: int,
                     rep_seeds: Sequence[int]) -> np.ndarray:
         """Forward a ``(repetitions, n)`` arrival matrix in one pass.
@@ -108,9 +104,6 @@ class WiredHop(PathHop):
         self.cross_generator = cross_generator
         self.prop_delay = float(prop_delay)
         self.warmup = float(warmup)
-
-    def nominal_capacity_bps(self, size_bytes: int) -> float:
-        return self.hop.capacity_bps
 
     def carry(self, arrivals: Sequence[Tuple[float, Packet]],
               rng: np.random.Generator) -> np.ndarray:
@@ -237,10 +230,6 @@ class WlanHop(PathHop):
         self.rts_threshold = rts_threshold
         self._scenario = WlanScenario(self.phy, retry_limit=retry_limit,
                                       rts_threshold=rts_threshold)
-
-    def nominal_capacity_bps(self, size_bytes: int) -> float:
-        from repro.mac.frames import AirtimeModel
-        return AirtimeModel(self.phy).link_capacity(size_bytes)
 
     def carry(self, arrivals: Sequence[Tuple[float, Packet]],
               rng: np.random.Generator) -> np.ndarray:

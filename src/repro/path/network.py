@@ -39,20 +39,6 @@ class NetworkPath:
             raise ValueError("a path needs at least one hop")
         self.hops = list(hops)
 
-    @property
-    def n_hops(self) -> int:
-        """Number of hops on the path."""
-        return len(self.hops)
-
-    def min_capacity_bps(self, size_bytes: int) -> float:
-        """The narrowest hop's nominal capacity (the narrow link)."""
-        return min(hop.nominal_capacity_bps(size_bytes)
-                   for hop in self.hops)
-
-    def base_delay(self) -> float:
-        """Sum of propagation delays (zero-load, zero-size limit)."""
-        return sum(hop.prop_delay for hop in self.hops)
-
     def carry(self, arrivals: Sequence[Tuple[float, Packet]],
               rng: np.random.Generator) -> np.ndarray:
         """Push packets through every hop; return final departures."""

@@ -9,17 +9,13 @@ This package replaces two pieces of the paper's validation setup:
   :class:`repro.queueing.trace.TraceDrivenQueue`, built on the Lindley
   recursion.
 
-It also implements the sample-path processes of section 5.1: the
-hop-workload process ``W(t)``, the FIFO utilization ``u_fifo``, and the
-intrusion residual ``R_i``.
+It also implements two sample-path quantities of section 5.1: the
+FIFO utilization ``u_fifo`` (:class:`repro.queueing.lindley.BusyPeriods`)
+and the intrusion residual ``R_i``.
 """
 
 from repro.queueing.lindley import BusyPeriods, lindley_recursion
-from repro.queueing.workload import (
-    WorkloadProcess,
-    intrusion_residual_recursive,
-    residual_bounds,
-)
+from repro.queueing.workload import intrusion_residual_recursive
 from repro.queueing.fifo import FifoHop, FifoResult
 from repro.queueing.trace import TraceDrivenQueue, TraceQueueResult
 
@@ -29,8 +25,6 @@ __all__ = [
     "FifoResult",
     "TraceDrivenQueue",
     "TraceQueueResult",
-    "WorkloadProcess",
     "intrusion_residual_recursive",
     "lindley_recursion",
-    "residual_bounds",
 ]

@@ -6,8 +6,8 @@ per-packet service times ``s_i``::
     start_i     = max(a_i, d_{i-1})
     d_i         = start_i + s_i
 
-Everything else in this package (workload processes, utilizations,
-intrusion residuals) is derived from these sample paths.
+The FIFO hop, the trace-driven queue and the utilizations of this
+package are derived from these sample paths.
 
 Both entry points are closed-form vectorized: unrolling the recursion
 gives ``d_i = max_{j <= i} (a_j + sum_{k=j..i} s_k)``, which factors
@@ -166,9 +166,3 @@ class BusyPeriods:
         if t1 <= t0:
             raise ValueError(f"need t1 > t0, got ({t0}, {t1})")
         return self.busy_time(t0, t1) / (t1 - t0)
-
-    def contains(self, t: float) -> bool:
-        """Whether the server is busy at time ``t`` (right-continuous)."""
-        begins, ends = self._bounds()
-        idx = int(np.searchsorted(begins, t, side="right")) - 1
-        return idx >= 0 and t < ends[idx]

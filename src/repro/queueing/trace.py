@@ -5,10 +5,10 @@ arrivals with a series of service times in order to measure several
 metrics such as the queuing length distribution and the output
 dispersion (inter-arrival) of packets."*
 
-:class:`TraceDrivenQueue` does exactly that: it takes arrival instants
-and per-packet service times (constants, arrays, or a sampler drawing
-from a measured access-delay distribution) and produces the FIFO sample
-path, queue-length trajectory and output dispersions.  Feeding it
+:class:`TraceDrivenQueue` does the same for the output dispersion: it
+takes arrival instants and per-packet service times (constants, arrays,
+or a sampler drawing from a measured access-delay distribution) and
+produces the FIFO sample path and its output dispersions.  Feeding it
 access-delay samples measured on the DCF simulator isolates the
 queueing component of the probing process from the contention
 component, as the paper's Matlab tool did.
@@ -37,16 +37,6 @@ class TraceQueueResult:
     busy: BusyPeriods
 
     @property
-    def waiting_times(self) -> np.ndarray:
-        """Queueing delay of each packet (start - arrival)."""
-        return self.starts - self.arrivals
-
-    @property
-    def sojourn_times(self) -> np.ndarray:
-        """Total system time of each packet (departure - arrival)."""
-        return self.departures - self.arrivals
-
-    @property
     def output_gaps(self) -> np.ndarray:
         """Inter-departure times (dispersion samples)."""
         return np.diff(self.departures)
@@ -59,28 +49,6 @@ class TraceQueueResult:
         return float(
             (self.departures[-1] - self.departures[0])
             / (len(self.departures) - 1))
-
-    def queue_length_at(self, times: np.ndarray) -> np.ndarray:
-        """Number of packets in system at each time (arrived, not departed)."""
-        times = np.asarray(times, dtype=float)
-        arrived = np.searchsorted(self.arrivals, times, side="right")
-        departed = np.searchsorted(np.sort(self.departures), times,
-                                   side="right")
-        return (arrived - departed).astype(float)
-
-    def queue_length_distribution(self, t0: float, t1: float,
-                                  samples: int = 2048) -> np.ndarray:
-        """Empirical distribution of the queue length over ``[t0, t1]``.
-
-        Returns an array ``p`` where ``p[k]`` is the fraction of sampled
-        instants with exactly ``k`` packets in the system.
-        """
-        if t1 <= t0:
-            raise ValueError(f"need t1 > t0, got ({t0}, {t1})")
-        grid = np.linspace(t0, t1, samples)
-        lengths = self.queue_length_at(grid).astype(int)
-        counts = np.bincount(lengths)
-        return counts / counts.sum()
 
 
 class TraceDrivenQueue:

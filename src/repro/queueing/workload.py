@@ -1,98 +1,15 @@
-"""Sample-path processes of section 5.1 of the paper.
+"""The intrusion residual of section 5.1 of the paper.
 
-:class:`WorkloadProcess` evaluates the hop-workload ``W(t)`` (unfinished
-work in the queue, in seconds of service) of a FIFO sample path, its
-utilization process and averages.  The module also implements the
-intrusion residual ``R_i`` of equations (13)–(14) and its bounds from
-equation (23).
+:func:`intrusion_residual_recursive` implements the residual ``R_i`` of
+equations (13)–(14): how long probing packet ``i`` waits in its
+station's queue before it reaches the head of the line.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
-
-from repro.queueing.lindley import BusyPeriods, lindley_recursion
-
-
-class WorkloadProcess:
-    """The hop-workload process ``W(t)`` of a FIFO sample path.
-
-    For a work-conserving FIFO server, the unfinished work just after
-    time ``t`` equals ``max(0, d_k - t)`` where ``d_k`` is the departure
-    of the *last packet arrived no later than* ``t``.
-
-    Parameters
-    ----------
-    arrivals / services:
-        The cross-traffic sample path (the process is defined for the
-        cross-traffic *only* in the paper; superpositions are handled
-        by building the process over the merged flow).
-    """
-
-    def __init__(self, arrivals: np.ndarray, services: np.ndarray) -> None:
-        self.arrivals = np.asarray(arrivals, dtype=float)
-        self.services = np.asarray(services, dtype=float)
-        self.starts, self.departures = lindley_recursion(
-            self.arrivals, self.services)
-        self.busy = BusyPeriods.from_sample_path(
-            self.arrivals, self.starts, self.departures)
-
-    def __call__(self, t: float) -> float:
-        """Workload ``W(t)`` just after ``t`` (right-continuous)."""
-        return float(self.at(np.array([t]))[0])
-
-    def at(self, times: np.ndarray) -> np.ndarray:
-        """Vectorized ``W(t)``, right-continuous (arrival at t counts)."""
-        times = np.asarray(times, dtype=float)
-        if len(self.arrivals) == 0:
-            return np.zeros_like(times)
-        idx = np.searchsorted(self.arrivals, times, side="right") - 1
-        last_departure = np.where(idx >= 0,
-                                  self.departures[np.clip(idx, 0, None)],
-                                  -np.inf)
-        return np.maximum(0.0, last_departure - times)
-
-    def before(self, t: float) -> float:
-        """Workload ``W(t^-)`` just *before* ``t`` (an arrival exactly
-        at ``t`` is excluded) — used for the intrusion residual, which
-        the paper defines at ``a_i^-``."""
-        if len(self.arrivals) == 0:
-            return 0.0
-        idx = int(np.searchsorted(self.arrivals, t, side="left")) - 1
-        if idx < 0:
-            return 0.0
-        return max(0.0, float(self.departures[idx]) - t)
-
-    def utilization(self, t0: float, t1: float) -> float:
-        """u_fifo(t0, t1): busy fraction of ``(t0, t1]`` (equation (9))."""
-        return self.busy.utilization(t0, t1)
-
-    def mean_utilization(self) -> float:
-        """Limiting-average utilization over the whole sample path.
-
-        Approximates the paper's ``u_bar_fifo`` (equation (8)) over the
-        finite horizon from the first arrival to the last departure.
-        """
-        if len(self.arrivals) == 0:
-            return 0.0
-        t0 = float(self.arrivals[0])
-        t1 = float(self.departures[-1])
-        if t1 <= t0:
-            return 0.0
-        return self.busy.utilization(t0, t1)
-
-    def offered_workload(self, t0: float, t1: float) -> float:
-        """X(t1) - X(t0): service time arriving within ``(t0, t1]``."""
-        mask = (self.arrivals > t0) & (self.arrivals <= t1)
-        return float(np.sum(self.services[mask]))
-
-    def averaging_function(self, t0: float, t1: float) -> float:
-        """Y(t0, t1) of equation (10): offered workload per unit time."""
-        if t1 <= t0:
-            raise ValueError(f"need t1 > t0, got ({t0}, {t1})")
-        return self.offered_workload(t0, t1) / (t1 - t0)
 
 
 def intrusion_residual_recursive(
@@ -132,25 +49,3 @@ def intrusion_residual_recursive(
         residual[i] = max(0.0, mu[i - 1] + residual[i - 1] - free_gap)
     return residual
 
-
-def residual_bounds(access_delays: np.ndarray,
-                    input_gap: float) -> Tuple[float, float]:
-    """Bounds of equation (23) on the last packet's residual ``R_n``.
-
-    Returns ``(lower, upper)`` where::
-
-        max(0, sum_{i<n}(mu_i - g_I))  <=  R_n  <=  sum_{i<n} mu_i
-
-    The lower bound assumes the probing train found an empty FIFO
-    queue; the upper bound assumes enough cross-traffic workload that
-    every probing packet queued behind its predecessor.
-    """
-    mu = np.asarray(access_delays, dtype=float)
-    if len(mu) < 2:
-        raise ValueError("need at least two packets")
-    if input_gap < 0:
-        raise ValueError(f"input gap must be non-negative, got {input_gap}")
-    head = mu[:-1]
-    lower = max(0.0, float(np.sum(head - input_gap)))
-    upper = float(np.sum(head))
-    return lower, upper

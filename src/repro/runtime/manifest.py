@@ -1,10 +1,11 @@
-"""Append-only JSONL progress journals for ``sweep`` and ``run all``.
+"""Append-only JSONL progress journals for ``sweep``.
 
 A long sweep that dies at point 180 of 200 must not lose the first
 179.  The manifest is the crash-safe record that makes ``--resume``
 possible: one JSON *header* line describing the invocation, then one
 JSON *point* line per completed grid point (its identity hash, final
-status, and the content-addressed cache key holding the result).
+status and label).  ``run`` keeps no journal: it resumes through the
+result cache.
 
 Durability contract
 -------------------
@@ -23,15 +24,12 @@ Durability contract
 
 Resume safety
 -------------
-A ``done`` record alone never skips work.  ``run`` re-derives the
-point's cache key under the *current* code version and only skips
-when it matches the recorded key **and** the cache entry is loadable
-(checksum-verified) — so a resume after a code edit, a cache wipe, or
-cache corruption transparently re-runs the point instead of serving a
-stale or damaged result.  ``sweep`` skips only points that also have
-a ``done`` row in its store under the current code version
-(:func:`repro.runtime.sweep.run_plan`).  Skipping is therefore
-bit-identical to an uninterrupted run by construction.
+A ``done`` record alone never skips work.  ``sweep`` skips only
+points that also have a ``done`` row in its store under the current
+code version (:func:`repro.runtime.sweep.run_plan`), so a resume after
+a code edit re-runs the point instead of serving a stale result.
+Skipping is therefore bit-identical to an uninterrupted run by
+construction.
 """
 
 from __future__ import annotations
@@ -206,12 +204,11 @@ class Manifest:
     def record_many(self, records: List[PointRecord]) -> None:
         """Append point records in one ``O_APPEND`` write.
 
-        The sweep engine journals one execution *window* at a time and
-        ``run`` one experiment at a time; writing a batch's lines as a
-        single ``os.write`` keeps the per-point journaling cost out of
-        the hot loop and preserves the line-granular durability
-        contract — a crash can tear at most the final line of the
-        final batch.
+        The sweep engine journals one execution *window* at a time;
+        writing a batch's lines as a single ``os.write`` keeps the
+        per-point journaling cost out of the hot loop and preserves
+        the line-granular durability contract — a crash can tear at
+        most the final line of the final batch.
         """
         records = list(records)
         for record in records:

@@ -63,6 +63,10 @@ WINDOW_ENV = "REPRO_SWEEP_WINDOW"
 #: fraction of a second of work.
 DEFAULT_WINDOW = 512
 
+#: Refinement waves :func:`run_adaptive` runs at most after the coarse
+#: grid.
+ADAPT_WAVES = 4
+
 
 def parse_value(text: str) -> Value:
     """Interpret one sweep value: int if possible, else float, else str.
@@ -496,14 +500,18 @@ def refine_candidates(xs: Sequence[float], ys: Sequence[float],
     return chosen
 
 
-def _adapt_axis(specs: Sequence[Tuple[str, Sequence[Value]]]
-                ) -> Tuple[str, Dict[str, Value]]:
+def adapt_axis(specs: Sequence[Tuple[str, Sequence[Value]]], adapt: int
+               ) -> Tuple[str, Dict[str, Value]]:
     """The one refinable parameter, plus the fixed values of the rest.
 
     Refinement needs a 1-D response curve: exactly one ``--param``
     with several values, all numeric; every other parameter pinned to
-    a single value.
+    a single value.  ``adapt`` (the points to add) must be positive.
+    Raises ``ValueError`` otherwise, so ``sweep`` can refuse the flags
+    before it replaces a store.
     """
+    if adapt < 1:
+        raise ValueError(f"--adapt must be >= 1, got {adapt}")
     multi = [(name, values) for name, values in specs if len(values) > 1]
     if len(multi) != 1:
         raise ValueError(
@@ -527,25 +535,22 @@ def run_adaptive(experiment,
                  store: SweepStore = None,
                  manifest: Optional[Manifest] = None,
                  refresh: bool = False,
-                 window: Optional[int] = None,
-                 max_waves: int = 4) -> Iterator[WindowOutcome]:
+                 window: Optional[int] = None) -> Iterator[WindowOutcome]:
     """Coarse grid, then curvature-guided refinement waves.
 
     Wave 0 is the declared grid; each later wave reads the response
     curve back from the store (axis value vs :func:`point_metric` of
     each ``done`` payload), asks :func:`refine_candidates` for up to
-    ``ceil(adapt / max_waves)`` new axis values, and executes them as
-    a fresh :class:`SweepPlan` — same fusion, same store, same
+    ``ceil(adapt / ADAPT_WAVES)`` new axis values, and executes them
+    as a fresh :class:`SweepPlan` — same fusion, same store, same
     journal, so an interrupted adaptive sweep resumes mid-wave like
-    any other.  Stops after ``adapt`` added points, ``max_waves``
+    any other.  Stops after ``adapt`` added points, ``ADAPT_WAVES``
     waves, or when the curve goes flat, whichever is first.
     """
     if store is None:
         raise ValueError("adaptive refinement requires a sweep store "
                          "(the waves read the response curve from it)")
-    if adapt < 1:
-        raise ValueError(f"adapt must be >= 1, got {adapt}")
-    axis, fixed = _adapt_axis(specs)
+    axis, fixed = adapt_axis(specs, adapt)
     base_plan = SweepPlan(experiment, expand_grid(specs), scale=scale,
                           seed=seed, backend=backend)
     processed = 0
@@ -555,8 +560,8 @@ def run_adaptive(experiment,
         processed += len(outcome.outcomes)
         yield outcome
     added = 0
-    per_wave = max(1, math.ceil(adapt / max_waves))
-    for wave in range(1, max_waves + 1):
+    per_wave = max(1, math.ceil(adapt / ADAPT_WAVES))
+    for wave in range(1, ADAPT_WAVES + 1):
         if added >= adapt:
             break
         frame = store.frame(columns=[axis, "status", "payload"],

@@ -109,11 +109,6 @@ class Simulator:
         """Number of events fired so far (excludes cancelled events)."""
         return self._events_processed
 
-    @property
-    def pending_count(self) -> int:
-        """Number of not-yet-cancelled events still in the heap."""
-        return sum(1 for event in self._heap if event.pending)
-
     def schedule(self, time: float, callback: Callable[[], None],
                  priority: int = 0) -> Event:
         """Schedule ``callback`` to run at absolute ``time``.
@@ -138,36 +133,6 @@ class Simulator:
             raise SimulationError(f"delay must be non-negative, got {delay}")
         return self.schedule(self._now + delay, callback, priority)
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, or ``None`` if the heap is empty."""
-        self._drop_cancelled_head()
-        if not self._heap:
-            return None
-        return self._heap[0].time
-
-    def _drop_cancelled_head(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-
-    def step(self) -> bool:
-        """Fire the next pending event.
-
-        Returns ``True`` if an event fired and ``False`` if the heap was
-        empty.
-        """
-        self._drop_cancelled_head()
-        if not self._heap:
-            return False
-        event = heapq.heappop(self._heap)
-        if event.time < self._now - 1e-12:
-            raise SimulationError(
-                f"clock would move backwards: {event.time} < {self._now}")
-        self._now = max(self._now, event.time)
-        event.fired = True
-        self._events_processed += 1
-        event.callback()
-        return True
-
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
         """Run events until the heap drains, ``until`` is reached, or
@@ -179,12 +144,10 @@ class Simulator:
         well defined.
 
         This is the engine's hot loop (every simulated packet passes
-        through it several times), so instead of delegating to
-        :meth:`peek_time` + :meth:`step` it pops inline: the heap and
-        ``heapq.heappop`` are bound to locals and lazily-deleted
-        events are skipped on the raw ``cancelled`` flag — one
-        attribute read per stale entry, no ``pending`` property call,
-        no redundant head re-scan per event.
+        through it several times): the heap and ``heapq.heappop`` are
+        bound to locals and lazily-deleted events are skipped on the
+        raw ``cancelled`` flag — one attribute read per stale entry, no
+        ``pending`` property call.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")

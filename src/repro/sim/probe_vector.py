@@ -1270,9 +1270,9 @@ def _resolve_jit_batch(arr: np.ndarray, n_arr: np.ndarray,
 class SteadyBatchResult:
     """Per-flow delivered bits of a steady-state repetition batch.
 
-    The dense counterpart of repeating
-    :func:`repro.analysis.steady_state.steady_state_throughputs` over
-    independent repetitions: row ``r`` holds repetition ``r``'s
+    The batch a steady-state scan
+    (:func:`repro.analysis.steady_state.steady_state_scan`) reads its
+    throughputs from: row ``r`` holds repetition ``r``'s
     network-layer bits delivered in the measurement window
     ``(warmup, duration]`` for the probe flow, the FIFO flow sharing
     the probe queue, and each contending cross station.
@@ -1368,9 +1368,9 @@ def simulate_steady_state_batch(
         track_queues: bool = False) -> SteadyBatchResult:
     """Batched steady-state throughput measurement (figures 1 and 4).
 
-    Each repetition mirrors one
-    :func:`repro.analysis.steady_state.steady_state_throughputs` call:
-    the probe flow is CBR at ``probe_rate_bps`` from time zero
+    Each repetition mirrors one event-engine repetition of
+    :func:`repro.analysis.steady_state.steady_state_scan`: the probe
+    flow is CBR at ``probe_rate_bps`` from time zero
     (periodic arrivals, exactly the event path's
     :class:`repro.traffic.generators.CBRGenerator` schedule), optional
     ``fifo_cross`` traffic shares the probe station's queue, the

@@ -146,11 +146,6 @@ class VectorBatchResult:
         bits = self.successes * self.size_bytes * 8
         return bits / self.durations
 
-    def collision_rate(self) -> np.ndarray:
-        """Per-repetition fraction of acquisitions that collided."""
-        total = self.successes + self.collisions
-        return np.where(total > 0, self.collisions / np.maximum(total, 1), 0.0)
-
 
 class _UniformBlocks:
     """Per-repetition uniform streams, consumed in vectorized blocks.

@@ -6,47 +6,36 @@
 * :mod:`repro.stats.descriptive` — means, confidence intervals,
   histogramming helpers used by the figure reproductions;
 * :mod:`repro.stats.warmup` — warm-up (initial-transient) truncation
-  heuristics: the MSER-m family used in section 7.4, plus classical
-  alternatives for the ablation benches.
+  heuristics: the MSER-m family used in section 7.4, plus the fixed
+  cut the truncation ablation compares against.
 """
 
 from repro.stats.ks import (
     KSResult,
-    empirical_cdf,
     interpolated_cdf,
     ks_2samp_interpolated,
     ks_distance,
     ks_threshold,
 )
 from repro.stats.descriptive import (
-    SummaryStats,
     bootstrap_ci,
     histogram,
     mean_confidence_interval,
-    summarize,
 )
 from repro.stats.warmup import (
     TruncationResult,
     batch_means,
-    crossing_mean_rule,
     fixed_truncation,
-    geweke_statistic,
-    geweke_truncation,
     mser,
     mser_m,
 )
 
 __all__ = [
     "KSResult",
-    "SummaryStats",
     "TruncationResult",
     "batch_means",
     "bootstrap_ci",
-    "crossing_mean_rule",
-    "empirical_cdf",
     "fixed_truncation",
-    "geweke_statistic",
-    "geweke_truncation",
     "histogram",
     "interpolated_cdf",
     "ks_2samp_interpolated",
@@ -55,5 +44,4 @@ __all__ = [
     "mean_confidence_interval",
     "mser",
     "mser_m",
-    "summarize",
 ]

@@ -2,45 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 from scipy import stats as sps
-
-
-@dataclass
-class SummaryStats:
-    """Five-number-plus summary of a sample."""
-
-    n: int
-    mean: float
-    std: float
-    minimum: float
-    median: float
-    maximum: float
-
-    @property
-    def stderr(self) -> float:
-        """Standard error of the mean."""
-        if self.n < 2:
-            return float("nan")
-        return self.std / np.sqrt(self.n)
-
-
-def summarize(sample: np.ndarray) -> SummaryStats:
-    """Compute a :class:`SummaryStats` for ``sample``."""
-    sample = np.asarray(sample, dtype=float)
-    if len(sample) == 0:
-        raise ValueError("empty sample")
-    return SummaryStats(
-        n=len(sample),
-        mean=float(np.mean(sample)),
-        std=float(np.std(sample, ddof=1)) if len(sample) > 1 else 0.0,
-        minimum=float(np.min(sample)),
-        median=float(np.median(sample)),
-        maximum=float(np.max(sample)),
-    )
 
 
 def mean_confidence_interval(sample: np.ndarray,

@@ -18,20 +18,6 @@ from typing import Callable
 import numpy as np
 
 
-def empirical_cdf(sample: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Right-continuous empirical CDF of ``sample``."""
-    sorted_sample = np.sort(np.asarray(sample, dtype=float))
-    n = len(sorted_sample)
-    if n == 0:
-        raise ValueError("empty sample")
-
-    def cdf(x: np.ndarray) -> np.ndarray:
-        return np.searchsorted(sorted_sample, np.asarray(x, dtype=float),
-                               side="right") / n
-
-    return cdf
-
-
 def interpolated_cdf(sample: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Continuous (piecewise-linear) CDF built from a discrete sample.
 
@@ -89,11 +75,6 @@ class KSResult:
     n: int
     m: int
     alpha: float
-
-    @property
-    def same_distribution(self) -> bool:
-        """Whether equality is *not* rejected at level alpha."""
-        return self.statistic <= self.threshold
 
 
 def ks_2samp_interpolated(sample: np.ndarray, reference: np.ndarray,

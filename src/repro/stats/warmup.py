@@ -7,8 +7,8 @@ samples MSER flags as transient.  This module implements:
 
 * :func:`mser` / :func:`mser_m` — the Marginal Standard Error Rule with
   optional batching (MSER-2 is what figure 17 uses);
-* :func:`fixed_truncation` and :func:`crossing_mean_rule` — classical
-  alternatives used by the ablation benches;
+* :func:`fixed_truncation` — the fixed-cut alternative the truncation
+  ablation compares against;
 * :func:`batch_means` — utility batching.
 """
 
@@ -31,12 +31,6 @@ class TruncationResult:
     truncate_before: int
     truncated: np.ndarray
     scores: np.ndarray
-
-    @property
-    def retained_fraction(self) -> float:
-        """Fraction of the sample kept after truncation."""
-        total = self.truncate_before + len(self.truncated)
-        return len(self.truncated) / total if total else 0.0
 
 
 def batch_means(sample: np.ndarray, m: int) -> np.ndarray:
@@ -112,93 +106,5 @@ def fixed_truncation(sample: np.ndarray, cut: int) -> TruncationResult:
     if cut < 0 or cut >= len(sample):
         raise ValueError(
             f"cut must be in [0, {len(sample) - 1}], got {cut}")
-    return TruncationResult(truncate_before=cut, truncated=sample[cut:],
-                            scores=np.array([]))
-
-
-def geweke_statistic(sample: np.ndarray, first_fraction: float = 0.1,
-                     last_fraction: float = 0.5) -> float:
-    """Geweke's convergence diagnostic (z-score of early vs. late mean).
-
-    Compares the mean of the first ``first_fraction`` of the sequence
-    with the mean of the last ``last_fraction``; under stationarity the
-    statistic is approximately standard normal, so |z| > 2 flags an
-    initial transient.  Variances are estimated per segment (the
-    independent-replications use case of this package; for a single
-    autocorrelated path, batch the sample first).
-    """
-    sample = np.asarray(sample, dtype=float)
-    if len(sample) < 10:
-        raise ValueError("need at least 10 observations")
-    if not 0 < first_fraction < 1 or not 0 < last_fraction < 1:
-        raise ValueError("fractions must be in (0, 1)")
-    if first_fraction + last_fraction > 1:
-        raise ValueError("segments must not overlap")
-    n = len(sample)
-    head = sample[:max(2, int(n * first_fraction))]
-    tail = sample[n - max(2, int(n * last_fraction)):]
-    var = np.var(head, ddof=1) / len(head) + np.var(tail, ddof=1) / len(tail)
-    if var <= 0:
-        return 0.0
-    return float((head.mean() - tail.mean()) / np.sqrt(var))
-
-
-def geweke_truncation(sample: np.ndarray, z_threshold: float = 2.0,
-                      step_fraction: float = 0.05) -> TruncationResult:
-    """Truncate until the Geweke statistic passes.
-
-    Repeatedly drops a ``step_fraction`` slice off the front until
-    ``|z| <= z_threshold`` (or at most half the sample is gone) — the
-    classical iterative use of the diagnostic.
-    """
-    sample = np.asarray(sample, dtype=float)
-    if len(sample) < 20:
-        raise ValueError("need at least 20 observations")
-    if z_threshold <= 0:
-        raise ValueError("z_threshold must be positive")
-    if not 0 < step_fraction < 0.5:
-        raise ValueError("step_fraction must be in (0, 0.5)")
-    step = max(1, int(len(sample) * step_fraction))
-    cut = 0
-    scores = []
-    while cut <= len(sample) // 2:
-        z = geweke_statistic(sample[cut:])
-        scores.append(z)
-        if abs(z) <= z_threshold:
-            break
-        cut += step
-    cut = min(cut, len(sample) // 2)
-    return TruncationResult(truncate_before=cut, truncated=sample[cut:],
-                            scores=np.array(scores))
-
-
-def crossing_mean_rule(sample: np.ndarray,
-                       crossings_required: int = 1) -> TruncationResult:
-    """Welch-style crossing-of-the-mean rule.
-
-    Truncates at the first index where the running sequence has crossed
-    the grand mean ``crossings_required`` times — a cheap classical
-    heuristic included for the truncation ablation bench.
-    """
-    sample = np.asarray(sample, dtype=float)
-    if len(sample) < 2:
-        raise ValueError("need at least two observations")
-    if crossings_required < 1:
-        raise ValueError(
-            f"crossings_required must be >= 1, got {crossings_required}")
-    grand_mean = sample.mean()
-    above = sample[0] > grand_mean
-    crossings = 0
-    cut = 0
-    for i in range(1, len(sample)):
-        now_above = sample[i] > grand_mean
-        if now_above != above:
-            crossings += 1
-            above = now_above
-            if crossings >= crossings_required:
-                cut = i
-                break
-    else:
-        cut = 0  # never crossed enough: keep everything
     return TruncationResult(truncate_before=cut, truncated=sample[cut:],
                             scores=np.array([]))

@@ -9,8 +9,7 @@ This package reproduces the *measurement tool* side of that setup:
   timestamping jitter) applied to sender/receiver timestamps;
 * :mod:`repro.testbed.channel` — the channel abstraction a live prober
   would bind to scapy/raw sockets; here
-  :class:`SimulatedWlanChannel` drives the DCF simulator instead (the
-  substitution called out in DESIGN.md), and
+  :class:`SimulatedWlanChannel` drives the DCF simulator instead, and
   :class:`SimulatedFifoChannel` drives the wired FIFO hop baseline;
 * :mod:`repro.testbed.prober` — the probing tool itself: rate scans,
   packet pairs, train measurements, MSER-corrected measurements — all

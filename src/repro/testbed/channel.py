@@ -94,18 +94,12 @@ class Channel(abc.ABC):
         """
         return dispatch.resolve(self.scenario_spec(train=train), requested)
 
-    def batch_request(self, trains: Sequence[ProbeTrain], repetitions: int,
-                      point_seeds: Sequence[int]) -> BatchRequest:
-        """A scan of trains through this channel: the
-        :func:`scan_request` whose every point names this channel."""
-        return scan_request([self] * len(trains), trains, repetitions,
-                            point_seeds)
-
     def send_scan(self, trains: Sequence[ProbeTrain], repetitions: int,
                   point_seeds: Sequence[int],
                   backend: str = "event") -> ProbeBatchResult:
-        """Run :meth:`batch_request` on the resolved backend: the
-        :func:`send_scan` whose every point names this channel."""
+        """A scan of trains through this channel on the resolved
+        backend: the :func:`send_scan` whose every point names this
+        channel."""
         return send_scan([self] * len(trains), trains, repetitions,
                          point_seeds, backend)
 
@@ -222,8 +216,7 @@ def scan_request(channels: Sequence[Channel], trains: Sequence[ProbeTrain],
     Point ``k`` sends ``trains[k]`` through ``channels[k]`` from the
     rows :meth:`BatchRequest.scan` seeds from ``point_seeds[k]``, so a
     scan's rows are exactly its one-point requests' rows.  A scan over
-    one channel names it at every point
-    (:meth:`Channel.batch_request`).  The event task is
+    one channel names it at every point.  The event task is
     :func:`_train_task` (one row through its point's channel, as a
     one-row batch), the batch task the first channel's
     :meth:`Channel._send_rows` over a row slice, and the spec its

@@ -20,7 +20,8 @@ import numpy as np
 class ClockModel:
     """An affine-plus-noise clock.
 
-    ``timestamp(t) = t + offset + drift_ppm * 1e-6 * t + jitter`` where
+    An event at true time ``t`` is stamped
+    ``t + offset + drift_ppm * 1e-6 * t + jitter``, where
     jitter is zero-mean Gaussian with standard deviation
     ``jitter_std``.
 
@@ -60,10 +61,6 @@ class ClockModel:
                                            size=true_times.shape)
             stamped = np.maximum.accumulate(stamped)
         return stamped
-
-    def timestamp(self, true_time: float, rng: np.random.Generator) -> float:
-        """Timestamp a single event."""
-        return float(self.timestamps(np.array([true_time]), rng)[0])
 
 
 def ntp_synced_pair(rng: np.random.Generator,

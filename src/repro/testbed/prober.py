@@ -125,27 +125,6 @@ class Prober:
         return self._measure([PacketPair(self.config.size_bytes)], [seed],
                              repetitions)[0]
 
-    def measure_sequence(self, n: int, rate_bps: float, m: int,
-                         mean_spacing: float = 0.2, guard: float = 0.05,
-                         seed: int = 0) -> List[TrainMeasurement]:
-        """Send ``m`` Poisson-spaced trains through ONE live system.
-
-        The paper's literal measurement procedure (section 5.1.2);
-        requires a channel exposing ``send_train_sequence`` (the
-        simulated WLAN backend does).
-        """
-        from repro.traffic.probe import TrainSequence
-        send = getattr(self.channel, "send_train_sequence", None)
-        if send is None:
-            raise TypeError(
-                f"{type(self.channel).__name__} does not support "
-                "train sequences")
-        train = ProbeTrain.at_rate(n, rate_bps, self.config.size_bytes)
-        sequence = TrainSequence(train, m=m, mean_spacing=mean_spacing,
-                                 guard=guard)
-        return [self._stamp(raw.send_times, raw.recv_times, raw.size_bytes)
-                for raw in send(sequence, seed)]
-
     def measure_chirps(self, chirp, repetitions: Optional[int] = None,
                        seed: int = 0) -> List[TrainMeasurement]:
         """Send pathChirp-style chirps (any train-shaped object works:

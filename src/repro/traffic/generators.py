@@ -38,23 +38,6 @@ class ArrivalSchedule:
         """Arrival instants as an array."""
         return np.array([t for t, _ in self.arrivals], dtype=float)
 
-    @property
-    def total_bytes(self) -> int:
-        """Sum of packet sizes in the schedule."""
-        return sum(p.size_bytes for _, p in self.arrivals)
-
-    def offered_rate_bps(self, horizon: float) -> float:
-        """Offered network-layer load over ``horizon`` seconds, in bit/s."""
-        if horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
-        return self.total_bytes * 8 / horizon
-
-    def shifted(self, offset: float) -> "ArrivalSchedule":
-        """A copy with every arrival time moved by ``offset``."""
-        shifted = [(t + offset, Packet(p.size_bytes, p.flow, p.seq, t + offset))
-                   for t, p in self.arrivals]
-        return ArrivalSchedule(shifted)
-
 
 class PoissonGenerator:
     """Poisson packet arrivals at a target bit rate.

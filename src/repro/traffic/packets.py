@@ -85,20 +85,6 @@ class PacketRecord:
         return self.departure - self.hol
 
     @property
-    def system_delay(self) -> Optional[float]:
-        """The paper's Z_i = d_i - a_i (queueing plus access delay)."""
-        if self.departure is None:
-            return None
-        return self.departure - self.arrival
-
-    @property
-    def queueing_delay(self) -> Optional[float]:
-        """Time spent waiting in the FIFO queue before reaching HOL."""
-        if self.hol is None:
-            return None
-        return self.hol - self.arrival
-
-    @property
     def completed(self) -> bool:
         """Whether the packet was fully transmitted."""
         return self.departure is not None and not self.dropped

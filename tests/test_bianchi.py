@@ -46,9 +46,13 @@ class TestFixedPoint:
 
 class TestThroughput:
     def test_capacity_close_to_airtime_estimate(self, model):
-        airtime = AirtimeModel(PhyParams.dot11b())
-        assert model.capacity() == pytest.approx(
-            airtime.link_capacity(1500), rel=0.02)
+        # One saturated station's renewal cycle: DIFS, the mean initial
+        # backoff, then DATA + SIFS + ACK.
+        phy = PhyParams.dot11b()
+        cycle = (phy.difs + phy.cw_min / 2 * phy.slot_time
+                 + AirtimeModel(phy).success_duration(1500))
+        assert model.capacity() == pytest.approx(1500 * 8 / cycle,
+                                                 rel=0.02)
 
     def test_total_throughput_decreases_beyond_two(self, model):
         # With CW_min = 31 the aggregate throughput peaks at a small

@@ -64,7 +64,7 @@ class TestAnalyzeChirp:
         delays = np.concatenate([np.full(5, 1e-3),
                                  1e-3 + np.linspace(1e-3, 8e-3, 5)])
         analysis = analyze_chirp(measurement_for(chirp, delays), chirp)
-        assert analysis.found_turning_point
+        assert analysis.turning_index < len(analysis.rates)
         assert 3 <= analysis.turning_index <= 5
         assert analysis.turning_rate_bps == pytest.approx(
             chirp.instantaneous_rates[analysis.turning_index])
@@ -73,7 +73,7 @@ class TestAnalyzeChirp:
         chirp = ChirpTrain(n=8, initial_gap=4e-3)
         delays = np.full(8, 1.2e-3)
         analysis = analyze_chirp(measurement_for(chirp, delays), chirp)
-        assert not analysis.found_turning_point
+        assert analysis.turning_index >= len(analysis.rates)
         assert analysis.turning_rate_bps == pytest.approx(
             chirp.instantaneous_rates[-1])
 
@@ -85,7 +85,7 @@ class TestAnalyzeChirp:
         delays = np.array([1.0, 1.0, 5.0, 3.0, 1.0, 1.0, 1.0, 1.0,
                            1.0, 1.0]) * 1e-3
         analysis = analyze_chirp(measurement_for(chirp, delays), chirp)
-        assert not analysis.found_turning_point
+        assert analysis.turning_index >= len(analysis.rates)
 
     def test_size_mismatch_rejected(self):
         chirp = ChirpTrain(n=6, initial_gap=2e-3)

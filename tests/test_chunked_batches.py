@@ -52,7 +52,11 @@ from repro.sim.probe_vector import (
     simulate_steady_state_batch,
 )
 from repro.sim.vector import simulate_saturated_batch
-from repro.testbed.channel import SimulatedFifoChannel, SimulatedWlanChannel
+from repro.testbed.channel import (
+    SimulatedFifoChannel,
+    SimulatedWlanChannel,
+    scan_request,
+)
 from repro.traffic.generators import OnOffGenerator, PoissonGenerator
 from repro.traffic.probe import ProbeTrain
 
@@ -504,7 +508,7 @@ class TestRunnersReachTheBackend:
 def _channel_case(channel, train):
     """Run the channel's own request on a backend."""
     return lambda backend: run_batch(
-        channel.batch_request([train], 5, [3]), backend=backend)
+        scan_request([channel], [train], 5, [3]), backend=backend)
 
 
 class TestOneResultForm:

@@ -250,6 +250,19 @@ class TestCommands:
 _BAD_EXECUTION_FLAGS = [("--chunk-reps", "0"), ("--jobs", "-1"),
                         ("--retries", "-1"), ("--shard-timeout", "0")]
 
+#: Flags a new sweep must refuse before it replaces its store (the
+#: execution flags, and the refinement flags only ``sweep`` takes),
+#: with a fragment of each refusal.
+_BAD_SWEEP_FLAGS = [
+    *(pytest.param(flag, "must be", id=flag[0])
+      for flag in _BAD_EXECUTION_FLAGS),
+    pytest.param(("--adapt", "0"), "--adapt must be >= 1", id="--adapt-0"),
+    pytest.param(("--param", "n_packets=20,30", "--adapt", "2"),
+                 "exactly one --param", id="--adapt-two-axes"),
+    pytest.param(("--metric", "mean_delay"), "--metric needs --adapt",
+                 id="--metric-without-adapt"),
+]
+
 
 def _default_store(tmp_path, experiment="fig6"):
     """Where a ``sweep`` without ``--store`` writes (see the autouse
@@ -434,18 +447,18 @@ class TestCrashSafety:
         assert "must be" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("flag", _BAD_EXECUTION_FLAGS,
-                             ids=lambda flag: flag[0])
-    def test_sweep_bad_flag_keeps_the_store(self, flag, tmp_path, capsys):
-        """A new sweep replaces its store, so an out-of-range execution
-        flag must exit 2 before it touches the old one."""
+    @pytest.mark.parametrize("flag,refusal", _BAD_SWEEP_FLAGS)
+    def test_sweep_bad_flag_keeps_the_store(self, flag, refusal, tmp_path,
+                                            capsys):
+        """A new sweep replaces its store, so a bad flag must exit 2
+        before it touches the old one."""
         main(self._sweep())
         store = _default_store(tmp_path)
         before = {path.name: path.read_bytes() for path in store.iterdir()}
         capsys.readouterr()
         assert main(self._sweep(*flag)) == 2
         captured = capsys.readouterr()
-        assert "must be" in captured.err
+        assert refusal in captured.err
         assert captured.out == ""
         assert {path.name: path.read_bytes()
                 for path in store.iterdir()} == before

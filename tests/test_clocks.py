@@ -14,11 +14,12 @@ class TestClockModel:
 
     def test_offset(self, rng):
         clock = ClockModel(offset=0.5)
-        assert clock.timestamp(1.0, rng) == pytest.approx(1.5)
+        assert clock.timestamps(np.array([1.0]), rng)[0] == pytest.approx(1.5)
 
     def test_drift(self, rng):
         clock = ClockModel(drift_ppm=100.0)
-        assert clock.timestamp(1000.0, rng) == pytest.approx(1000.1)
+        assert clock.timestamps(np.array([1000.0]), rng)[0] == pytest.approx(
+            1000.1)
 
     def test_jitter_statistics(self, rng):
         clock = ClockModel(jitter_std=10e-6)

@@ -7,7 +7,6 @@ from repro.core.correction import (
     mser_corrected_gap,
     mser_corrected_rate,
     mser_truncation_index,
-    truncation_profile,
 )
 from repro.core.dispersion import TrainMeasurement
 
@@ -39,10 +38,6 @@ class TestMserCorrectedGap:
         result = mser_corrected_gap(measurement_with_gaps(gaps), m=2)
         assert result.corrected_gap == pytest.approx(result.raw_gap,
                                                      rel=0.05)
-
-    def test_changed_flag(self):
-        result = mser_corrected_gap(transient_measurement(), m=2)
-        assert result.changed == (result.truncated_packets > 0)
 
     def test_fields(self):
         m = transient_measurement()
@@ -94,14 +89,3 @@ class TestMserCorrectedRate:
         with pytest.raises(ValueError):
             mser_corrected_rate([])
 
-
-class TestTruncationProfile:
-    def test_profile_length(self):
-        trains = [transient_measurement(seed=s) for s in range(15)]
-        profile = truncation_profile(trains, m=2)
-        assert len(profile) == 15
-        assert np.all(profile >= 0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            truncation_profile([])

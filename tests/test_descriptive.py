@@ -7,35 +7,7 @@ from repro.stats.descriptive import (
     bootstrap_ci,
     histogram,
     mean_confidence_interval,
-    summarize,
 )
-
-
-class TestSummarize:
-    def test_basic_fields(self):
-        stats = summarize(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert stats.n == 4
-        assert stats.mean == pytest.approx(2.5)
-        assert stats.minimum == 1.0
-        assert stats.maximum == 4.0
-        assert stats.median == pytest.approx(2.5)
-
-    def test_std_sample(self):
-        stats = summarize(np.array([1.0, 3.0]))
-        assert stats.std == pytest.approx(np.sqrt(2))
-
-    def test_single_observation(self):
-        stats = summarize(np.array([5.0]))
-        assert stats.std == 0.0
-        assert np.isnan(stats.stderr)
-
-    def test_stderr(self):
-        stats = summarize(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert stats.stderr == pytest.approx(stats.std / 2)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize(np.array([]))
 
 
 class TestMeanConfidenceInterval:

@@ -39,27 +39,11 @@ class TestTrainMeasurement:
     def test_n(self):
         assert make_measurement().n == 3
 
-    def test_input_gap(self):
-        assert make_measurement().input_gap == pytest.approx(0.01)
-
     def test_output_gap(self):
         assert make_measurement().output_gap == pytest.approx(0.011)
 
-    def test_input_rate(self):
-        assert make_measurement().input_rate == pytest.approx(1.2e6)
-
-    def test_output_rate(self):
-        assert make_measurement().output_rate == pytest.approx(
-            1500 * 8 / 0.011)
-
-    def test_infinite_input_rate_for_pair(self):
-        m = make_measurement(send=np.array([0.0, 0.0]),
-                             recv=np.array([0.001, 0.003]))
-        assert m.input_rate == float("inf")
-
     def test_per_packet_gaps(self):
         m = make_measurement()
-        assert np.allclose(m.input_gaps, [0.01, 0.01])
         assert np.allclose(m.output_gaps, [0.011, 0.011])
 
     def test_one_way_delays(self):
@@ -71,7 +55,6 @@ class TestTrainMeasurement:
         offset = TrainMeasurement(base.send_times,
                                   base.recv_times + 123.456, 1500)
         assert offset.output_gap == pytest.approx(base.output_gap)
-        assert offset.output_rate == pytest.approx(base.output_rate)
 
     def test_validation_shapes(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from repro.core.dispersion import TrainMeasurement
 from repro.core.estimators import (
     RateResponseCurve,
     achievable_throughput,
-    mean_output_rate,
     packet_pair_capacity,
     rate_response_from_measurements,
     train_dispersion_rate,
@@ -67,11 +66,6 @@ class TestTrainDispersionRate:
                   synthetic_measurement([3e-3, 3e-3])]
         assert train_dispersion_rate(trains) == pytest.approx(
             1500 * 8 / 2e-3)
-
-    def test_mean_output_rate_close_to_dispersion_rate(self):
-        trains = [synthetic_measurement([2e-3] * 10)]
-        assert mean_output_rate(trains) == pytest.approx(
-            train_dispersion_rate(trains), rel=1e-9)
 
 
 class TestRateResponseCurve:

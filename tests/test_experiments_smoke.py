@@ -38,11 +38,6 @@ class TestSteadyStateRunners:
         assert_well_formed(result, ["probe_bps", "cross_bps", "fifo_bps",
                                     "model_eq4_bps"])
 
-    def test_steady_state_throughputs_validation(self):
-        with pytest.raises(ValueError):
-            analysis.steady_state_throughputs(1e6, 1e6, duration=0.1,
-                                              warmup=0.2)
-
 
 class TestTransientRunners:
     def test_fig6(self):

@@ -304,7 +304,7 @@ class TestChannelScans:
         channel = _channels()["wlan"]
         # Building the request refuses them: nothing was dispatched.
         with pytest.raises(ValueError, match=message):
-            channel.batch_request(trains, REPS, [1, 2])
+            scan_request([channel] * 2, trains, REPS, [1, 2])
         for backend in ("event", "vector"):
             with pytest.raises(ValueError, match=message):
                 channel.send_scan(trains, REPS, [1, 2], backend=backend)
@@ -312,10 +312,10 @@ class TestChannelScans:
     def test_a_scan_names_one_seed_per_train(self):
         channel = _channels()["wlan"]
         with pytest.raises(ValueError, match="2 trains for 3 point"):
-            channel.batch_request(_trains(rates=[2e6, 3e6]), REPS,
-                                  [1, 2, 3])
+            scan_request([channel] * 2, _trains(rates=[2e6, 3e6]), REPS,
+                         [1, 2, 3])
         with pytest.raises(ValueError, match="at least one train"):
-            channel.batch_request([], REPS, [])
+            scan_request([], [], REPS, [])
 
 
 class TestOneProbeTrainCallPerScan:
@@ -649,7 +649,8 @@ class TestLockstepSearch:
     @pytest.mark.parametrize("backend", ["vector", "event"])
     def test_lockstep_equals_sequential_searches(self, backend):
         seeds = [5, 16, 27]
-        alone = [tool.search(0.5e6, 8e6, resolution_bps=0.5e6, seed=seed)
+        alone = [search_lockstep([tool], 0.5e6, 8e6, [seed],
+                                 resolution_bps=0.5e6)[0]
                  for tool, seed in zip(_tools(backend), seeds)]
         together = search_lockstep(_tools(backend), 0.5e6, 8e6, seeds,
                                    resolution_bps=0.5e6)

@@ -6,30 +6,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from repro.stats.ks import (
-    empirical_cdf,
     interpolated_cdf,
     ks_2samp_interpolated,
     ks_distance,
     ks_threshold,
 )
-
-
-class TestEmpiricalCdf:
-    def test_step_values(self):
-        cdf = empirical_cdf(np.array([1.0, 2.0, 3.0]))
-        assert cdf(np.array([0.5]))[0] == 0.0
-        assert cdf(np.array([1.0]))[0] == pytest.approx(1 / 3)
-        assert cdf(np.array([2.5]))[0] == pytest.approx(2 / 3)
-        assert cdf(np.array([3.0]))[0] == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_cdf(np.array([]))
-
-    def test_right_continuity(self):
-        cdf = empirical_cdf(np.array([1.0]))
-        assert cdf(np.array([1.0]))[0] == 1.0
-        assert cdf(np.array([1.0 - 1e-12]))[0] == 0.0
 
 
 class TestInterpolatedCdf:
@@ -124,13 +105,13 @@ class TestKs2SampInterpolated:
         reference = rng.normal(0, 1, 2000)
         sample = rng.normal(0, 1, 100)
         result = ks_2samp_interpolated(sample, reference)
-        assert result.same_distribution
+        assert result.statistic <= result.threshold
 
     def test_shifted_distribution_rejected(self, rng):
         reference = rng.normal(0, 1, 2000)
         sample = rng.normal(2.0, 1, 100)
         result = ks_2samp_interpolated(sample, reference)
-        assert not result.same_distribution
+        assert result.statistic > result.threshold
         assert result.statistic > 0.5
 
     def test_statistic_bounded(self, rng):

@@ -145,17 +145,6 @@ class TestBusyPeriods:
         with pytest.raises(ValueError):
             busy.busy_time(2.0, 1.0)
 
-    def test_contains(self):
-        busy = self.make([0.0, 10.0], [1.0, 1.0])
-        assert busy.contains(0.5)
-        assert not busy.contains(5.0)
-        assert busy.contains(10.5)
-
-    def test_contains_boundary_right_open(self):
-        busy = self.make([0.0], [1.0])
-        assert busy.contains(0.0)
-        assert not busy.contains(1.0)
-
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(
         st.floats(min_value=0.0, max_value=10.0),

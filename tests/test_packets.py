@@ -39,17 +39,9 @@ class TestPacketRecord:
     def test_access_delay(self):
         assert self.make().access_delay == pytest.approx(1.5)
 
-    def test_system_delay(self):
-        assert self.make().system_delay == pytest.approx(2.5)
-
-    def test_queueing_delay(self):
-        assert self.make().queueing_delay == pytest.approx(1.0)
-
     def test_incomplete_record_delays_are_none(self):
         record = PacketRecord(Packet(100), arrival=0.0)
         assert record.access_delay is None
-        assert record.system_delay is None
-        assert record.queueing_delay is None
 
     def test_completed_requires_departure(self):
         record = PacketRecord(Packet(100), arrival=0.0)
@@ -62,8 +54,3 @@ class TestPacketRecord:
         record = self.make()
         record.dropped = True
         assert not record.completed
-
-    def test_zero_queueing_delay_when_promoted_on_arrival(self):
-        record = self.make(arrival=1.0, hol=1.0, departure=2.0)
-        assert record.queueing_delay == 0.0
-        assert record.access_delay == pytest.approx(1.0)

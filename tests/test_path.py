@@ -49,9 +49,6 @@ class TestWiredHop:
         with pytest.raises(ValueError):
             WiredHop(10e6, prop_delay=-1.0)
 
-    def test_nominal_capacity(self):
-        assert WiredHop(10e6).nominal_capacity_bps(1500) == 10e6
-
 
 class TestWlanHop:
     def test_order_preserved(self, rng):
@@ -70,10 +67,6 @@ class TestWlanHop:
                              np.random.default_rng(2))
         assert np.allclose(d1 - d0, 10e-3)
 
-    def test_nominal_capacity_matches_airtime(self):
-        hop = WlanHop()
-        assert 5.8e6 < hop.nominal_capacity_bps(1500) < 6.8e6
-
     def test_empty_arrivals(self, rng):
         assert len(WlanHop().carry([], rng)) == 0
 
@@ -82,16 +75,6 @@ class TestNetworkPath:
     def test_needs_hops(self):
         with pytest.raises(ValueError):
             NetworkPath([])
-
-    def test_base_delay_sums(self):
-        path = NetworkPath([WiredHop(10e6, prop_delay=2e-3),
-                            WiredHop(10e6, prop_delay=3e-3)])
-        assert path.base_delay() == pytest.approx(5e-3)
-
-    def test_min_capacity(self):
-        path = NetworkPath([WiredHop(100e6), WiredHop(10e6), WlanHop()])
-        assert path.min_capacity_bps(1500) == pytest.approx(
-            WlanHop().nominal_capacity_bps(1500))
 
     def test_pair_dispersion_set_by_narrow_wired_link(self):
         """Classic result: pair dispersion = bottleneck service time."""
@@ -181,9 +164,6 @@ class TestPathVectorBackend:
         class TeleportHop(PathHop):
             def carry(self, arrivals, rng):
                 return np.array([t for t, _ in arrivals])
-
-            def nominal_capacity_bps(self, size_bytes):
-                return 1e9
 
         channel = SimulatedPathChannel(NetworkPath([TeleportHop()]))
         resolution = channel.resolve_backend("auto")

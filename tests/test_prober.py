@@ -98,16 +98,6 @@ class TestSessionConfig:
 
 
 class TestSequenceAndChirpSupport:
-    def test_measure_sequence_requires_capable_channel(self, fifo_prober):
-        with pytest.raises(TypeError):
-            fifo_prober.measure_sequence(5, 2e6, m=3)
-
-    def test_measure_sequence_on_wlan(self, wlan_prober):
-        measurements = wlan_prober.measure_sequence(
-            5, 2e6, m=4, mean_spacing=0.05, guard=0.02, seed=2)
-        assert len(measurements) == 4
-        assert all(m.n == 5 for m in measurements)
-
     def test_chirps_through_a_path(self):
         from repro.core.chirp import ChirpTrain, chirp_estimate
         from repro.path import NetworkPath, SimulatedPathChannel, WiredHop

@@ -13,7 +13,6 @@ from repro.analytic.rate_response import (
     achievable_throughput_complete,
     complete_rate_response,
     csma_rate_response,
-    dispersion_rate_response,
     fifo_rate_response,
 )
 
@@ -121,40 +120,6 @@ class TestCompleteRateResponse:
         assert np.all(np.diff(ro) >= -1e-6)
         assert np.all(ro <= ri + 1e-6)
         assert np.all(ro <= fair_share + 1e-6)
-
-
-class TestDispersionRateResponse:
-    def test_diagonal_at_large_gap(self):
-        gi = np.array([0.1])
-        go = dispersion_rate_response(gi, 1500, 3.4e6, 0.0)
-        assert go[0] == pytest.approx(0.1)
-
-    def test_plateau_at_small_gap_without_fifo(self):
-        gi = np.array([1e-4])
-        go = dispersion_rate_response(gi, 1500, 3.4e6, 0.0)
-        assert go[0] == pytest.approx(1500 * 8 / 3.4e6)
-
-    def test_fifo_term_at_small_gap(self):
-        gi = np.array([1e-3])
-        go = dispersion_rate_response(gi, 1500, 3.4e6, 0.4)
-        assert go[0] == pytest.approx(1500 * 8 / 3.4e6 + 0.4e-3)
-
-    def test_consistent_with_rate_domain(self):
-        """L/E[gO] from eq (20) equals ro from eq (4) at every rate."""
-        size = 1500
-        fair_share, u_fifo = 3.3e6, 0.25
-        rates = np.linspace(2e5, 1e7, 100)
-        gaps = size * 8 / rates
-        go = dispersion_rate_response(gaps, size, fair_share, u_fifo)
-        ro_from_gap = size * 8 / go
-        ro = complete_rate_response(rates, fair_share, u_fifo)
-        assert np.allclose(ro_from_gap, ro, rtol=1e-9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            dispersion_rate_response(np.array([0.1]), 0, 1e6, 0.0)
-        with pytest.raises(ValueError):
-            dispersion_rate_response(np.array([-0.1]), 1500, 1e6, 0.0)
 
 
 class TestMetrics:

@@ -29,15 +29,6 @@ class TestRtsAirtimes:
                     + airtime.cts_airtime() + phy.sifs)
         assert airtime.rts_preamble_duration() == pytest.approx(expected)
 
-    def test_rts_success_longer_than_basic(self, airtime):
-        assert airtime.rts_success_duration(1500) \
-            > airtime.success_duration(1500)
-
-    def test_rts_collision_much_cheaper_for_big_frames(self, airtime):
-        basic = airtime.collision_duration([1500, 1500])
-        rts = airtime.rts_collision_duration()
-        assert rts < basic / 2
-
     def test_bad_rts_sizes_rejected(self):
         with pytest.raises(ValueError):
             PhyParams(rts_bytes=0)

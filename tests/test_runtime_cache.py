@@ -42,7 +42,7 @@ class TestRoundTrip:
         clone = ExperimentResult.from_dict(
             json.loads(json.dumps(result.to_dict())))
         assert clone.table() == result.table()
-        assert clone.summary() == result.summary()
+        assert clone.to_dict() == result.to_dict()
 
     def test_series_and_check_order_preserved(self, result):
         clone = ExperimentResult.from_dict(result.to_dict())

@@ -120,19 +120,6 @@ class TestCancellation:
         sim.run()
         assert not event.pending
 
-    def test_peek_time_skips_cancelled(self):
-        sim = Simulator()
-        first = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        first.cancel()
-        assert sim.peek_time() == 2.0
-
-    def test_pending_count_excludes_cancelled(self):
-        sim = Simulator()
-        first = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        first.cancel()
-        assert sim.pending_count == 1
 
 
 class TestRunControl:
@@ -157,17 +144,6 @@ class TestRunControl:
             sim.schedule(float(k + 1), lambda k=k: fired.append(k))
         sim.run(max_events=2)
         assert fired == [0, 1]
-
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
-
-    def test_step_fires_one_event(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: fired.append(1))
-        sim.schedule(2.0, lambda: fired.append(2))
-        assert sim.step() is True
-        assert fired == [1]
 
     def test_events_processed_counter(self):
         sim = Simulator()
@@ -263,7 +239,7 @@ class TestDocumentedErrorEdgeCases:
 
     def test_rerun_of_running_simulator_raises(self):
         """Re-running a simulator that is already running (the
-        documented non-reentrancy error), including via step()."""
+        documented non-reentrancy error)."""
         sim = Simulator()
         errors = []
 
@@ -290,14 +266,14 @@ class TestDocumentedErrorEdgeCases:
         sim.run()
         assert fired == [1, 2]
 
-    def test_step_skips_cancelled_then_reports_empty(self):
+    def test_run_skips_cancelled_and_keeps_the_clock(self):
         sim = Simulator()
         first = sim.schedule(1.0, lambda: None)
         second = sim.schedule(2.0, lambda: None)
         first.cancel()
         second.cancel()
-        assert sim.step() is False
-        assert sim.peek_time() is None
+        sim.run()
+        assert sim.events_processed == 0
         assert sim.now == 0.0  # skipping cancelled events keeps the clock
 
     def test_run_failure_leaves_simulator_reusable(self):

@@ -32,7 +32,7 @@ from repro.runtime.cache import code_version
 from repro.runtime.executor import map_batched
 from repro.runtime.manifest import Manifest, PointRecord, point_id
 from repro.runtime.store import StoreError, SweepStore
-from repro.runtime.sweep import (SweepPlan, _adapt_axis, point_metric,
+from repro.runtime.sweep import (SweepPlan, adapt_axis, point_metric,
                                  refine_candidates, run_adaptive,
                                  run_plan)
 
@@ -491,18 +491,18 @@ class TestRefineCandidates:
 
 class TestAdaptAxis:
     def test_single_numeric_axis(self):
-        axis, fixed = _adapt_axis([("rate", [1.0, 2.0, 3.0]),
-                                   ("n", [24])])
+        axis, fixed = adapt_axis([("rate", [1.0, 2.0, 3.0]),
+                                  ("n", [24])], 2)
         assert axis == "rate"
         assert fixed == {"n": 24}
 
     def test_two_multi_params_rejected(self):
         with pytest.raises(ValueError, match="exactly one"):
-            _adapt_axis([("a", [1, 2]), ("b", [1, 2])])
+            adapt_axis([("a", [1, 2]), ("b", [1, 2])], 2)
 
     def test_non_numeric_axis_rejected(self):
         with pytest.raises(ValueError, match="numeric"):
-            _adapt_axis([("backend", ["event", "vector"])])
+            adapt_axis([("backend", ["event", "vector"])], 2)
 
 
 def _knee_runner(x=0.0, seed=0):

@@ -1,48 +1,12 @@
-"""Tests for the pathload-style iterative tool and SLoPS trends."""
+"""Tests for the pathload-style iterative tool."""
 
-import numpy as np
 import pytest
 
 from repro.analytic.bianchi import BianchiModel
-from repro.core.dispersion import TrainMeasurement
-from repro.core.tools import IterativeProbeTool, slops_trend
+from repro.core.tools import IterativeProbeTool, search_lockstep
 from repro.testbed.channel import SimulatedFifoChannel, SimulatedWlanChannel
 from repro.testbed.prober import Prober, ProbeSessionConfig
 from repro.traffic.generators import PoissonGenerator
-
-
-def measurement_from_delays(delays, gap=1e-3):
-    delays = np.asarray(delays, dtype=float)
-    send = np.arange(len(delays)) * gap
-    return TrainMeasurement(send, send + delays, 1500)
-
-
-class TestSlopsTrend:
-    def test_increasing_delays(self):
-        m = measurement_from_delays(np.linspace(1e-3, 5e-3, 20))
-        assert slops_trend(m) == "increasing"
-
-    def test_flat_with_noise(self, rng):
-        delays = 2e-3 + rng.normal(0, 1e-4, 40)
-        delays = np.maximum.accumulate(np.zeros(40)) + delays
-        m = measurement_from_delays(np.abs(delays))
-        assert slops_trend(m) in ("no-trend", "ambiguous")
-
-    def test_alternating_is_no_trend(self):
-        delays = np.tile([2e-3, 2.1e-3], 10)
-        m = measurement_from_delays(delays)
-        assert slops_trend(m) == "no-trend"
-
-    def test_needs_two_packets(self):
-        with pytest.raises(ValueError):
-            measurement_from_delays([1e-3])
-
-    def test_clock_offset_invariant(self):
-        delays = np.linspace(1e-3, 5e-3, 20)
-        base = measurement_from_delays(delays)
-        shifted = TrainMeasurement(base.send_times,
-                                   base.recv_times + 7.0, 1500)
-        assert slops_trend(base) == slops_trend(shifted)
 
 
 class TestIterativeProbeTool:
@@ -56,7 +20,7 @@ class TestIterativeProbeTool:
     def test_converges_to_achievable_throughput_on_wlan(self):
         """Section 7.2: wired tools measure B on CSMA/CA links."""
         tool = self.make_wlan_tool()
-        result = tool.search(0.5e6, 8e6, seed=3)
+        result = search_lockstep([tool], 0.5e6, 8e6, [3])[0]
         bianchi = BianchiModel()
         fair_share = bianchi.fair_share(2)
         available = bianchi.capacity() - 4.5e6
@@ -74,7 +38,7 @@ class TestIterativeProbeTool:
         tolerance = 0.08
         tool = IterativeProbeTool(prober, n=100, repetitions=6,
                                   disturbance_tolerance=tolerance)
-        result = tool.search(1e6, 12e6, seed=4)
+        result = search_lockstep([tool], 1e6, 12e6, [4])[0]
         # The disturbance tolerance shifts the detected knee to
         # ri such that C ri/(ri + C - A) = (1 - tol) ri, i.e.
         # ri = C (1/(1-tol) - 1) + A.
@@ -83,7 +47,7 @@ class TestIterativeProbeTool:
         # Tightening the tolerance moves the estimate toward A itself.
         tight = IterativeProbeTool(prober, n=100, repetitions=6,
                                    disturbance_tolerance=0.03)
-        tight_result = tight.search(1e6, 12e6, seed=5)
+        tight_result = search_lockstep([tight], 1e6, 12e6, [5])[0]
         assert tight_result.estimate_bps < result.estimate_bps
         assert tight_result.estimate_bps == pytest.approx(
             capacity * (1 / 0.97 - 1) + available, rel=0.1)
@@ -93,29 +57,29 @@ class TestIterativeProbeTool:
         prober = Prober(channel, ProbeSessionConfig(repetitions=3,
                                                     ideal_clocks=True))
         tool = IterativeProbeTool(prober, n=20, repetitions=3)
-        result = tool.search(1e6, 2e6, max_iterations=3, seed=5)
+        result = search_lockstep([tool], 1e6, 2e6, [5], max_iterations=3)[0]
         # Empty 10 Mb/s link: 2 Mb/s is never disturbed; bracket grows.
         assert result.high_bps == float("inf") or result.estimate_bps > 2e6
 
     def test_low_already_disturbed_reports_floor(self):
         tool = self.make_wlan_tool()
-        result = tool.search(7e6, 9e6, seed=6)
+        result = search_lockstep([tool], 7e6, 9e6, [6])[0]
         assert result.estimate_bps == 7e6
         assert result.iterations == 0
 
     def test_history_recorded(self):
         tool = self.make_wlan_tool()
-        result = tool.search(1e6, 8e6, resolution_bps=1e6, seed=7)
+        result = search_lockstep([tool], 1e6, 8e6, [7], resolution_bps=1e6)[0]
         assert len(result.history) == result.iterations
 
     def test_validation(self):
         tool = self.make_wlan_tool()
         with pytest.raises(ValueError):
-            tool.search(0.0, 1e6)
+            search_lockstep([tool], 0.0, 1e6, [0])
         with pytest.raises(ValueError):
-            tool.search(2e6, 1e6)
+            search_lockstep([tool], 2e6, 1e6, [0])
         with pytest.raises(ValueError):
-            tool.search(1e6, 2e6, resolution_bps=0.0)
+            search_lockstep([tool], 1e6, 2e6, [0], resolution_bps=0.0)
 
     def test_constructor_validation(self):
         prober = Prober(SimulatedFifoChannel(10e6))

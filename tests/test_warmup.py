@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.stats.warmup import (
     batch_means,
-    crossing_mean_rule,
     fixed_truncation,
     mser,
     mser_m,
@@ -52,12 +51,6 @@ class TestMser:
         result = mser(sample)
         assert np.array_equal(result.truncated,
                               sample[result.truncate_before:])
-
-    def test_retained_fraction(self):
-        sample = np.concatenate([np.full(10, 5.0), np.full(90, 1.0)])
-        result = mser(sample)
-        assert result.retained_fraction == pytest.approx(
-            len(result.truncated) / 100)
 
     def test_max_cut_fraction_respected(self, rng):
         sample = rng.normal(0, 1, 100)
@@ -123,30 +116,6 @@ class TestFixedTruncation:
             fixed_truncation(np.arange(5.0), -1)
 
 
-class TestCrossingMeanRule:
-    def test_monotone_ramp_truncates_at_crossing(self):
-        sample = np.concatenate([np.zeros(10), np.full(10, 2.0)])
-        result = crossing_mean_rule(sample)
-        assert result.truncate_before == 10
-
-    def test_never_crossing_keeps_all(self):
-        sample = np.full(10, 1.0)
-        result = crossing_mean_rule(sample)
-        assert result.truncate_before == 0
-
-    def test_multiple_crossings(self, rng):
-        sample = rng.normal(0, 1, 100)
-        one = crossing_mean_rule(sample, crossings_required=1)
-        three = crossing_mean_rule(sample, crossings_required=3)
-        assert three.truncate_before >= one.truncate_before
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            crossing_mean_rule(np.array([1.0]))
-        with pytest.raises(ValueError):
-            crossing_mean_rule(np.arange(5.0), crossings_required=0)
-
-
 class TestMserProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(min_value=-1e3, max_value=1e3),
@@ -172,55 +141,6 @@ class TestMserProperties:
         # The cut lands at or after the end of the flat transient
         # (noise may push it slightly further).
         assert result.truncate_before >= transient_len - 1
-
-
-class TestGeweke:
-    def test_stationary_sample_small_z(self, rng):
-        from repro.stats.warmup import geweke_statistic
-        zs = [abs(geweke_statistic(rng.normal(0, 1, 500)))
-              for _ in range(50)]
-        assert np.mean(np.array(zs) <= 2.0) > 0.8
-
-    def test_transient_sample_large_z(self, rng):
-        from repro.stats.warmup import geweke_statistic
-        sample = np.concatenate([np.full(50, 10.0),
-                                 rng.normal(0, 1, 450)])
-        assert abs(geweke_statistic(sample)) > 3.0
-
-    def test_constant_sample_zero(self):
-        from repro.stats.warmup import geweke_statistic
-        assert geweke_statistic(np.full(100, 2.0)) == 0.0
-
-    def test_statistic_validation(self):
-        from repro.stats.warmup import geweke_statistic
-        with pytest.raises(ValueError):
-            geweke_statistic(np.arange(5.0))
-        with pytest.raises(ValueError):
-            geweke_statistic(np.arange(100.0), first_fraction=0.6,
-                             last_fraction=0.6)
-
-    def test_truncation_removes_transient(self, rng):
-        from repro.stats.warmup import geweke_truncation
-        sample = np.concatenate([np.full(40, 10.0),
-                                 rng.normal(0, 1, 400)])
-        result = geweke_truncation(sample)
-        assert result.truncate_before >= 30
-        assert abs(result.truncated.mean()) < 1.0
-
-    def test_truncation_keeps_stationary(self, rng):
-        from repro.stats.warmup import geweke_truncation
-        sample = rng.normal(0, 1, 400)
-        result = geweke_truncation(sample)
-        assert result.truncate_before <= len(sample) // 2
-
-    def test_truncation_validation(self):
-        from repro.stats.warmup import geweke_truncation
-        with pytest.raises(ValueError):
-            geweke_truncation(np.arange(10.0))
-        with pytest.raises(ValueError):
-            geweke_truncation(np.arange(100.0), z_threshold=0.0)
-        with pytest.raises(ValueError):
-            geweke_truncation(np.arange(100.0), step_fraction=0.9)
 
 
 class TestMserVectorizedRegression:

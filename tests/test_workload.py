@@ -1,74 +1,10 @@
-"""Tests for the workload process and the intrusion residual."""
+"""Tests for the intrusion residual."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.queueing.workload import (
-    WorkloadProcess,
-    intrusion_residual_recursive,
-    residual_bounds,
-)
-
-
-class TestWorkloadProcess:
-    def test_empty_process_is_zero(self):
-        process = WorkloadProcess(np.array([]), np.array([]))
-        assert process(0.0) == 0.0
-        assert process.mean_utilization() == 0.0
-
-    def test_workload_right_after_arrival(self):
-        process = WorkloadProcess([1.0], [0.5])
-        assert process(1.0) == pytest.approx(0.5)
-
-    def test_workload_decreases_linearly(self):
-        process = WorkloadProcess([0.0], [1.0])
-        assert process(0.25) == pytest.approx(0.75)
-        assert process(0.999) == pytest.approx(0.001, abs=1e-9)
-        assert process(1.5) == 0.0
-
-    def test_workload_accumulates(self):
-        process = WorkloadProcess([0.0, 0.0], [1.0, 1.0])
-        assert process(0.0) == pytest.approx(2.0)
-
-    def test_before_excludes_arrival_at_t(self):
-        process = WorkloadProcess([1.0], [0.5])
-        assert process.before(1.0) == 0.0
-        assert process(1.0) == pytest.approx(0.5)
-
-    def test_before_matches_limit(self):
-        process = WorkloadProcess([0.0, 1.0], [0.6, 0.5])
-        # Just before the second arrival the first job has 0 remaining
-        # (it finished at 0.6).
-        assert process.before(1.0) == 0.0
-
-    def test_vectorized_at(self):
-        process = WorkloadProcess([0.0], [1.0])
-        values = process.at(np.array([0.0, 0.5, 2.0]))
-        assert np.allclose(values, [1.0, 0.5, 0.0])
-
-    def test_utilization_window(self):
-        process = WorkloadProcess([0.0], [1.0])
-        assert process.utilization(0.0, 2.0) == pytest.approx(0.5)
-
-    def test_mean_utilization_busy_path(self):
-        process = WorkloadProcess([0.0, 0.5], [1.0, 1.0])
-        # Busy continuously from 0 to 2.
-        assert process.mean_utilization() == pytest.approx(1.0)
-
-    def test_offered_workload_window(self):
-        process = WorkloadProcess([0.5, 1.5], [0.2, 0.3])
-        assert process.offered_workload(0.0, 1.0) == pytest.approx(0.2)
-        assert process.offered_workload(0.0, 2.0) == pytest.approx(0.5)
-
-    def test_averaging_function(self):
-        process = WorkloadProcess([0.5], [0.2])
-        assert process.averaging_function(0.0, 1.0) == pytest.approx(0.2)
-
-    def test_averaging_function_validation(self):
-        process = WorkloadProcess([0.5], [0.2])
-        with pytest.raises(ValueError):
-            process.averaging_function(1.0, 1.0)
+from repro.queueing.workload import intrusion_residual_recursive
 
 
 class TestIntrusionResidual:
@@ -123,25 +59,8 @@ class TestIntrusionResidual:
 
 
 class TestResidualBounds:
-    def test_bounds_order(self):
-        lower, upper = residual_bounds([1e-3, 2e-3, 3e-3], 1.5e-3)
-        assert lower <= upper
-
-    def test_saturating_regime_lower_positive(self):
-        lower, _ = residual_bounds([2e-3, 2e-3, 2e-3], 1e-3)
-        assert lower == pytest.approx(2e-3)
-
-    def test_slow_probing_lower_zero(self):
-        lower, _ = residual_bounds([1e-3, 1e-3], 5e-3)
-        assert lower == 0.0
-
-    def test_upper_is_head_sum(self):
-        _, upper = residual_bounds([1e-3, 2e-3, 3e-3], 1e-3)
-        assert upper == pytest.approx(3e-3)
-
-    def test_needs_two_packets(self):
-        with pytest.raises(ValueError):
-            residual_bounds([1e-3], 1e-3)
+    """Equation (23): ``max(0, sum_{i<n}(mu_i - g_I)) <= R_n <=
+    sum_{i<n} mu_i`` on every sample path."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(min_value=1e-4, max_value=1e-2),
@@ -149,6 +68,7 @@ class TestResidualBounds:
            st.floats(min_value=0.0, max_value=1e-2))
     def test_recursion_within_bounds(self, mu, gap):
         mu = np.array(mu)
-        lower, upper = residual_bounds(mu, gap)
+        lower = max(0.0, float(np.sum(mu[:-1] - gap)))
+        upper = float(np.sum(mu[:-1]))
         final = intrusion_residual_recursive(mu, gap)[-1]
         assert lower - 1e-12 <= final <= upper + 1e-12
