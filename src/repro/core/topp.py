@@ -50,11 +50,6 @@ class ToppEstimate:
     segment_start: int
     n_points: int
 
-    @property
-    def utilization(self) -> float:
-        """The regression intercept — u_fifo on a CSMA/CA link."""
-        return self.intercept
-
 
 def topp_estimate(curve: RateResponseCurve,
                   deviation_threshold: float = 1.05) -> ToppEstimate:

@@ -37,8 +37,12 @@ class StationSpec:
     Attributes
     ----------
     generator:
-        Any object with ``generate(horizon, rng, start) -> ArrivalSchedule``
-        (the :mod:`repro.traffic.generators` classes).
+        Any object whose ``generate(horizon, rng, start)`` result
+        iterates as ``(time, Packet)`` pairs: the
+        :mod:`repro.traffic.generators` classes, whose
+        :class:`~repro.traffic.generators.ArrivalSchedule` holds the
+        arrivals as arrays and makes each packet as the scenario
+        schedules it.
     arrivals:
         Explicit ``(time, Packet)`` pairs, e.g. a probing train from
         :meth:`repro.traffic.probe.ProbeTrain.packets`.

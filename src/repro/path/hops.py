@@ -27,7 +27,6 @@ from repro.backends import ScenarioSpec
 from repro.mac.params import PhyParams
 from repro.mac.scenario import StationSpec, WlanScenario
 from repro.queueing.fifo import FifoHop
-from repro.queueing.lindley import lindley_batch
 from repro.sim.probe_vector import (
     classify_cross_generator,
     classify_cross_stations,
@@ -142,61 +141,30 @@ class WiredHop(PathHop):
                     rep_seeds: Sequence[int]) -> np.ndarray:
         """All repetitions through one batched Lindley recursion.
 
-        Each repetition replays :meth:`carry`'s exact mechanics (same
-        warmup window, same generator call, same stable probe-first
-        merge), so for *equal* rng streams the departures agree with
-        the event path to float rounding — the per-packet Python loop
-        of :class:`repro.queueing.fifo.FifoHop` becomes one
-        ``(repetitions, n)`` cumulative-max pass.  Inside a chained
-        path the per-hop seed derivations differ between backends, so
-        the end-to-end contract is distributional (like the WLAN
-        hops'), pinned by the multihop KS tests.
+        Each repetition replays :meth:`carry`'s mechanics (same warmup
+        window, same generator call), with the cross-traffic
+        schedule's arrays merged into the probes by
+        :meth:`repro.queueing.fifo.FifoHop.run_rows`, the one merge of
+        the wired kernels.  So for *equal* rng streams the departures
+        equal the event path's bit for bit.  Inside a chained path the
+        per-hop seed derivations differ between backends, so the
+        end-to-end contract is distributional (like the WLAN hops'),
+        pinned by the multihop KS tests.
         """
         times = np.asarray(times, dtype=float)
-        reps, n = times.shape
-        probe_services = np.full(
-            n, (size_bytes + self.hop.overhead_bytes) * 8
-            / self.hop.capacity_bps)
-        rep_times: List[np.ndarray] = []
-        rep_services: List[np.ndarray] = []
-        rep_pos: List[np.ndarray] = []
+        schedules = []
         for r, rep_seed in enumerate(rep_seeds):
-            rng = np.random.default_rng(int(rep_seed))
-            merged_t = times[r]
-            merged_s = probe_services
-            if self.cross_generator is not None:
-                window_start = max(0.0, float(times[r, 0]) - self.warmup)
-                horizon = (float(times[r, -1]) - window_start
-                           + self.warmup + 0.1)
-                schedule = self.cross_generator.generate(
-                    horizon, rng, start=window_start)
-                cross_bytes = np.fromiter(
-                    (p.size_bytes for _, p in schedule), dtype=np.int64,
-                    count=len(schedule))
-                merged_t = np.concatenate([times[r], schedule.times])
-                merged_s = np.concatenate(
-                    [probe_services,
-                     (cross_bytes + self.hop.overhead_bytes) * 8
-                     / self.hop.capacity_bps])
-            # Stable sort keeps probe packets ahead of simultaneous
-            # cross arrivals, matching FifoHop.run's tie rule.
-            order = np.argsort(merged_t, kind="stable")
-            inverse = np.empty(len(order), dtype=np.int64)
-            inverse[order] = np.arange(len(order))
-            rep_times.append(merged_t[order])
-            rep_services.append(merged_s[order])
-            rep_pos.append(inverse[:n])
-        width = max(len(t) for t in rep_times)
-        arrivals = np.full((reps, width), np.inf)
-        services = np.zeros((reps, width))
-        probe_pos = np.zeros((reps, n), dtype=np.int64)
-        for r in range(reps):
-            arrivals[r, :len(rep_times[r])] = rep_times[r]
-            services[r, :len(rep_services[r])] = rep_services[r]
-            probe_pos[r] = rep_pos[r]
-        _, departures = lindley_batch(arrivals, services)
-        return (np.take_along_axis(departures, probe_pos, axis=1)
-                + self.prop_delay)
+            if self.cross_generator is None:
+                schedules.append(None)
+                continue
+            window_start = max(0.0, float(times[r, 0]) - self.warmup)
+            horizon = (float(times[r, -1]) - window_start
+                       + self.warmup + 0.1)
+            schedules.append(self.cross_generator.generate(
+                horizon, np.random.default_rng(int(rep_seed)),
+                start=window_start))
+        _, departures = self.hop.run_rows(times, size_bytes, schedules)
+        return departures + self.prop_delay
 
 
 class WlanHop(PathHop):

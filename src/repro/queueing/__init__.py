@@ -9,18 +9,15 @@ This package replaces two pieces of the paper's validation setup:
   :class:`repro.queueing.trace.TraceDrivenQueue`, built on the Lindley
   recursion.
 
-It also implements two sample-path quantities of section 5.1: the
-FIFO utilization ``u_fifo`` (:class:`repro.queueing.lindley.BusyPeriods`)
-and the intrusion residual ``R_i``.
+It also implements the intrusion residual ``R_i`` of section 5.1.
 """
 
-from repro.queueing.lindley import BusyPeriods, lindley_recursion
+from repro.queueing.lindley import lindley_recursion
 from repro.queueing.workload import intrusion_residual_recursive
 from repro.queueing.fifo import FifoHop, FifoResult
 from repro.queueing.trace import TraceDrivenQueue, TraceQueueResult
 
 __all__ = [
-    "BusyPeriods",
     "FifoHop",
     "FifoResult",
     "TraceDrivenQueue",

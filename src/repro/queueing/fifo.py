@@ -14,7 +14,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.queueing.lindley import BusyPeriods, lindley_recursion
+from repro.queueing.lindley import lindley_batch, lindley_recursion
+from repro.traffic.generators import ArrivalSchedule
 from repro.traffic.packets import Packet, PacketRecord
 
 
@@ -24,7 +25,6 @@ class FifoResult:
 
     records: List[PacketRecord]
     capacity_bps: float
-    busy: BusyPeriods
 
     def by_flow(self, flow: str) -> List[PacketRecord]:
         """Records of a given flow, in arrival order."""
@@ -46,10 +46,6 @@ class FifoResult:
         if len(departures) < 2:
             raise ValueError("need at least two packets to compute a gap")
         return (departures[-1] - departures[0]) / (len(departures) - 1)
-
-    def utilization(self, t0: float, t1: float) -> float:
-        """Busy fraction of the hop over ``(t0, t1]``."""
-        return self.busy.utilization(t0, t1)
 
 
 class FifoHop:
@@ -97,6 +93,49 @@ class FifoHop:
                                   hol=float(starts[i]),
                                   departure=float(departures[i]))
             records.append(record)
-        busy = BusyPeriods.from_sample_path(times, starts, departures)
-        return FifoResult(records=records, capacity_bps=self.capacity_bps,
-                          busy=busy)
+        return FifoResult(records=records, capacity_bps=self.capacity_bps)
+
+    def run_rows(self, probe_times: np.ndarray, probe_bytes: int,
+                 schedules: Sequence[Optional[ArrivalSchedule]]
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        """Serve one probe train per row in one batched Lindley pass.
+
+        Row ``r``'s probes, all ``probe_bytes`` long, arrive at
+        ``probe_times[r]`` (non-decreasing); ``schedules[r]`` holds the
+        row's cross arrivals (``None``: none).  Each row's two arrival
+        runs are merged by ``searchsorted`` position, a probe ahead of
+        cross traffic arriving at the same instant, as :meth:`run`
+        orders them; rows are padded at the tail with ``inf`` arrivals
+        of zero service.  So every row is :meth:`run`'s sample path
+        bit for bit.
+
+        Returns the probes' ``(starts, departures)``, each shaped like
+        ``probe_times``.
+        """
+        probe_times = np.asarray(probe_times, dtype=float)
+        rows, n = probe_times.shape
+        if len(schedules) != rows:
+            raise ValueError(
+                f"got {len(schedules)} schedules for {rows} rows")
+        if np.any(probe_times[:, 1:] < probe_times[:, :-1]):
+            raise ValueError("probe times must be non-decreasing in a row")
+        width = n + max((len(s) for s in schedules if s is not None),
+                        default=0)
+        arrivals = np.full((rows, width), np.inf)
+        services = np.zeros((rows, width))
+        probe_pos = np.tile(np.arange(n), (rows, 1))
+        for r, schedule in enumerate(schedules):
+            if schedule is None or len(schedule) == 0:
+                continue
+            probe_pos[r] += np.searchsorted(schedule.times, probe_times[r])
+            cross_pos = np.arange(len(schedule)) + np.searchsorted(
+                probe_times[r], schedule.times, side="right")
+            arrivals[r, cross_pos] = schedule.times
+            services[r, cross_pos] = ((schedule.sizes + self.overhead_bytes)
+                                      * 8 / self.capacity_bps)
+        row = np.arange(rows)[:, None]
+        arrivals[row, probe_pos] = probe_times
+        services[row, probe_pos] = ((probe_bytes + self.overhead_bytes) * 8
+                                    / self.capacity_bps)
+        starts, departures = lindley_batch(arrivals, services)
+        return starts[row, probe_pos], departures[row, probe_pos]

@@ -1,4 +1,4 @@
-"""Lindley recursion and busy-period machinery for a FIFO server.
+"""The Lindley recursion of a FIFO server.
 
 For a work-conserving FIFO single server fed with arrivals ``a_i`` and
 per-packet service times ``s_i``::
@@ -6,8 +6,8 @@ per-packet service times ``s_i``::
     start_i     = max(a_i, d_{i-1})
     d_i         = start_i + s_i
 
-The FIFO hop, the trace-driven queue and the utilizations of this
-package are derived from these sample paths.
+The FIFO hop and the trace-driven queue of this package are derived
+from these sample paths.
 
 Both entry points are closed-form vectorized: unrolling the recursion
 gives ``d_i = max_{j <= i} (a_j + sum_{k=j..i} s_k)``, which factors
@@ -20,8 +20,7 @@ at once (the vector probe-train backend's FIFO drain stage).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -111,58 +110,3 @@ def lindley_batch(arrivals: np.ndarray,
     if np.any(services < 0):
         raise ValueError("service times must be non-negative")
     return _lindley_cummax(arrivals, services)
-
-
-@dataclass
-class BusyPeriods:
-    """Merged busy intervals of a FIFO server sample path.
-
-    Built from ``(starts, departures)`` of the Lindley recursion
-    together with the arrivals (a busy period starts at an arrival that
-    finds the server idle).
-    """
-
-    intervals: List[Tuple[float, float]]
-
-    def _bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(begins, ends)`` arrays, read fresh from the public list."""
-        if not self.intervals:
-            return np.empty(0), np.empty(0)
-        bounds = np.asarray(self.intervals, dtype=float)
-        return bounds[:, 0], bounds[:, 1]
-
-    @classmethod
-    def from_sample_path(cls, arrivals: np.ndarray, starts: np.ndarray,
-                         departures: np.ndarray) -> "BusyPeriods":
-        """Merge per-packet service spans into maximal busy intervals.
-
-        An arrival later than the running maximum of the previous
-        departures (beyond a 1 fs merge tolerance) opens a new busy
-        period; everything else extends the current one.  The merge is
-        pure interval arithmetic — a boundary mask plus one
-        :func:`numpy.maximum.reduceat` — with no per-packet loop.
-        """
-        arrivals = np.asarray(arrivals, dtype=float)
-        departures = np.asarray(departures, dtype=float)
-        if len(arrivals) == 0:
-            return cls([])
-        prev_end = np.maximum.accumulate(departures)[:-1]
-        new = np.concatenate([[True], arrivals[1:] > prev_end + 1e-15])
-        boundaries = np.flatnonzero(new)
-        begins = arrivals[boundaries]
-        ends = np.maximum.reduceat(departures, boundaries)
-        return cls(list(zip(begins.tolist(), ends.tolist())))
-
-    def busy_time(self, t0: float, t1: float) -> float:
-        """Total busy time within ``(t0, t1]``."""
-        if t1 < t0:
-            raise ValueError(f"need t1 >= t0, got ({t0}, {t1})")
-        begins, ends = self._bounds()
-        overlap = np.minimum(ends, t1) - np.maximum(begins, t0)
-        return float(np.clip(overlap, 0.0, None).sum())
-
-    def utilization(self, t0: float, t1: float) -> float:
-        """Busy fraction of ``(t0, t1]`` — the paper's u_fifo(t0, t1)."""
-        if t1 <= t0:
-            raise ValueError(f"need t1 > t0, got ({t0}, {t1})")
-        return self.busy_time(t0, t1) / (t1 - t0)

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.queueing.lindley import BusyPeriods, lindley_recursion
+from repro.queueing.lindley import lindley_recursion
 
 ServiceSpec = Union[float, Sequence[float], Callable[[int, np.random.Generator], float]]
 
@@ -34,7 +34,6 @@ class TraceQueueResult:
     services: np.ndarray
     starts: np.ndarray
     departures: np.ndarray
-    busy: BusyPeriods
 
     @property
     def output_gaps(self) -> np.ndarray:
@@ -90,7 +89,5 @@ class TraceDrivenQueue:
         arrivals = np.asarray(arrivals, dtype=float)
         services = self._materialize(len(arrivals), rng)
         starts, departures = lindley_recursion(arrivals, services)
-        busy = BusyPeriods.from_sample_path(arrivals, starts, departures)
         return TraceQueueResult(arrivals=arrivals, services=services,
-                                starts=starts, departures=departures,
-                                busy=busy)
+                                starts=starts, departures=departures)

@@ -32,7 +32,6 @@ from repro.core.batch import resolve_rep_seeds
 from repro.mac.params import PhyParams
 from repro.mac.scenario import ScenarioResult, StationSpec, WlanScenario
 from repro.queueing.fifo import FifoHop
-from repro.queueing.lindley import lindley_batch
 from repro.sim.probe_vector import (
     PoissonCrossSpec,
     ProbeBatchResult,
@@ -612,22 +611,16 @@ class SimulatedFifoChannel(Channel):
                    points) -> ProbeBatchResult:
         """All rows through one batched Lindley recursion.
 
-        Each row replays :meth:`send_train`'s exact sample path for
-        its own train (same per-row generator, same draw order, same
-        stable merge of probe and cross arrivals), so the departures
-        agree with the event path to float rounding — the per-packet
-        Python loop of :class:`repro.queueing.fifo.FifoHop` is simply
-        replaced by one ``(rows, n)`` cumulative-max pass.
+        Each row replays :meth:`send_train`'s sample path for its own
+        train: the same per-row generator and draw order, with the
+        cross-traffic schedule's arrays merged into the train by
+        :meth:`repro.queueing.fifo.FifoHop.run_rows`, the one merge of
+        the wired kernels.  So the rows equal the event path's bit for
+        bit, and no ``Packet`` is built.
         """
-        repetitions = len(seeds)
         n = trains[0].n
-        probe_services = np.full(
-            n, (trains[0].size_bytes + self.hop.overhead_bytes) * 8
-            / self.hop.capacity_bps)
-        rep_times: List[np.ndarray] = []
-        rep_services: List[np.ndarray] = []
-        rep_probe_pos: List[np.ndarray] = []
-        send = np.zeros((repetitions, n))
+        send = np.zeros((len(seeds), n))
+        schedules = []
         for r, (rep_seed, point) in enumerate(zip(seeds, points)):
             train = trains[point]
             rng = np.random.default_rng(int(rep_seed))
@@ -635,39 +628,11 @@ class SimulatedFifoChannel(Channel):
                                    if self.start_jitter > 0 else 0.0)
             drain = n * train.size_bytes * 8 / self.drain_rate_floor
             horizon = start + train.duration + drain
-            probe_times = train.arrival_times(start=start)
-            times = probe_times
-            services = probe_services
-            if self.cross_generator is not None:
-                schedule = self.cross_generator.generate(horizon, rng)
-                cross_times = schedule.times
-                cross_bytes = np.fromiter(
-                    (p.size_bytes for _, p in schedule), dtype=np.int64,
-                    count=len(schedule))
-                cross_services = ((cross_bytes + self.hop.overhead_bytes)
-                                  * 8 / self.hop.capacity_bps)
-                times = np.concatenate([probe_times, cross_times])
-                services = np.concatenate([probe_services, cross_services])
-            # Stable sort keeps probe packets ahead of simultaneous
-            # cross arrivals, matching FifoHop.run's tie rule.
-            order = np.argsort(times, kind="stable")
-            inverse = np.empty(len(order), dtype=np.int64)
-            inverse[order] = np.arange(len(order))
-            rep_times.append(times[order])
-            rep_services.append(services[order])
-            rep_probe_pos.append(inverse[:n])
-            send[r] = probe_times
-        width = max(len(t) for t in rep_times)
-        arrivals = np.full((repetitions, width), np.inf)
-        services = np.zeros((repetitions, width))
-        probe_pos = np.zeros((repetitions, n), dtype=np.int64)
-        for r in range(repetitions):
-            arrivals[r, :len(rep_times[r])] = rep_times[r]
-            services[r, :len(rep_services[r])] = rep_services[r]
-            probe_pos[r] = rep_probe_pos[r]
-        starts, departures = lindley_batch(arrivals, services)
-        recv = np.take_along_axis(departures, probe_pos, axis=1)
-        hol = np.take_along_axis(starts, probe_pos, axis=1)
+            send[r] = train.arrival_times(start=start)
+            schedules.append(
+                None if self.cross_generator is None
+                else self.cross_generator.generate(horizon, rng))
+        hol, recv = self.hop.run_rows(send, trains[0].size_bytes, schedules)
         return ProbeBatchResult(
             send_times=send,
             recv_times=recv,

@@ -1,9 +1,12 @@
 """Cross-traffic generators.
 
-Each generator produces an :class:`ArrivalSchedule` — a finite sequence
-of ``(time, Packet)`` pairs over a horizon — which the simulators replay
-as arrival events.  The paper's cross-traffic is Poisson (section 2.1);
-CBR and on-off generators are provided for sensitivity studies.
+Each generator produces an :class:`ArrivalSchedule` — the arrival
+instants and packet sizes of one flow over a horizon, held as arrays.
+The batched FIFO kernel reads the arrays directly; iterating a schedule
+yields the ``(time, Packet)`` pairs the event engine replays as arrival
+events, so ``generate`` is the one draw path of both.  The paper's
+cross-traffic is Poisson (section 2.1); CBR and on-off generators are
+provided for sensitivity studies.
 """
 
 from __future__ import annotations
@@ -18,25 +21,34 @@ from repro.traffic.packets import Packet
 
 @dataclass
 class ArrivalSchedule:
-    """A finite, time-ordered list of packet arrivals."""
+    """A finite, time-ordered run of one flow's packet arrivals.
 
-    arrivals: List[Tuple[float, Packet]]
+    ``times`` are non-decreasing instants and ``sizes`` the packet
+    sizes in bytes, one per arrival; every packet carries ``flow``.
+    """
+
+    times: np.ndarray
+    sizes: np.ndarray
+    flow: str = "cross"
 
     def __post_init__(self) -> None:
-        times = [t for t, _ in self.arrivals]
-        if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
+        self.times = np.asarray(self.times, dtype=float)
+        self.sizes = np.asarray(self.sizes, dtype=np.int64)
+        if self.times.shape != self.sizes.shape or self.times.ndim != 1:
+            raise ValueError(
+                f"need one size per arrival, got {self.sizes.shape} sizes "
+                f"for {self.times.shape} times")
+        if np.any(self.times[1:] < self.times[:-1]):
             raise ValueError("arrival times must be non-decreasing")
 
     def __len__(self) -> int:
-        return len(self.arrivals)
+        return len(self.times)
 
     def __iter__(self) -> Iterator[Tuple[float, Packet]]:
-        return iter(self.arrivals)
-
-    @property
-    def times(self) -> np.ndarray:
-        """Arrival instants as an array."""
-        return np.array([t for t, _ in self.arrivals], dtype=float)
+        """The arrivals as ``(time, Packet)`` pairs, each packet made
+        on demand with ``created_at`` equal to its time."""
+        for t, size in zip(self.times.tolist(), self.sizes.tolist()):
+            yield t, Packet(size, self.flow, created_at=t)
 
 
 class PoissonGenerator:
@@ -71,25 +83,32 @@ class PoissonGenerator:
 
     def generate(self, horizon: float, rng: np.random.Generator,
                  start: float = 0.0) -> ArrivalSchedule:
-        """Draw a Poisson sample path over ``[start, start + horizon)``."""
+        """Draw a Poisson sample path over ``[start, start + horizon)``.
+
+        Exponential gaps are drawn in batches until the path crosses
+        the horizon.  Each batch is summed onto the last arrival by one
+        ``cumsum`` over ``[t, gaps...]``, the same sequential sum as
+        ``t += gap``, and cut at the horizon by ``searchsorted``.
+        """
         if horizon < 0:
             raise ValueError(f"horizon must be non-negative, got {horizon}")
         lam = self.packets_per_second
-        arrivals: List[Tuple[float, Packet]] = []
-        if lam <= 0 or horizon == 0:
-            return ArrivalSchedule(arrivals)
-        # Draw exponential gaps in bulk, extending until the horizon.
-        t = start
-        end = start + horizon
-        batch = max(16, int(lam * horizon * 1.2) + 8)
-        while True:
-            gaps = rng.exponential(1.0 / lam, size=batch)
-            for gap in gaps:
-                t += gap
-                if t >= end:
-                    return ArrivalSchedule(arrivals)
-                arrivals.append(
-                    (t, Packet(self.size_bytes, self.flow, created_at=t)))
+        runs: List[np.ndarray] = []
+        if lam > 0 and horizon > 0:
+            t = start
+            end = start + horizon
+            batch = max(16, int(lam * horizon * 1.2) + 8)
+            while True:
+                gaps = rng.exponential(1.0 / lam, size=batch)
+                path = np.cumsum(np.concatenate(([t], gaps)))[1:]
+                inside = int(np.searchsorted(path, end))
+                runs.append(path[:inside])
+                if inside < batch:
+                    break
+                t = path[-1]
+        times = np.concatenate(runs) if runs else np.empty(0)
+        return ArrivalSchedule(times, np.full(len(times), self.size_bytes),
+                               self.flow)
 
 
 class CBRGenerator:
@@ -124,19 +143,19 @@ class CBRGenerator:
         """
         if horizon < 0:
             raise ValueError(f"horizon must be non-negative, got {horizon}")
-        if self.rate_bps == 0 or horizon == 0:
-            return ArrivalSchedule([])
-        interval = self.interval
-        count = int(horizon / interval) + 1
-        times = start + np.arange(count) * interval
-        if self.jitter > 0:
-            if rng is None:
-                raise ValueError("jitter requires an rng")
-            times = times + rng.uniform(0, self.jitter, size=count)
-            times.sort()
-        arrivals = [(float(t), Packet(self.size_bytes, self.flow, created_at=float(t)))
-                    for t in times if t < start + horizon]
-        return ArrivalSchedule(arrivals)
+        times = np.empty(0)
+        if self.rate_bps > 0 and horizon > 0:
+            interval = self.interval
+            count = int(horizon / interval) + 1
+            times = start + np.arange(count) * interval
+            if self.jitter > 0:
+                if rng is None:
+                    raise ValueError("jitter requires an rng")
+                times = times + rng.uniform(0, self.jitter, size=count)
+                times.sort()
+            times = times[times < start + horizon]
+        return ArrivalSchedule(times, np.full(len(times), self.size_bytes),
+                               self.flow)
 
 
 class OnOffGenerator:
@@ -174,7 +193,7 @@ class OnOffGenerator:
         if horizon < 0:
             raise ValueError(f"horizon must be non-negative, got {horizon}")
         interval = self.size_bytes * 8 / self.peak_rate_bps
-        arrivals: List[Tuple[float, Packet]] = []
+        times: List[float] = []
         t = start
         end = start + horizon
         on = rng.random() < self.mean_on / (self.mean_on + self.mean_off)
@@ -186,13 +205,13 @@ class OnOffGenerator:
                     at = t + k * interval
                     if at >= end:
                         break
-                    arrivals.append(
-                        (at, Packet(self.size_bytes, self.flow, created_at=at)))
+                    times.append(at)
                 t += period
             else:
                 t += rng.exponential(self.mean_off)
             on = not on
-        return ArrivalSchedule(arrivals)
+        return ArrivalSchedule(times, np.full(len(times), self.size_bytes),
+                               self.flow)
 
 
 class TraceGenerator:
@@ -203,8 +222,9 @@ class TraceGenerator:
     """
 
     def __init__(self, trace: Sequence[Tuple[float, int]], flow: str = "cross") -> None:
-        self.trace = [(float(t), int(s)) for t, s in trace]
-        if any(t2 < t1 for (t1, _), (t2, _) in zip(self.trace, self.trace[1:])):
+        self.times = np.array([float(t) for t, _ in trace])
+        self.sizes = np.array([int(s) for _, s in trace], dtype=np.int64)
+        if np.any(self.times[1:] < self.times[:-1]):
             raise ValueError("trace times must be non-decreasing")
         self.flow = flow
 
@@ -212,6 +232,6 @@ class TraceGenerator:
                  rng: Optional[np.random.Generator] = None,
                  start: float = 0.0) -> ArrivalSchedule:
         """Replay the trace, clipped to ``[start, start + horizon)``."""
-        arrivals = [(t, Packet(s, self.flow, created_at=t))
-                    for t, s in self.trace if start <= t < start + horizon]
-        return ArrivalSchedule(arrivals)
+        inside = (self.times >= start) & (self.times < start + horizon)
+        return ArrivalSchedule(self.times[inside], self.sizes[inside],
+                               self.flow)

@@ -13,13 +13,15 @@ reaches:
   a local variable called ``search`` does not reach ``Tool.search``;
   a method goes with its class, and dunder methods live as long as
   their class does;
+* a definition's own code is not its caller, and a class's methods
+  are not callers of the class, so a method ``utilization`` that calls
+  ``self.busy.utilization`` or a protocol whose methods name their
+  class does not keep itself;
 * the scan works by elimination, like reference counting: every
   definition starts alive, and one that no live code names is dropped
   until nothing changes.  Code named only by dead code is dead too.
-  A cycle of names keeps itself (a method ``utilization`` that calls
-  ``self.busy.utilization``, a protocol whose methods name their
-  class), so the scan can miss dead code, but it never drops code
-  that live code names.
+  A longer cycle of names still keeps itself, so the scan can miss
+  dead code, but it never drops code that live code names.
 
 :data:`ALLOWED` lists the definitions without a caller that stay on
 purpose, each with its reason.  A listed definition that is gone, or
@@ -66,6 +68,9 @@ ALLOWED: Dict[str, str] = {
         "the paper's eqs. (27)/(29)/(30); " + _DIRECTION_1,
     "repro.core.dispersion:decompose_output_gap":
         "the paper's eq. (18); " + _DIRECTION_1,
+    "repro.core.batch:RepetitionBatch":
+        "the batch protocol the kernels' batch classes conform to and "
+        "their docstrings cite",
 }
 
 
@@ -151,9 +156,15 @@ def _scan():
             by_attribute[name].add(site)
         for name in names.loads:
             by_load[name].add(site)
+    own: Dict[str, Set[str]] = collections.defaultdict(set)
+    for key, definition in definitions.items():
+        own[key].add(key)
+        if definition.owner is not None:
+            own[definition.owner].add(key)
     supporters = {
-        key: by_attribute[definition.name] | (
-            by_load[definition.name] if definition.owner is None else set())
+        key: (by_attribute[definition.name] | (
+            by_load[definition.name] if definition.owner is None
+            else set())) - own[key]
         for key, definition in definitions.items()}
     return definitions, supporters
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.queueing.fifo import FifoHop
+from repro.traffic.generators import ArrivalSchedule
 from repro.traffic.packets import Packet
 from repro.traffic.probe import ProbeTrain
 
@@ -76,16 +77,46 @@ class TestFifoHop:
         with pytest.raises(ValueError):
             result.output_gap()
 
-    def test_utilization(self):
-        hop = FifoHop(10e6)
-        result = hop.run([(0.0, Packet(1250))])
-        assert result.utilization(0.0, 2e-3) == pytest.approx(0.5)
-
     def test_throughput_window_validation(self):
         hop = FifoHop(10e6)
         result = hop.run([(0.0, Packet(1250))])
         with pytest.raises(ValueError):
             result.throughput_bps(1.0, 1.0)
+
+
+class TestRunRows:
+    """``run_rows`` serves each row as ``run`` serves its arrivals."""
+
+    def test_rows_equal_run_bit_for_bit(self):
+        hop = FifoHop(10e6, overhead_bytes=38)
+        train = ProbeTrain.at_rate(16, 6e6, 1500)
+        starts_at = (0.0, 1e-3, 2e-3)
+        probe_times = np.stack([train.arrival_times(start=s)
+                                for s in starts_at])
+        rng = np.random.default_rng(5)
+        schedules = []
+        for row in probe_times:
+            # Mixed sizes, and every fourth probe instant taken by a
+            # cross arrival too.
+            times = np.sort(np.concatenate([rng.uniform(0, 0.05, 30),
+                                            row[::4]]))
+            schedules.append(ArrivalSchedule(
+                times, rng.choice([40, 576, 1500], len(times))))
+        schedules[1] = None
+        starts, departures = hop.run_rows(probe_times, 1500, schedules)
+        for r, start in enumerate(starts_at):
+            cross = list(schedules[r]) if schedules[r] is not None else []
+            probe = hop.run(train.packets(start=start) + cross
+                            ).by_flow("probe")
+            assert np.array_equal(starts[r], [p.hol for p in probe])
+            assert np.array_equal(departures[r], [p.departure for p in probe])
+
+    def test_rejects_unsorted_probes_and_a_schedule_per_row_missing(self):
+        hop = FifoHop(10e6)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            hop.run_rows(np.array([[0.2, 0.1]]), 1500, [None])
+        with pytest.raises(ValueError, match="schedules"):
+            hop.run_rows(np.zeros((2, 3)), 1500, [None])
 
 
 class TestFifoRateResponse:

@@ -11,7 +11,6 @@ from repro.traffic.generators import (
     PoissonGenerator,
     TraceGenerator,
 )
-from repro.traffic.packets import Packet
 
 
 def offered_rate_bps(schedule, horizon):
@@ -19,19 +18,65 @@ def offered_rate_bps(schedule, horizon):
     return sum(packet.size_bytes for _, packet in schedule) * 8 / horizon
 
 
+def reference_poisson_times(generator, horizon, rng, start=0.0):
+    """The ``t += gap`` loop whose sums ``PoissonGenerator.generate``
+    must reproduce bit for bit: the same gap batches, added one at a
+    time until the path crosses the horizon."""
+    lam = generator.packets_per_second
+    t, end = start, start + horizon
+    batch = max(16, int(lam * horizon * 1.2) + 8)
+    times = []
+    while True:
+        for gap in rng.exponential(1.0 / lam, size=batch):
+            t += gap
+            if t >= end:
+                return np.array(times)
+            times.append(t)
+
+
+class CountingRng(np.random.Generator):
+    """A PCG64 generator that counts its exponential gap batches and
+    scales their gaps by ``shrink`` (below 1, a path needs more batches
+    to cross its horizon)."""
+
+    def __init__(self, seed, shrink=1.0):
+        super().__init__(np.random.PCG64(seed))
+        self.shrink = shrink
+        self.batches = 0
+
+    def exponential(self, scale=1.0, size=None):
+        self.batches += 1
+        return super().exponential(scale * self.shrink, size)
+
+
 class TestArrivalSchedule:
     def test_rejects_decreasing_times(self):
         with pytest.raises(ValueError):
-            ArrivalSchedule([(1.0, Packet(100)), (0.5, Packet(100))])
+            ArrivalSchedule([1.0, 0.5], [100, 100])
 
     def test_len_and_iter(self):
-        schedule = ArrivalSchedule([(0.0, Packet(100)), (1.0, Packet(200))])
+        schedule = ArrivalSchedule([0.0, 1.0], [100, 200])
         assert len(schedule) == 2
         assert [t for t, _ in schedule] == [0.0, 1.0]
 
     def test_times_array(self):
-        schedule = ArrivalSchedule([(0.5, Packet(100))])
+        schedule = ArrivalSchedule([0.5], [100])
         assert schedule.times.dtype == float
+
+    def test_rejects_a_size_count_unlike_the_times(self):
+        with pytest.raises(ValueError):
+            ArrivalSchedule([0.0, 1.0], [100])
+
+    def test_iteration_yields_the_schedule_packets(self):
+        schedule = PoissonGenerator(1e6, 576, flow="fifo").generate(
+            0.5, np.random.default_rng(4))
+        pairs = list(schedule)
+        assert len(pairs) == len(schedule) > 0
+        assert [t for t, _ in pairs] == schedule.times.tolist()
+        for t, packet in pairs:
+            assert packet.size_bytes == 576
+            assert packet.flow == "fifo"
+            assert packet.created_at == t
 
 
 class TestPoissonGenerator:
@@ -79,6 +124,25 @@ class TestPoissonGenerator:
         a = PoissonGenerator(1e6).generate(5.0, np.random.default_rng(3))
         b = PoissonGenerator(1e6).generate(5.0, np.random.default_rng(3))
         assert np.array_equal(a.times, b.times)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("shrink, horizon, batches", [
+        (1.0, 0.3, range(1, 2)),    # the path ends inside the first batch
+        (0.25, 2.0, range(3, 10)),  # quarter-length gaps: three or more
+    ])
+    def test_draw_is_the_sequential_sum_bit_for_bit(self, seed, shrink,
+                                                    horizon, batches):
+        gen = PoissonGenerator(1.5e6, 1500)
+        rng, reference_rng = CountingRng(seed, shrink), CountingRng(seed,
+                                                                     shrink)
+        times = gen.generate(horizon, rng, start=0.25).times
+        expected = reference_poisson_times(gen, horizon, reference_rng,
+                                           start=0.25)
+        assert times.tobytes() == expected.tobytes()
+        assert rng.batches == reference_rng.batches
+        assert rng.batches in batches
+        # The stream stops where the loop's does: the next draw agrees.
+        assert rng.random() == reference_rng.random()
 
 
 class TestCBRGenerator:
@@ -154,7 +218,7 @@ class TestTraceGenerator:
         gen = TraceGenerator([(0.1, 100), (0.2, 200)])
         schedule = gen.generate(1.0)
         assert len(schedule) == 2
-        assert schedule.arrivals[1][1].size_bytes == 200
+        assert list(schedule)[1][1].size_bytes == 200
 
     def test_clips_to_window(self):
         gen = TraceGenerator([(0.1, 100), (0.9, 100), (1.5, 100)])

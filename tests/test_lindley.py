@@ -1,14 +1,10 @@
-"""Tests for the Lindley recursion and busy periods."""
+"""Tests for the Lindley recursion."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.queueing.lindley import (
-    BusyPeriods,
-    lindley_batch,
-    lindley_recursion,
-)
+from repro.queueing.lindley import lindley_batch, lindley_recursion
 
 
 def _scalar_reference(arrivals, services):
@@ -101,62 +97,6 @@ class TestLindleyProperties:
         services = np.array(services)
         _, departures = lindley_recursion(arrivals, services)
         assert np.allclose(departures, np.cumsum(services))
-
-
-class TestBusyPeriods:
-    def make(self, arrivals, services):
-        arrivals = np.asarray(arrivals, dtype=float)
-        services = np.asarray(services, dtype=float)
-        starts, departures = lindley_recursion(arrivals, services)
-        return BusyPeriods.from_sample_path(arrivals, starts, departures)
-
-    def test_single_busy_period(self):
-        busy = self.make([0.0, 0.5], [1.0, 1.0])
-        assert len(busy.intervals) == 1
-        assert busy.intervals[0] == (0.0, 2.0)
-
-    def test_separate_busy_periods(self):
-        busy = self.make([0.0, 10.0], [1.0, 1.0])
-        assert len(busy.intervals) == 2
-
-    def test_busy_time_full_overlap(self):
-        busy = self.make([0.0], [2.0])
-        assert busy.busy_time(0.0, 2.0) == pytest.approx(2.0)
-
-    def test_busy_time_partial_window(self):
-        busy = self.make([0.0], [2.0])
-        assert busy.busy_time(1.0, 3.0) == pytest.approx(1.0)
-
-    def test_busy_time_outside_window(self):
-        busy = self.make([0.0], [1.0])
-        assert busy.busy_time(5.0, 6.0) == 0.0
-
-    def test_utilization(self):
-        busy = self.make([0.0], [1.0])
-        assert busy.utilization(0.0, 2.0) == pytest.approx(0.5)
-
-    def test_utilization_window_validation(self):
-        busy = self.make([0.0], [1.0])
-        with pytest.raises(ValueError):
-            busy.utilization(1.0, 1.0)
-
-    def test_busy_time_window_validation(self):
-        busy = self.make([0.0], [1.0])
-        with pytest.raises(ValueError):
-            busy.busy_time(2.0, 1.0)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.tuples(
-        st.floats(min_value=0.0, max_value=10.0),
-        st.floats(min_value=0.01, max_value=1.0)),
-        min_size=1, max_size=40))
-    def test_total_busy_time_equals_total_service(self, pairs):
-        arrivals = np.sort(np.array([a for a, _ in pairs]))
-        services = np.array([s for _, s in pairs])
-        starts, departures = lindley_recursion(arrivals, services)
-        busy = BusyPeriods.from_sample_path(arrivals, starts, departures)
-        total = busy.busy_time(0.0, float(departures[-1]) + 1.0)
-        assert total == pytest.approx(float(np.sum(services)), rel=1e-9)
 
 
 class TestLindleyBatch:

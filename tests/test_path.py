@@ -148,7 +148,7 @@ class TestPathVectorBackend:
         for r, seed in enumerate(seeds):
             event = hop.carry(train.packets(start=1.0),
                               np.random.default_rng(seed))
-            assert np.allclose(batch[r], event, atol=1e-9)
+            assert np.array_equal(batch[r], event)
 
     def test_scenario_spec_compiled_from_hops(self):
         channel = SimulatedPathChannel(self._path())

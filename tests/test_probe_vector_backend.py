@@ -12,7 +12,7 @@ The load-bearing guarantees:
   when) the ``vector`` backend is selected, and reject channels the
   kernel cannot model;
 * the wired-FIFO vector path (batched Lindley) replays the event
-  path's sample paths to float rounding;
+  path's sample paths bit for bit;
 * chirps run on every backend of the WLAN channel: the kernel sends
   each row on its chirp's own schedule, KS-equivalent to the event
   engine.
@@ -34,8 +34,9 @@ from repro.sim.probe_vector import (
 )
 from repro.testbed.channel import SimulatedFifoChannel, SimulatedWlanChannel
 from repro.testbed.prober import Prober, ProbeSessionConfig
-from repro.traffic.generators import CBRGenerator, PoissonGenerator
-from repro.traffic.probe import ProbeTrain
+from repro.traffic.generators import (CBRGenerator, PoissonGenerator,
+                                     TraceGenerator)
+from repro.traffic.probe import PacketPair, ProbeTrain
 
 L = 1500
 
@@ -394,6 +395,40 @@ class TestFifoWiredVector:
         # Overloaded probe: departures serialize at the service rate.
         service = L * 8 / 10e6
         assert np.allclose(np.diff(batch.recv_times, axis=1), service)
+
+    @staticmethod
+    def _rows_equal_bitwise(channel, train):
+        """``send_trains_dense`` on ``event`` and on ``vector`` give the
+        same rows, bit for bit; returns the vector batch."""
+        event = channel.send_trains_dense(train, 6, seed=4, backend="event")
+        vector = channel.send_trains_dense(train, 6, seed=4,
+                                           backend="vector")
+        for field in ("send_times", "recv_times", "access_delays"):
+            assert np.array_equal(getattr(vector, field),
+                                  getattr(event, field)), field
+        return vector
+
+    @pytest.mark.parametrize("cross, train", [
+        (PoissonGenerator(4e6, L), ProbeTrain.at_rate(40, 6e6, L)),
+        (PoissonGenerator(3e6, 576), PacketPair(L)),
+        (CBRGenerator(3e6, L), ProbeTrain.at_rate(24, 5e6, L)),
+        (None, ProbeTrain.at_rate(10, 12e6, L)),
+    ], ids=["poisson", "poisson-pair", "cbr", "none"])
+    def test_dense_rows_equal_the_event_rows_bitwise(self, cross, train):
+        channel = SimulatedFifoChannel(10e6, cross_generator=cross,
+                                       drain_rate_floor=2e6)
+        self._rows_equal_bitwise(channel, train)
+
+    def test_probes_go_ahead_of_cross_arrivals_at_their_instants(self):
+        """A trace whose packets arrive on the probe instants: both
+        paths serve each probe first, so it never waits."""
+        train = ProbeTrain.at_rate(12, 4e6, L)
+        trace = [(t, 1000) for t in train.arrival_times(start=0.25)]
+        channel = SimulatedFifoChannel(
+            10e6, cross_generator=TraceGenerator(trace), warmup=0.25,
+            start_jitter=0.0)
+        batch = self._rows_equal_bitwise(channel, train)
+        assert np.allclose(batch.recv_times - batch.send_times, L * 8 / 10e6)
 
 
 class TestBatchedEstimators:

@@ -37,7 +37,7 @@ class TestToppOnModels:
         assert estimate.capacity_bps == pytest.approx(fair_share, rel=0.02)
         assert estimate.available_bps == pytest.approx(
             fair_share * (1 - u_fifo), rel=0.05)
-        assert estimate.utilization == pytest.approx(u_fifo, abs=0.03)
+        assert estimate.intercept == pytest.approx(u_fifo, abs=0.03)
 
     def test_segment_selection(self):
         capacity, available = 10e6, 4e6
