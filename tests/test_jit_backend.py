@@ -36,7 +36,12 @@ from repro.backends import BackendUnavailableError, ScenarioSpec, dispatch
 from repro.queueing.lindley import lindley_batch
 from repro.runtime import registry
 from repro.runtime.executor import chunked_reps
-from repro.sim import jit
+from repro.sim import jit, probe_vector
+from repro.sim.probe_vector import (CbrCrossSpec, OnOffCrossSpec,
+                                    PoissonCrossSpec, QueueTraceBatch,
+                                    simulate_probe_arrivals_batch,
+                                    simulate_probe_train_batch,
+                                    simulate_steady_state_batch)
 from repro.testbed.channel import (SimulatedFifoChannel, SimulatedWlanChannel,
                                    send_scan)
 from repro.traffic.generators import PoissonGenerator
@@ -72,6 +77,54 @@ def _batches_equal(a, b):
     assert np.array_equal(a.recv_times, b.recv_times)
     assert np.array_equal(a.access_delays, b.access_delays,
                           equal_nan=True)
+
+
+def _arrays_equal(a, b):
+    """Bit-exact equality of two kernel outputs: arrays, ``None``,
+    tuples of arrays or lists of queue traces."""
+    if a is None or b is None:
+        assert a is None and b is None
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _arrays_equal(x, y)
+    elif isinstance(a, QueueTraceBatch):
+        _arrays_equal(a.arrivals, b.arrivals)
+        _arrays_equal(a.departures, b.departures)
+    else:
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+def _kernel_tiers_equal(call):
+    """``call()``'s batch on the numpy loop equals the jit tier's per-row
+    core (plain Python without numba) bit for bit, field by field."""
+    numpy_batch = call()
+    with jit.kernel_tier("jit"):
+        jit_batch = call()
+    for field in vars(numpy_batch):
+        _arrays_equal(getattr(numpy_batch, field), getattr(jit_batch, field))
+
+
+def _raw_kernel_outputs(monkeypatch, call):
+    """``_resolve_batch``'s ``(recv, delays, bits, queues)`` for
+    ``call()`` on the numpy tier, then on the jit tier.  A lost probe
+    makes the public entries raise after the kernel has run, so the
+    outputs are caught on their way out."""
+    outputs = []
+    resolve = probe_vector._resolve_batch
+
+    def spy(*args, **kwargs):
+        outputs.append(resolve(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(probe_vector, "_resolve_batch", spy)
+    for tier in jit.TIERS:
+        with jit.kernel_tier(tier):
+            try:
+                call()
+            except RuntimeError as exc:
+                assert str(exc) == "probe packets were lost"
+    return outputs
 
 
 class TestTierPlumbing:
@@ -261,6 +314,72 @@ class TestBitIdentityWithNumpyTier:
         vector = send_scan(channels, trains, 4, [3, 4, 5], backend="vector")
         jitted = send_scan(channels, trains, 4, [3, 4, 5], backend="jit")
         _batches_equal(jitted, vector)
+
+    @pytest.mark.parametrize("seed", seed_params(0, 7, 23))
+    def test_rts_mixed_sizes_bit_identical(self, seed):
+        """RTS/CTS protects the 1500 B frames and not the 500 B ones,
+        so collisions mix RTS and DATA contention frames."""
+        _kernel_tiers_equal(lambda: simulate_probe_train_batch(
+            12, 0.0024, 6, cross=[PoissonCrossSpec(300, 500),
+                                  PoissonCrossSpec(250, L)],
+            rts_threshold=1000, warmup=0.05, seed=seed))
+
+    @pytest.mark.parametrize("seed", seed_params(0, 7, 23))
+    def test_rts_steady_fifo_bit_identical(self, seed):
+        _kernel_tiers_equal(lambda: simulate_steady_state_batch(
+            np.array([2e6, 2e6, 5e6]), 3,
+            cross=[PoissonCrossSpec(300, 500)],
+            fifo_cross=PoissonCrossSpec(150, L), duration=0.2,
+            warmup=0.05, rts_threshold=1000, seed=seed))
+
+    @pytest.mark.parametrize("seed", seed_params(0, 7, 23))
+    def test_retry_drops_train_bit_identical(self, monkeypatch, seed):
+        """Every collision drops (``retry_limit=0``), probe packets too:
+        the public entry raises, so the raw outputs are compared."""
+        numpy_raw, jit_raw = _raw_kernel_outputs(
+            monkeypatch, lambda: simulate_probe_train_batch(
+                16, 0.0024, 6, cross=[PoissonCrossSpec(400, L)] * 3,
+                retry_limit=0, warmup=0.05, seed=seed,
+                track_queues=True))
+        assert np.isnan(numpy_raw[0]).any()
+        _arrays_equal(numpy_raw, jit_raw)
+
+    @pytest.mark.parametrize("seed", seed_params(0, 7, 23))
+    def test_retry_drops_steady_bit_identical(self, seed):
+        _kernel_tiers_equal(lambda: simulate_steady_state_batch(
+            3e6, 4, cross=[PoissonCrossSpec(400, L)] * 2,
+            fifo_cross=PoissonCrossSpec(100, L), duration=0.2,
+            warmup=0.05, retry_limit=0, track_queues=True, seed=seed))
+
+    @pytest.mark.parametrize("seed", seed_params(0, 7, 23))
+    def test_deferred_access_bit_identical(self, seed):
+        _kernel_tiers_equal(lambda: simulate_probe_train_batch(
+            12, 0.0024, 6, cross=[PoissonCrossSpec(300, L)],
+            immediate_access=False, warmup=0.05, seed=seed))
+
+    @pytest.mark.parametrize("seed", seed_params(0, 7, 23))
+    def test_cbr_jitter_cross_bit_identical(self, seed):
+        _kernel_tiers_equal(lambda: simulate_probe_train_batch(
+            12, 0.0024, 6, cross=[CbrCrossSpec(300, L, jitter=0.001)],
+            warmup=0.05, seed=seed))
+
+    @pytest.mark.parametrize("seed", seed_params(0, 7, 23))
+    def test_onoff_cross_bit_identical(self, seed):
+        _kernel_tiers_equal(lambda: simulate_probe_train_batch(
+            12, 0.0024, 6, cross=[OnOffCrossSpec(600, L, 0.02, 0.03)],
+            warmup=0.05, seed=seed))
+
+    @pytest.mark.parametrize("seed", seed_params(0, 7, 23))
+    def test_arrivals_batch_retry_bit_identical(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        probe_times = np.cumsum(rng.exponential(0.002, (5, 12)), axis=1)
+        numpy_raw, jit_raw = _raw_kernel_outputs(
+            monkeypatch, lambda: simulate_probe_arrivals_batch(
+                probe_times, size_bytes=L,
+                seeds=np.random.SeedSequence(seed).generate_state(5),
+                cross=[PoissonCrossSpec(400, L)] * 2, retry_limit=0))
+        assert np.isnan(numpy_raw[0]).any()
+        _arrays_equal(numpy_raw, jit_raw)
 
     def test_lindley_batch_function_level(self, jit_forced):
         rng = np.random.default_rng(5)
