@@ -103,10 +103,10 @@ def lindley_batch(arrivals: np.ndarray,
             f"shape mismatch: {arrivals.shape} vs {services.shape}")
     if arrivals.ndim != 2:
         raise ValueError("expected 2-D (repetitions, n) arrays")
-    finite = np.isfinite(arrivals)
-    with np.errstate(invalid="ignore"):  # inf-padded tails diff to nan
-        if np.any(np.diff(arrivals, axis=1)[finite[:, 1:]] < 0):
-            raise ValueError("arrivals must be non-decreasing within a row")
+    # An inf-padded tail passes (inf < inf is false); a finite arrival
+    # after an inf one does not.
+    if np.any(arrivals[:, 1:] < arrivals[:, :-1]):
+        raise ValueError("arrivals must be non-decreasing within a row")
     if np.any(services < 0):
         raise ValueError("service times must be non-negative")
     return _lindley_cummax(arrivals, services)

@@ -10,11 +10,14 @@ input gap, and the whole session is repeated over many independent
 repetitions.  This module resolves those repetitions **in one
 vectorized pass**.
 
-The state of a batch is a handful of ``(repetitions, stations)``
-arrays (station 0 is the probe sender, the rest are cross-traffic
-contenders) plus the pre-drawn arrival sample paths.  One loop
-iteration advances every repetition by exactly one *event*, which is
-either
+The state of a batch is a handful of station-major arrays, one
+``(stations, repetitions)`` array per quantity with a flat view
+(station 0 is the probe sender, the rest are cross-traffic
+contenders), plus the pre-drawn arrival sample paths.  An event
+addresses its station by one flat index, ``station * repetitions +
+repetition``, and the reductions over stations run along the long
+axis.  One loop iteration advances every repetition by exactly one
+*event*, which is either
 
 1. an **arrival to an idle station** — the packet is promoted to
    head-of-line; if the medium has been idle for at least DIFS it
@@ -29,6 +32,10 @@ either
    losers consume exactly the elapsed idle slots — the
    frozen-countdown rule — and every countdown restarts one DIFS
    after the busy period ends.
+
+A train repetition retires once station 0 has served (or dropped) its
+last probe-tagged packet, and once at most half the repetitions still
+run, the retired ones leave the state arrays.
 
 Time arithmetic comes from the same :class:`repro.mac.frames`
 airtime model and :mod:`repro.mac.timing` constants the event backend
@@ -944,33 +951,56 @@ def _resolve_batch(arr: np.ndarray, n_arr: np.ndarray,
 
     if window is not None:
         w0, w1 = window
-        probe_bits = np.zeros(reps)
-        fifo_bits = np.zeros(reps)
-        cross_bits = np.zeros((reps, n_cross))
+        # Delivered bits per row and flow: probe, FIFO, cross stations.
+        bits_rows = np.zeros((reps, n_stations + 1))
+        flow_bits = bits_rows.reshape(-1)
         size_bits = np.array(sizes, dtype=float) * 8
-
-    # The state of the rows still in the loop; ``rows`` maps them to
-    # the batch rows the outputs (and the arrival cube) are indexed by.
-    rows = np.arange(reps)
-    nxt = np.zeros((reps, n_stations), dtype=np.int64)
-    # Each station's next arrival instant (``inf`` once its arrivals
-    # are exhausted), refreshed only when its queue advances.
-    head = np.where(n_arr > 0, arr[:, :, 0], np.inf)
-    hol = np.zeros((reps, n_stations), dtype=bool)
-    hol_t = np.zeros((reps, n_stations))
-    rem = np.zeros((reps, n_stations), dtype=np.int64)
-    cstart = np.full((reps, n_stations), np.inf)
-    stage = np.zeros((reps, n_stations), dtype=np.int64)
-    attempts = np.zeros((reps, n_stations), dtype=np.int64)
-    idle_start = np.full(reps, -np.inf)
-    probe_left = np.full(reps, n_probe, dtype=np.int64)
-    active = np.ones(reps, dtype=bool)
 
     recv = np.full((reps, n_probe), np.nan)
     delays = np.full((reps, n_probe), np.nan)
     # FIFO service keeps each station's departures in arrival order, so
     # indexing this by the served arrival index yields sorted rows.
     departures = np.full(arr.shape, np.inf) if track_queues else None
+    # Flat views: an event reads an arrival or a probe tag, and writes
+    # an output, through one index.
+    cube, tags = arr.reshape(-1), probe_seq.reshape(-1)
+    recv_at, delay_at = recv.reshape(-1), delays.reshape(-1)
+    departed = departures.reshape(-1) if track_queues else None
+    width, tag_width = arr.shape[2], probe_seq.shape[1]
+    exchange_col = exchange_air[:, None]
+    contention_col = contention_air[:, None]
+    # A backoff draw is ``int(u * (cw + 1))``.
+    cw_span = cw_by_stage + 1
+    preamble_col, data_col = preamble[:, None], data_air[:, None]
+
+    # The loop's state is station-major: one flat array per quantity
+    # holds station ``sta`` of loop row ``row`` at ``sta * len(rows) +
+    # row``, so an event addresses its station by one index, station 0
+    # is the first ``len(rows)`` entries, and ``reshape(n_stations,
+    # -1)`` reduces over the stations along axis 0.  ``rows`` maps the
+    # rows still in the loop to the batch rows the outputs and the
+    # arrival cube are indexed by, ``base`` each station to its offset
+    # in the flat cube.
+    rows = np.arange(reps)
+    base = ((rows * n_stations + np.arange(n_stations)[:, None])
+            * width).ravel()
+    count = n_arr.T.ravel()
+    nxt = np.zeros_like(count)
+    # A station's pending arrival: its next packet's arrival instant
+    # while its head of line is empty, else ``inf``.
+    pend = np.where(count > 0, arr[:, :, 0].T.ravel(), np.inf)
+    hol = np.zeros(count.shape, dtype=bool)
+    hol_t = np.zeros(count.shape)
+    rem = np.zeros_like(count)
+    # ``inf`` off head-of-line, so a countdown's expiry needs no mask.
+    cstart = np.full(count.shape, np.inf)
+    stage = np.zeros_like(count)
+    attempts = np.zeros_like(count)
+    idle_start = np.full(reps, -np.inf)
+    active = np.ones(reps, dtype=bool)
+    # Train mode retires a row once station 0 has served (or dropped)
+    # past its last probe-tagged packet.
+    last_probe = tag_width - 1 - np.argmax(probe_seq[:, ::-1] >= 0, axis=1)
 
     # Every event retires an arrival, a success, or (boundedly often)
     # a collision; the guard is far above any real trajectory.
@@ -984,198 +1014,163 @@ def _resolve_batch(arr: np.ndarray, n_arr: np.ndarray,
         # loop; a kept row goes on reading its own uniforms.
         if 2 * running <= len(rows):
             keep = np.flatnonzero(active)
-            (rows, nxt, head, hol, hol_t, rem, cstart, stage, attempts,
-             idle_start, probe_left, active, n_arr) = (
-                state[keep] for state in (
-                    rows, nxt, head, hol, hol_t, rem, cstart, stage,
-                    attempts, idle_start, probe_left, active, n_arr))
+            rows, idle_start, active, last_probe = (
+                state[keep] for state in (rows, idle_start, active,
+                                          last_probe))
+            (base, count, nxt, pend, hol, hol_t, rem, cstart, stage,
+             attempts) = (
+                np.take(state.reshape(n_stations, -1), keep, axis=1).ravel()
+                for state in (base, count, nxt, pend, hol, hol_t, rem,
+                              cstart, stage, attempts))
             uniforms.keep(keep)
-        u = uniforms.take()
+        n = len(rows)
+        # This round's uniforms, station-major like the state.
+        u = uniforms.take().T.ravel()
 
-        expiry = np.where(hol, cstart + rem * slot, np.inf)
-        t_tx = expiry.min(axis=1)
-        next_arr = np.where(hol, np.inf, head)
-        t_arr = next_arr.min(axis=1)
+        expiry = (cstart + rem * slot).reshape(n_stations, n)
+        t_tx = expiry.min(axis=0)
+        pending = pend.reshape(n_stations, n)
+        t_arr = pending.min(axis=0)
 
         # Steady mode: the first event past the stop instant never
         # fires — the kernel counterpart of ``run(until=stop_time)``.
+        t_next = np.minimum(t_arr, t_tx)
         if stop_time is not None:
-            active = active & (np.minimum(t_arr, t_tx) <= stop_time)
+            active = active & (t_next <= stop_time)
 
         # Ties go to the arrival, like the event engine's priorities
         # (the admitted station then collides at the same instant).
-        arr_event = active & np.isfinite(t_arr) & (t_arr <= t_tx)
-        tx_event = active & ~arr_event & np.isfinite(t_tx)
+        live = active & (t_next < np.inf)
+        arr_event = live & (t_arr <= t_tx)
+        tx_event = live ^ arr_event
 
         # -- arrival to an idle station --------------------------------
         if arr_event.any():
-            adm = arr_event[:, None] & (next_arr <= t_arr[:, None])
-            hol[adm] = True
-            a_rep, a_sta = np.nonzero(adm)
-            a_time = next_arr[adm]
-            hol_t[adm] = a_time
-            idle_for = a_time - idle_start[a_rep]
-            if immediate_access:
-                imm = idle_for >= difs - TIME_EPS
-            else:
-                imm = np.zeros(len(a_rep), dtype=bool)
-            rem[a_rep[imm], a_sta[imm]] = 0
-            cstart[a_rep[imm], a_sta[imm]] = a_time[imm]
-            reg_rep, reg_sta = a_rep[~imm], a_sta[~imm]
-            cw = cw_by_stage[stage[reg_rep, reg_sta]]
-            rem[reg_rep, reg_sta] = (u[reg_rep, reg_sta]
-                                     * (cw + 1)).astype(np.int64)
-            cstart[reg_rep, reg_sta] = np.maximum(
-                a_time[~imm], idle_start[reg_rep] + difs)
+            a = np.flatnonzero((pending <= t_arr) & arr_event)
+            a_time = pend[a]
+            pend[a] = np.inf
+            hol[a] = True
+            hol_t[a] = a_time
+            idle = idle_start[a % n]
+            imm = (a_time - idle >= difs - TIME_EPS) & immediate_access
+            rem[a] = np.where(imm, 0,
+                              (u[a] * cw_span[stage[a]]).astype(np.int64))
+            cstart[a] = np.where(imm, a_time, np.maximum(a_time, idle + difs))
 
         # -- transmission ----------------------------------------------
         if tx_event.any():
-            safe_tx = np.where(np.isfinite(t_tx), t_tx, 0.0)
-            win = tx_event[:, None] & hol \
-                & (expiry <= t_tx[:, None] + TIME_EPS)
-            n_win = win.sum(axis=1)
+            safe_tx = np.where(tx_event, t_tx, 0.0)
+            win = (expiry <= t_tx + TIME_EPS) & tx_event
+            lone = win.sum(axis=0) == 1
             # A lone winner occupies the medium with its full exchange
             # (RTS preamble + DATA when protected); colliders only with
             # their contention frames (RTS when protected) — then both
             # pay the SIFS + ACK/CTS timeout, like the event medium.
-            frame_air = np.where((n_win == 1)[:, None],
-                                 exchange_air[None, :],
-                                 contention_air[None, :])
-            busy_end = (safe_tx + np.where(win, frame_air, 0.0)
-                        .max(axis=1) + sifs + ack_air)
+            frame_air = np.where(lone, exchange_col, contention_col)
+            busy_end = (safe_tx + np.where(win, frame_air, 0.0).max(axis=0)
+                        + sifs + ack_air)
+            # A lone winner's packet leaves when its DATA frame ends, a
+            # dropped one when the busy period ends.
+            finish = np.where(lone, t_tx + preamble_col + data_col,
+                              busy_end).reshape(-1)
 
-            success = tx_event & (n_win == 1)
-            solo = win & success[:, None]
-            s_rep, s_sta = np.nonzero(solo)
-            s_row = rows[s_rep]
-            data_end = t_tx[s_rep] + preamble[s_sta] + data_air[s_sta]
-            served = nxt[s_rep, s_sta]
+            # Colliders draw their next backoff at the next stage,
+            # unless the packet has now collided past the retry limit:
+            # then it is dropped (its delay slot stays NaN).
+            w = np.flatnonzero(win)
+            solo = lone[w % n]
+            done = solo
+            if retry_limit is not None:
+                attempts[w] += 1
+                done = solo | (attempts[w] > retry_limit)
+            retry = w[~done]
+            if retry.size:
+                up = np.minimum(stage[retry] + 1, max_stage)
+                stage[retry] = up
+                rem[retry] = (u[retry] * cw_span[up]).astype(np.int64)
+
+            s = w[done]
+            success = solo[done]
+            end = finish[s]
+            served = nxt[s]
             if track_queues:
-                departures[s_row, s_sta, served] = data_end
-
-            probe_tx = s_sta == 0
-            p_rep = s_rep[probe_tx]
-            seq = probe_seq[s_row[probe_tx], served[probe_tx]]
-            p_end = data_end[probe_tx]
-            is_probe_pkt = seq >= 0
-            pr = p_rep[is_probe_pkt]
-            recv[rows[pr], seq[is_probe_pkt]] = p_end[is_probe_pkt]
-            delays[rows[pr], seq[is_probe_pkt]] = (p_end[is_probe_pkt]
-                                                   - hol_t[pr, 0])
-            probe_left[pr] -= 1
+                departed[base[s] + served] = end
+            # Station 0's packets come first (their flat index is their
+            # row); a probe-tagged one delivered sets its outputs.
+            k = int(np.searchsorted(s, n))
+            p_rows = rows[s[:k]]
+            seq = tags[p_rows * tag_width + served[:k]]
+            sent = success[:k] & (seq >= 0)
+            at = p_rows[sent] * n_probe + seq[sent]
+            p_end = end[:k][sent]
+            recv_at[at] = p_end
+            delay_at[at] = p_end - hol_t[s[:k][sent]]
 
             # Per-flow throughput accounting: a packet counts when its
             # DATA frame ends inside the measurement window.  At most
             # one success per repetition per iteration, so plain fancy
             # indexing accumulates safely.
             if window is not None:
-                in_win = (data_end > w0) & (data_end <= w1)
-                cwin = in_win & (s_sta > 0)
-                cross_bits[s_row[cwin], s_sta[cwin] - 1] += \
-                    size_bits[s_sta[cwin]]
-                p_in = in_win[probe_tx]
-                p_row = s_row[probe_tx]
-                probe_bits[p_row[p_in & is_probe_pkt]] += size_bits[0]
-                fifo_bits[p_row[p_in & ~is_probe_pkt]] += size_bits[0]
+                counted = success & (end > w0) & (end <= w1)
+                c_sta, c_row = np.divmod(s[counted], n)
+                # Flows: probe 0, FIFO 1, cross station ``c`` is 1 + c;
+                # station 0's packets come first.
+                flow = c_sta + 1
+                p_in = counted[:k]
+                flow[:np.count_nonzero(p_in)] = seq[p_in] < 0
+                flow_bits[rows[c_row] * (n_stations + 1) + flow] += \
+                    size_bits[c_sta]
 
-            # Advance the winner's queue: the next packet (if it has
-            # already arrived) is promoted when the DATA frame ends and
-            # draws its backoff immediately (the medium is busy).
-            nxt[s_rep, s_sta] += 1
-            stage[s_rep, s_sta] = 0
-            attempts[s_rep, s_sta] = 0
-            promoted = _advance_head(head, arr, n_arr, nxt, rows, s_rep,
-                                     s_sta, data_end)
-            hol[s_rep, s_sta] = promoted
-            hol_t[s_rep[promoted], s_sta[promoted]] = data_end[promoted]
-            cw0 = cw_by_stage[0]
-            rem[s_rep[promoted], s_sta[promoted]] = (
-                u[s_rep[promoted], s_sta[promoted]]
-                * (cw0 + 1)).astype(np.int64)
-
-            collision = tx_event & (n_win >= 2)
-            coll = win & collision[:, None]
+            # Advance the served queues: the next packet, if it has
+            # arrived by ``end``, is promoted there and draws its backoff
+            # at once (the medium is busy); else its arrival pends.
+            # ``hol_t`` and ``rem`` are read only at the head of line.
+            after = served + 1
+            nxt[s] = after
+            stage[s] = 0
             if retry_limit is not None:
-                attempts[coll] += 1
-                dropping = coll & (attempts > retry_limit)
-                coll = coll & ~dropping
-            stage[coll] = np.minimum(stage[coll] + 1, max_stage)
-            c_rep, c_sta = np.nonzero(coll)
-            cw = cw_by_stage[stage[c_rep, c_sta]]
-            rem[c_rep, c_sta] = (u[c_rep, c_sta] * (cw + 1)).astype(np.int64)
-
-            if retry_limit is not None and dropping.any():
-                # Retry limit exhausted: the packet is abandoned at
-                # the end of the busy period (its delay stays NaN) and
-                # the next queued packet — if it has arrived — is
-                # promoted there, at stage 0 with a fresh CW0 draw.
-                d_rep, d_sta = np.nonzero(dropping)
-                d_row = rows[d_rep]
-                b_end = busy_end[d_rep]
-                served = nxt[d_rep, d_sta]
-                if track_queues:
-                    departures[d_row, d_sta, served] = b_end
-                probe_drop = d_sta == 0
-                seq_d = probe_seq[d_row[probe_drop], served[probe_drop]]
-                probe_left[d_rep[probe_drop][seq_d >= 0]] -= 1
-                nxt[d_rep, d_sta] += 1
-                stage[dropping] = 0
-                attempts[dropping] = 0
-                promoted = _advance_head(head, arr, n_arr, nxt, rows,
-                                         d_rep, d_sta, b_end)
-                hol[d_rep, d_sta] = promoted
-                hol_t[d_rep[promoted], d_sta[promoted]] = b_end[promoted]
-                cw0 = cw_by_stage[0]
-                rem[d_rep[promoted], d_sta[promoted]] = (
-                    u[d_rep[promoted], d_sta[promoted]]
-                    * (cw0 + 1)).astype(np.int64)
+                attempts[s] = 0
+            head = np.where(after < count[s],
+                            cube[base[s] + np.minimum(after, width - 1)],
+                            np.inf)
+            promoted = head <= end + TIME_EPS
+            pend[s] = np.where(promoted, np.inf, head)
+            hol[s] = promoted
+            hol_t[s] = end
+            rem[s] = (u[s] * cw_span[0]).astype(np.int64)
+            cstart[s] = np.inf
 
             # Frozen countdown: losers consumed exactly the idle slots
             # that elapsed before the winners' transmission started.
-            lose = tx_event[:, None] & hol & ~win
-            safe_cstart = np.where(lose, cstart, 0.0)
+            holding = hol.reshape(n_stations, n) & tx_event
+            lose = holding & ~win
+            starts = cstart.reshape(n_stations, n)
+            left = rem.reshape(n_stations, n)
             elapsed = np.floor(
-                (safe_tx[:, None] - safe_cstart) / slot
+                (safe_tx - np.where(lose, starts, 0.0)) / slot
                 + TIME_EPS).astype(np.int64)
-            elapsed = np.maximum(0, np.minimum(elapsed, rem - 1))
-            rem[lose] -= elapsed[lose]
+            left -= np.where(
+                lose, np.maximum(0, np.minimum(elapsed, left - 1)), 0)
 
-            idle_start[tx_event] = busy_end[tx_event]
-            counting = tx_event[:, None] & hol
-            cstart[counting] = np.broadcast_to(
-                (busy_end + difs)[:, None], counting.shape)[counting]
+            idle_start = np.where(tx_event, busy_end, idle_start)
+            np.copyto(starts, busy_end + difs, where=holding)
 
             if stop_time is None:
-                active = active & (probe_left > 0)
+                active = active & (nxt[:n] <= last_probe)
     else:  # pragma: no cover - defensive
         raise RuntimeError(
             f"probe batch did not complete within {max_events} events")
 
-    bits = ((probe_bits, fifo_bits, cross_bits)
-            if window is not None else None)
+    bits = None
+    if window is not None:
+        bits = (bits_rows[:, 0].copy(), bits_rows[:, 1].copy(),
+                bits_rows[:, 2:].copy())
     queues = None
     if track_queues:
         queues = [QueueTraceBatch(arrivals=arr[:, 1 + c, :],
                                   departures=departures[:, 1 + c, :])
                   for c in range(n_cross)]
     return recv, delays, bits, queues
-
-
-def _advance_head(head: np.ndarray, arr: np.ndarray, n_arr: np.ndarray,
-                  nxt: np.ndarray, rows: np.ndarray, rep: np.ndarray,
-                  sta: np.ndarray, instant: np.ndarray) -> np.ndarray:
-    """Refresh the heads of the queues that just served a packet.
-
-    ``(rep, sta)`` index the loop's state (``rows`` maps ``rep`` to
-    the arrival cube's row) and ``nxt`` already points past the served
-    packet.  Returns which of them promote their next packet at
-    ``instant``: it exists and has arrived by then.
-    """
-    after = nxt[rep, sta]
-    exists = after < n_arr[rep, sta]
-    times = arr[rows[rep], sta, np.minimum(after, arr.shape[2] - 1)]
-    head[rep, sta] = np.where(exists, times, np.inf)
-    return exists & (times <= instant + TIME_EPS)
 
 
 def _resolve_jit_batch(arr: np.ndarray, n_arr: np.ndarray,

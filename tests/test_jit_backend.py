@@ -381,6 +381,17 @@ class TestBitIdentityWithNumpyTier:
         assert np.isnan(numpy_raw[0]).any()
         _arrays_equal(numpy_raw, jit_raw)
 
+    @pytest.mark.parametrize("seed", seed_params(0, 7, 23))
+    def test_arrivals_batch_unsorted_fifo_bit_identical(self, seed):
+        """Explicit arrivals out of order, merged with FIFO traffic,
+        leave the queue with their probe tags out of order; a row runs
+        until every probe-tagged packet is served."""
+        probe_times = np.random.default_rng(seed).uniform(0, 0.05, (6, 10))
+        _kernel_tiers_equal(lambda: simulate_probe_arrivals_batch(
+            probe_times, size_bytes=L, seeds=np.arange(6),
+            cross=[PoissonCrossSpec(300, L)],
+            fifo_cross=PoissonCrossSpec(200, L)))
+
     def test_lindley_batch_function_level(self, jit_forced):
         rng = np.random.default_rng(5)
         arrivals = np.sort(rng.random((6, 40)), axis=1)

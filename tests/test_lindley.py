@@ -163,6 +163,20 @@ class TestLindleyBatch:
         with pytest.raises(ValueError):
             lindley_batch(np.zeros((1, 2)), -np.ones((1, 2)))
 
+    def test_order_check_passes_inf_tails(self):
+        arrivals = np.array([[0.0, 0.1, np.inf, np.inf]])
+        lindley_batch(arrivals, np.zeros((1, 4)))
+
+    def test_order_check_rejects_finite_after_inf(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            lindley_batch(np.array([[0.0, np.inf, 0.2]]), np.zeros((1, 3)))
+
+    def test_order_check_passes_nan(self):
+        """A NaN compares false either way, so it never fails the
+        order check (the recursion then carries it along)."""
+        lindley_batch(np.array([[0.0, np.nan, 0.2], [np.nan, 0.1, 0.2]]),
+                      np.zeros((2, 3)))
+
     def test_1d_recursion_matches_loop_reference(self):
         """The vectorized 1-D entry point agrees with the loop it
         replaced."""

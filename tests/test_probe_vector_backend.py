@@ -376,17 +376,20 @@ class TestChannelRouting:
 class TestFifoWiredVector:
     """The batched-Lindley path replays the event path exactly."""
 
-    def test_matches_event_path_to_float_rounding(self):
+    def test_send_trains_rows_equal_the_event_rows_bitwise(self):
+        """The list-returning ``send_trains`` path: each vector row
+        equals the event row bit for bit."""
         channel = SimulatedFifoChannel(
             10e6, cross_generator=PoissonGenerator(4e6, L),
             drain_rate_floor=2e6)
         train = ProbeTrain.at_rate(40, 6e6, L)
         event = channel.send_trains(train, 8, seed=4)
         vector = channel.send_trains(train, 8, seed=4, backend="vector")
+        assert len(event) == len(vector) == 8
         for a, b in zip(event, vector):
-            assert np.allclose(a.send_times, b.send_times, atol=1e-9)
-            assert np.allclose(a.recv_times, b.recv_times, atol=1e-9)
-            assert np.allclose(a.access_delays, b.access_delays, atol=1e-9)
+            assert np.array_equal(a.send_times, b.send_times)
+            assert np.array_equal(a.recv_times, b.recv_times)
+            assert np.array_equal(a.access_delays, b.access_delays)
 
     def test_no_cross_traffic(self):
         channel = SimulatedFifoChannel(10e6)
