@@ -773,12 +773,13 @@ def simulate_probe_arrivals_batch(
 
     The multihop chaining entry point: ``probe_times`` is a
     ``(repetitions, n)`` matrix of arrival instants at *this* hop —
-    typically the previous hop's departure matrix — and ``seeds`` the
-    per-repetition streams (one uint32 each, the caller derives them
-    per hop).  ``horizon`` is one value or one per row (default: each
-    row's last arrival plus one second), and the sample paths are
-    drawn once per run of equal horizon, so a row never depends on
-    the rows batched with it.  Everything else matches
+    typically the previous hop's departure matrix — non-decreasing
+    along each row (the probe queue serves in arrival order), and
+    ``seeds`` the per-repetition streams (one uint32 each, the caller
+    derives them per hop).  ``horizon`` is one value or one per row
+    (default: each row's last arrival plus one second), and the sample
+    paths are drawn once per run of equal horizon, so a row never
+    depends on the rows batched with it.  Everything else matches
     :func:`simulate_probe_train_batch`; there is no warmup or start
     jitter because the arrival process already encodes the probing
     schedule.
@@ -788,6 +789,8 @@ def simulate_probe_arrivals_batch(
         raise ValueError(
             f"probe_times must be (repetitions, n >= 2), got "
             f"{probe_times.shape}")
+    if np.any(np.diff(probe_times) < 0):
+        raise ValueError("probe arrival times must be non-decreasing")
     if len(seeds) != probe_times.shape[0]:
         raise ValueError(
             f"need one seed per repetition, got {len(seeds)} for "

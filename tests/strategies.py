@@ -10,9 +10,9 @@ immediate-access rule — and the differential runner
 ``repro.backends.dispatch`` and KS-compares the eligible kernel
 against the event engine at matched seeds.
 
-hypothesis is optional: when it is not installed (the CI smoke lane
-ships only numpy+scipy) ``HAS_HYPOTHESIS`` is ``False``,
-:func:`scenario_cases` is ``None`` and the differential tests skip.
+hypothesis is optional: when it is not installed ``HAS_HYPOTHESIS``
+is ``False``, :func:`scenario_cases` is ``None`` and the differential
+tests skip.
 
 The bounds below are deliberate, not incidental:
 

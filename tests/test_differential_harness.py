@@ -25,10 +25,10 @@ For every :class:`tests.strategies.ScenarioCase` drawn by hypothesis:
   and raise :class:`~repro.backends.BackendUnavailableError` when
   ``vector`` is forced.
 
-hypothesis is optional (the CI smoke lane ships only numpy+scipy):
-without it the module's tests skip.  ``derandomize=True`` makes the
-example stream a deterministic regression suite rather than a flaky
-sampler — the same >= 25 scenarios run on every invocation.
+hypothesis is optional: without it the module's tests skip.
+``derandomize=True`` makes the example stream a deterministic
+regression suite rather than a flaky sampler — the same >= 25
+scenarios run on every invocation.
 """
 
 import numpy as np

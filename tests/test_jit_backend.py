@@ -383,14 +383,28 @@ class TestBitIdentityWithNumpyTier:
 
     @pytest.mark.parametrize("seed", seed_params(0, 7, 23))
     def test_arrivals_batch_unsorted_fifo_bit_identical(self, seed):
-        """Explicit arrivals out of order, merged with FIFO traffic,
-        leave the queue with their probe tags out of order; a row runs
-        until every probe-tagged packet is served."""
-        probe_times = np.random.default_rng(seed).uniform(0, 0.05, (6, 10))
+        """Explicit arrivals drawn unsorted, sorted per row (the kernel
+        refuses a decreasing row) and merged with FIFO traffic; a row
+        runs until every probe-tagged packet is served."""
+        probe_times = np.sort(
+            np.random.default_rng(seed).uniform(0, 0.05, (6, 10)), axis=1)
         _kernel_tiers_equal(lambda: simulate_probe_arrivals_batch(
             probe_times, size_bytes=L, seeds=np.arange(6),
             cross=[PoissonCrossSpec(300, L)],
             fifo_cross=PoissonCrossSpec(200, L)))
+
+    @pytest.mark.parametrize("fifo_cross",
+                             [None, PoissonCrossSpec(1e-9, L)],
+                             ids=["no-fifo", "fifo"])
+    def test_arrivals_batch_refuses_decreasing_rows(self, fifo_cross):
+        """A decreasing row would be served in row order without FIFO
+        traffic and in time order with it (the merge sorts), so the
+        kernel refuses it either way."""
+        with pytest.raises(ValueError, match="non-decreasing"):
+            simulate_probe_arrivals_batch(
+                np.array([[0.030, 0.020, 0.010, 0.000]]), size_bytes=L,
+                seeds=np.array([3]), cross=[PoissonCrossSpec(100, L)],
+                fifo_cross=fifo_cross)
 
     def test_lindley_batch_function_level(self, jit_forced):
         rng = np.random.default_rng(5)

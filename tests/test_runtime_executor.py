@@ -246,12 +246,16 @@ class TestSupervision:
     def test_interrupt_leaves_no_orphaned_workers(self, tmp_path):
         """Ctrl-C mid-run must reap every worker process."""
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        # One os.write per start line: a pipe write that small is
+        # atomic, while print() under PYTHONUNBUFFERED=1 writes each
+        # piece on its own and concurrent workers interleave them.
         script = textwrap.dedent("""
+            import os
             import time
             from repro.runtime.executor import map_ordered
 
             def slow(x):
-                print("STARTED", x, flush=True)
+                os.write(1, b"STARTED %d\\n" % x)
                 time.sleep(60)
                 return x
 
