@@ -96,7 +96,7 @@ from repro.runtime.manifest import Manifest, ManifestError
 from repro.runtime.registry import RunReport
 from repro.runtime.store import StoreError, SweepStore
 from repro.runtime.sweep import (SweepPlan, adapt_axis, expand_grid,
-                                 grid_size, parse_param_spec,
+                                 grid_size, parse_param_spec, point_metric,
                                  run_adaptive, run_plan)
 
 
@@ -378,6 +378,24 @@ def _explain_backends(experiments, requested: str) -> int:
     return code
 
 
+def _check_metric(experiment, specs, args: argparse.Namespace) -> None:
+    """Raise ``ValueError`` unless ``--metric`` names a series of the
+    experiment's results.
+
+    Series names are known only from a result, so the grid's first
+    point runs once, printing nothing, before the store is touched.  A
+    point that fails to run is left for the sweep to record.
+    """
+    point = next(SweepPlan(experiment, expand_grid(specs),
+                           scale=args.scale, seed=args.seed,
+                           backend=args.backend).planned())
+    try:
+        result = experiment.runner(**point.kwargs)
+    except Exception:  # the sweep records the point's error
+        return
+    point_metric(result, args.metric)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run one experiment over a parameter grid into a sweep store.
 
@@ -394,7 +412,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     journal record *and* store row both say ``done``.  ``--adapt N``
     follows the coarse grid with curvature-guided refinement waves
     along the one multi-valued ``--param`` axis, scoring points by
-    ``--metric`` (a series name; default the first series).
+    ``--metric`` (a series name; default the first series; an unknown
+    one is refused before the store is touched).
 
     Progress prints one line per fused window, plus one line per
     failing point — a dense atlas must not print a million rows.
@@ -419,6 +438,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    if args.metric is not None:
+        try:
+            _check_metric(experiment, specs, args)
+        except ValueError as exc:
+            scopes.close()
+            print(str(exc), file=sys.stderr)
+            return 2
     root = args.store or \
         ResultCache(args.cache_dir).root / "sweeps" / args.experiment
     try:

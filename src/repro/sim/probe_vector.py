@@ -13,11 +13,14 @@ vectorized pass**.
 The state of a batch is a handful of station-major arrays, one
 ``(stations, repetitions)`` array per quantity with a flat view
 (station 0 is the probe sender, the rest are cross-traffic
-contenders), plus the pre-drawn arrival sample paths.  An event
-addresses its station by one flat index, ``station * repetitions +
-repetition``, and the reductions over stations run along the long
-axis.  One loop iteration advances every repetition by exactly one
-*event*, which is either
+contenders), plus the pre-drawn arrival sample paths in one
+``inf``-padded cube.  An event addresses its station by one flat
+index, ``station * repetitions + repetition``, and the reductions
+over stations run along the long axis.  Each station keeps one
+pointer into the flat cube; a sentinel ``inf`` column past the widest
+station slot makes a station's next arrival the entry after its
+pointer, with no count to check.  One loop iteration advances every
+repetition by exactly one *event*, which is either
 
 1. an **arrival to an idle station** — the packet is promoted to
    head-of-line; if the medium has been idle for at least DIFS it
@@ -35,7 +38,13 @@ axis.  One loop iteration advances every repetition by exactly one
 
 A train repetition retires once station 0 has served (or dropped) its
 last probe-tagged packet, and once at most half the repetitions still
-run, the retired ones leave the state arrays.
+run, the retired ones leave the state arrays.  Station 0's served
+packets are recorded by queue position, which without FIFO
+cross-traffic is the probe index; a steady-state run records none.
+The loop's numpy calls are what an iteration costs, so two per-call
+constants choose the busy period's arithmetic: without RTS/CTS a
+frame's exchange is its DATA frame, and with one frame size as well
+every busy period lasts the same airtime.
 
 Time arithmetic comes from the same :class:`repro.mac.frames`
 airtime model and :mod:`repro.mac.timing` constants the event backend
@@ -570,28 +579,39 @@ def _poisson_arrival_paths(gens: Sequence[np.random.Generator],
     padded with ``inf`` past each repetition's count.  Each repetition
     draws from its own generator (a fixed-size block plus a rare
     top-up), so its path is independent of the batch composition.
+    The blocks share one buffer, turned into instants in place.
     """
     reps = len(gens)
     if packets_per_second <= 0 or horizon <= 0:
         return np.full((reps, 1), np.inf), np.zeros(reps, dtype=np.int64)
     mean = packets_per_second * horizon
     block = int(mean + 6.0 * math.sqrt(mean) + 16)
-    rows: List[np.ndarray] = []
-    counts = np.zeros(reps, dtype=np.int64)
-    for r, gen in enumerate(gens):
-        times = np.cumsum(gen.exponential(1.0 / packets_per_second,
-                                          size=block))
-        while times[-1] < horizon:  # pragma: no cover - ~6-sigma tail
-            extra = gen.exponential(1.0 / packets_per_second, size=block)
-            times = np.concatenate([times, times[-1] + np.cumsum(extra)])
-        k = int(np.searchsorted(times, horizon, side="left"))
-        rows.append(times[:k])
-        counts[r] = k
+    scale = 1.0 / packets_per_second
+    # ``exponential(scale)`` draws ``scale * standard_exponential()``.
+    times = np.empty((reps, block))
+    for gen, row in zip(gens, times):
+        gen.standard_exponential(out=row)
+    times *= scale
+    np.cumsum(times, axis=1, out=times)
+    tails = {}
+    for r in np.flatnonzero(times[:, -1] < horizon):  # pragma: no cover
+        # ~6-sigma tail: the row's generator tops it up.
+        row = times[r]
+        while row[-1] < horizon:
+            extra = gens[r].exponential(scale, size=block)
+            row = np.concatenate([row, row[-1] + np.cumsum(extra)])
+        tails[r] = row[:int(np.searchsorted(row, horizon, side="left"))]
+    counts = np.count_nonzero(times < horizon, axis=1)
+    for r, row in tails.items():  # pragma: no cover
+        counts[r] = len(row)
     width = max(1, int(counts.max()))
-    out = np.full((reps, width), np.inf)
-    for r, row in enumerate(rows):
-        out[r, :len(row)] = row
-    return out, counts
+    if width > block:  # pragma: no cover
+        times = np.concatenate(
+            [times, np.full((reps, width - block), np.inf)], axis=1)
+        for r, row in tails.items():
+            times[r, :len(row)] = row
+    times[times >= horizon] = np.inf
+    return times[:, :width], counts.astype(np.int64)
 
 
 def _merge_probe_queue(probe_times: np.ndarray, n_probe: int,
@@ -838,11 +858,14 @@ def _arrival_cube(probe_arr: np.ndarray, probe_counts: np.ndarray,
     ``(rows, stations, width)`` cube, plus their counts.
 
     Station 0 holds the (merged) probe-queue arrivals ``probe_arr``,
-    station ``1 + c`` cross station ``c``'s sample paths.
+    station ``1 + c`` cross station ``c``'s sample paths.  ``width``
+    is one more than the widest station slot, so every slot ends in
+    an ``inf`` sentinel: the event loop reads a station's next arrival
+    one column further along without checking its count.
     """
     reps, n_stations = probe_arr.shape[0], 1 + len(cross_paths)
-    width = max(probe_arr.shape[1],
-                max((p.shape[1] for p, _ in cross_paths), default=1))
+    width = 1 + max(probe_arr.shape[1],
+                    max((p.shape[1] for p, _ in cross_paths), default=1))
     arr = np.full((reps, n_stations, width), np.inf)
     n_arr = np.zeros((reps, n_stations), dtype=np.int64)
     arr[:, 0, :probe_arr.shape[1]] = probe_arr
@@ -905,9 +928,28 @@ def _resolve_batch(arr: np.ndarray, n_arr: np.ndarray,
     the returned :class:`QueueTraceBatch` objects reproduce the event
     engine's backlog traces by pure counting.
 
+    The numpy loop keeps one pointer per station into the flat cube:
+    the arrival of the packet at its head of line, or of the next one
+    to come.  The cube's sentinel column makes the packet after it
+    ``ptr + 1``, ``inf`` once none is left, and a train row retires
+    once station 0's pointer passes its last probe-tagged packet.
+    Station 0's served packets are recorded by queue position: the
+    instant each finished (``NaN`` when dropped) and the instant it
+    reached the head of the line.  Without FIFO traffic these are
+    ``recv`` and, less the second, ``delays``; with it the probe
+    columns are taken after the loop.  Every winner of a transmission
+    redraws its backoff once: at the next stage after a collision, at
+    stage 0 for the packet after one served or dropped.  Two per-call
+    constants pick the busy period's arithmetic: without RTS a frame's
+    exchange and its contention frame are both its DATA frame, and
+    with one frame size as well every busy period ends ``air + SIFS +
+    ACK`` after it starts.
+
     Returns ``(recv, delays, bits, queues)`` where ``bits`` is ``None``
     without a window and ``(probe_bits, fifo_bits, cross_bits)``
     otherwise, and ``queues`` is ``None`` unless ``track_queues``.
+    The numpy loop returns no per-packet outputs in steady mode:
+    ``recv`` and ``delays`` are ``None`` there.
     """
     phy = phy if phy is not None else PhyParams.dot11b()
     airtime = AirtimeModel(phy)
@@ -933,7 +975,7 @@ def _resolve_batch(arr: np.ndarray, n_arr: np.ndarray,
     exchange_air = preamble + data_air
 
     if _jit.active_tier() == "jit":
-        return _resolve_jit_batch(
+        recv, delays, bits, queues = _resolve_jit_batch(
             arr, n_arr, probe_seq, row_stations, gens=gens,
             n_probe=n_probe, slot=slot, sifs=sifs, difs=difs,
             ack_air=ack_air, data_air=data_air, preamble=preamble,
@@ -942,6 +984,12 @@ def _resolve_batch(arr: np.ndarray, n_arr: np.ndarray,
             immediate_access=immediate_access, retry_limit=retry_limit,
             stop_time=stop_time, window=window,
             track_queues=track_queues)
+        if queues is not None:
+            # A trace stops short of the cube's sentinel column.
+            queues = [QueueTraceBatch(arrivals=trace.arrivals[:, :-1],
+                                      departures=trace.departures[:, :-1])
+                      for trace in queues]
+        return recv, delays, bits, queues
 
     # The backoff uniforms continue each repetition's private stream
     # where the jitter and sample-path draws left off — the event
@@ -959,210 +1007,237 @@ def _resolve_batch(arr: np.ndarray, n_arr: np.ndarray,
         flow_bits = bits_rows.reshape(-1)
         size_bits = np.array(sizes, dtype=float) * 8
 
-    recv = np.full((reps, n_probe), np.nan)
-    delays = np.full((reps, n_probe), np.nan)
-    # FIFO service keeps each station's departures in arrival order, so
-    # indexing this by the served arrival index yields sorted rows.
-    departures = np.full(arr.shape, np.inf) if track_queues else None
-    # Flat views: an event reads an arrival or a probe tag, and writes
-    # an output, through one index.
-    cube, tags = arr.reshape(-1), probe_seq.reshape(-1)
-    recv_at, delay_at = recv.reshape(-1), delays.reshape(-1)
-    departed = departures.reshape(-1) if track_queues else None
-    width, tag_width = arr.shape[2], probe_seq.shape[1]
+    # The two per-call constants that pick the busy period's arithmetic.
+    rts = bool(protected.any())
+    one_size = not rts and bool(np.all(data_air == data_air[0]))
+    air = data_air[0]
     exchange_col = exchange_air[:, None]
     contention_col = contention_air[:, None]
-    # A backoff draw is ``int(u * (cw + 1))``.
-    cw_span = cw_by_stage + 1
     preamble_col, data_col = preamble[:, None], data_air[:, None]
+    # A backoff draw is ``floor(u * (cw + 1))``; a collision moves a
+    # station to ``next_stage[stage]``.
+    cw_span = cw_by_stage + 1
+    next_stage = np.minimum(np.arange(1, max_stage + 2), max_stage)
 
     # The loop's state is station-major: one flat array per quantity
     # holds station ``sta`` of loop row ``row`` at ``sta * len(rows) +
     # row``, so an event addresses its station by one index, station 0
     # is the first ``len(rows)`` entries, and ``reshape(n_stations,
     # -1)`` reduces over the stations along axis 0.  ``rows`` maps the
-    # rows still in the loop to the batch rows the outputs and the
-    # arrival cube are indexed by, ``base`` each station to its offset
-    # in the flat cube.
+    # rows still in the loop to the batch rows.  Each station keeps one
+    # pointer into the flat cube: the arrival of its packet at the head
+    # of the line, or of the next one to come.  The sentinel column
+    # ends every slot, so the packet after it is always ``ptr + 1``
+    # (``inf`` once none is left).
+    width, n_tags = arr.shape[2], probe_seq.shape[1]
+    stride = n_stations * width
+    cube, tags = arr.reshape(-1), probe_seq.reshape(-1)
     rows = np.arange(reps)
-    base = ((rows * n_stations + np.arange(n_stations)[:, None])
-            * width).ravel()
-    count = n_arr.T.ravel()
-    nxt = np.zeros_like(count)
+    ptr = ((rows * n_stations + np.arange(n_stations)[:, None])
+           * width).ravel()
     # A station's pending arrival: its next packet's arrival instant
     # while its head of line is empty, else ``inf``.
-    pend = np.where(count > 0, arr[:, :, 0].T.ravel(), np.inf)
-    hol = np.zeros(count.shape, dtype=bool)
-    hol_t = np.zeros(count.shape)
-    rem = np.zeros_like(count)
+    pend = cube[ptr]
+    hol = np.zeros(ptr.shape, dtype=bool)
+    hol_t = np.zeros(ptr.shape)
+    # Backoff counters are whole numbers held as floats.
+    rem = np.zeros(ptr.shape)
     # ``inf`` off head-of-line, so a countdown's expiry needs no mask.
-    cstart = np.full(count.shape, np.inf)
-    stage = np.zeros_like(count)
-    attempts = np.zeros_like(count)
+    cstart = np.full(ptr.shape, np.inf)
+    stage = np.zeros_like(ptr)
+    attempts = np.zeros_like(ptr)
     idle_start = np.full(reps, -np.inf)
     active = np.ones(reps, dtype=bool)
-    # Train mode retires a row once station 0 has served (or dropped)
-    # past its last probe-tagged packet.
-    last_probe = tag_width - 1 - np.argmax(probe_seq[:, ::-1] >= 0, axis=1)
+    # Station 0's packet at queue position ``q`` of batch row ``r`` is
+    # output entry ``r * n_tags + q``: its pointer less ``out_off``.
+    out_off = rows * (stride - n_tags)
+    # Train mode retires a row once station 0's pointer has passed its
+    # last probe-tagged packet.
+    last_ptr = rows * stride + (
+        n_tags - 1 - np.argmax(probe_seq[:, ::-1] >= 0, axis=1))
+    train = stop_time is None
+    if train:
+        # Station 0's served packets by queue position: the instant
+        # each finished (NaN when dropped) and the instant it reached
+        # the head of the line.
+        done_at = np.full((reps, n_tags), np.nan)
+        head_at = np.empty((reps, n_tags))
+        done_flat, head_flat = done_at.reshape(-1), head_at.reshape(-1)
+    # FIFO service keeps each station's departures in arrival order, so
+    # the departure of the packet a pointer names goes at that pointer.
+    departures = np.full(arr.shape, np.inf) if track_queues else None
+    departed = departures.reshape(-1) if track_queues else None
 
     # Every event retires an arrival, a success, or (boundedly often)
     # a collision; the guard is far above any real trajectory.
     max_events = 64 + 8 * int(n_arr.sum(axis=1).max())
-    for _ in range(max_events):
-        running = np.count_nonzero(active)
-        if not running:
-            break
-        # A retired row never runs again and its outputs are written,
-        # so once at most half the rows still run the rest leave the
-        # loop; a kept row goes on reading its own uniforms.
-        if 2 * running <= len(rows):
-            keep = np.flatnonzero(active)
-            rows, idle_start, active, last_probe = (
-                state[keep] for state in (rows, idle_start, active,
-                                          last_probe))
-            (base, count, nxt, pend, hol, hol_t, rem, cstart, stage,
-             attempts) = (
-                np.take(state.reshape(n_stations, -1), keep, axis=1).ravel()
-                for state in (base, count, nxt, pend, hol, hol_t, rem,
-                              cstart, stage, attempts))
-            uniforms.keep(keep)
-        n = len(rows)
-        # This round's uniforms, station-major like the state.
-        u = uniforms.take().T.ravel()
+    # Lanes of rows without a transmission compute ``inf - inf``; their
+    # results are never stored.
+    with np.errstate(invalid="ignore"):
+        for _ in range(max_events):
+            running = np.count_nonzero(active)
+            if not running:
+                break
+            # A retired row never runs again and its outputs are
+            # written, so once at most half the rows still run the rest
+            # leave the loop; a kept row goes on reading its own
+            # uniforms.
+            if 2 * running <= len(rows):
+                keep = np.flatnonzero(active)
+                rows, idle_start, active, out_off, last_ptr = (
+                    state[keep] for state in (rows, idle_start, active,
+                                              out_off, last_ptr))
+                ptr, pend, hol, hol_t, rem, cstart, stage, attempts = (
+                    np.take(state.reshape(n_stations, -1), keep,
+                            axis=1).ravel()
+                    for state in (ptr, pend, hol, hol_t, rem, cstart,
+                                  stage, attempts))
+                uniforms.keep(keep)
+            n = len(rows)
+            # This round's uniforms, station-major like the state.
+            u = uniforms.take().T.ravel()
 
-        expiry = (cstart + rem * slot).reshape(n_stations, n)
-        t_tx = expiry.min(axis=0)
-        pending = pend.reshape(n_stations, n)
-        t_arr = pending.min(axis=0)
+            expiry = (cstart + rem * slot).reshape(n_stations, n)
+            t_tx = expiry.min(axis=0)
+            pending = pend.reshape(n_stations, n)
+            t_arr = pending.min(axis=0)
 
-        # Steady mode: the first event past the stop instant never
-        # fires — the kernel counterpart of ``run(until=stop_time)``.
-        t_next = np.minimum(t_arr, t_tx)
-        if stop_time is not None:
-            active = active & (t_next <= stop_time)
+            # Steady mode: the first event past the stop instant never
+            # fires — the kernel counterpart of ``run(until=stop_time)``.
+            if stop_time is not None:
+                active &= np.minimum(t_arr, t_tx) <= stop_time
 
-        # Ties go to the arrival, like the event engine's priorities
-        # (the admitted station then collides at the same instant).
-        live = active & (t_next < np.inf)
-        arr_event = live & (t_arr <= t_tx)
-        tx_event = live ^ arr_event
+            # An active row always has an event: a train row has probe
+            # packets left, a steady row one before its stop instant.
+            # Ties go to the arrival, like the event engine's priorities
+            # (the admitted station then collides at the same instant).
+            arr_event = active & (t_arr <= t_tx)
+            tx_event = active ^ arr_event
 
-        # -- arrival to an idle station --------------------------------
-        if arr_event.any():
-            a = np.flatnonzero((pending <= t_arr) & arr_event)
-            a_time = pend[a]
-            pend[a] = np.inf
-            hol[a] = True
-            hol_t[a] = a_time
-            idle = idle_start[a % n]
-            imm = (a_time - idle >= difs - TIME_EPS) & immediate_access
-            rem[a] = np.where(imm, 0,
-                              (u[a] * cw_span[stage[a]]).astype(np.int64))
-            cstart[a] = np.where(imm, a_time, np.maximum(a_time, idle + difs))
+            # -- arrival to an idle station ----------------------------
+            if np.count_nonzero(arr_event):
+                a = ((pending <= t_arr) & arr_event).ravel().nonzero()[0]
+                a_time = pend[a]
+                pend[a] = np.inf
+                hol[a] = True
+                hol_t[a] = a_time
+                idle = idle_start[a % n]
+                imm = immediate_access and (a_time - idle >= difs - TIME_EPS)
+                # An idle station's backoff stage is 0.
+                rem[a] = np.where(imm, 0.0, np.floor(u[a] * cw_span[0]))
+                cstart[a] = np.where(imm, a_time,
+                                     np.maximum(a_time, idle + difs))
 
-        # -- transmission ----------------------------------------------
-        if tx_event.any():
-            safe_tx = np.where(tx_event, t_tx, 0.0)
-            win = (expiry <= t_tx + TIME_EPS) & tx_event
-            lone = win.sum(axis=0) == 1
-            # A lone winner occupies the medium with its full exchange
-            # (RTS preamble + DATA when protected); colliders only with
-            # their contention frames (RTS when protected) — then both
-            # pay the SIFS + ACK/CTS timeout, like the event medium.
-            frame_air = np.where(lone, exchange_col, contention_col)
-            busy_end = (safe_tx + np.where(win, frame_air, 0.0).max(axis=0)
-                        + sifs + ack_air)
-            # A lone winner's packet leaves when its DATA frame ends, a
-            # dropped one when the busy period ends.
-            finish = np.where(lone, t_tx + preamble_col + data_col,
-                              busy_end).reshape(-1)
+            # -- transmission ------------------------------------------
+            if np.count_nonzero(tx_event):
+                win = (expiry <= t_tx + TIME_EPS) & tx_event
+                lone = win.sum(axis=0) == 1
+                w = win.ravel().nonzero()[0]
+                solo = lone[w % n]
+                # A collider's packet is dropped once it has collided
+                # past the retry limit (its delay slot stays NaN).
+                done = solo
+                if retry_limit is not None:
+                    attempts[w] += 1
+                    done = solo | (attempts[w] > retry_limit)
+                # Every winner redraws once: a collider at its next
+                # stage, a served or dropped packet's successor at 0.
+                up = np.where(done, 0, next_stage[stage[w]])
+                stage[w] = up
+                rem[w] = np.floor(u[w] * cw_span[up])
 
-            # Colliders draw their next backoff at the next stage,
-            # unless the packet has now collided past the retry limit:
-            # then it is dropped (its delay slot stays NaN).
-            w = np.flatnonzero(win)
-            solo = lone[w % n]
-            done = solo
-            if retry_limit is not None:
-                attempts[w] += 1
-                done = solo | (attempts[w] > retry_limit)
-            retry = w[~done]
-            if retry.size:
-                up = np.minimum(stage[retry] + 1, max_stage)
-                stage[retry] = up
-                rem[retry] = (u[retry] * cw_span[up]).astype(np.int64)
+                # A lone winner occupies the medium with its full
+                # exchange (RTS preamble + DATA when protected);
+                # colliders only with their contention frames (RTS when
+                # protected) — then both pay the SIFS + ACK/CTS timeout,
+                # like the event medium.  A lone winner's packet leaves
+                # when its DATA frame ends, a dropped one when the busy
+                # period ends.
+                if one_size:
+                    data_end = t_tx + air
+                    busy_end = data_end + sifs + ack_air
+                else:
+                    if rts:
+                        frame_air = np.where(lone, exchange_col,
+                                             contention_col)
+                        data_end = t_tx + preamble_col + data_col
+                    else:
+                        frame_air = data_col
+                        data_end = t_tx + data_col
+                    busy_end = (t_tx
+                                + np.where(win, frame_air, 0.0).max(axis=0)
+                                + sifs + ack_air)
+                finish = (data_end if retry_limit is None
+                          else np.where(lone, data_end, busy_end))
+                s = w[done]
+                end = finish[s % n] if one_size else finish.reshape(-1)[s]
 
-            s = w[done]
-            success = solo[done]
-            end = finish[s]
-            served = nxt[s]
-            if track_queues:
-                departed[base[s] + served] = end
-            # Station 0's packets come first (their flat index is their
-            # row); a probe-tagged one delivered sets its outputs.
-            k = int(np.searchsorted(s, n))
-            p_rows = rows[s[:k]]
-            seq = tags[p_rows * tag_width + served[:k]]
-            sent = success[:k] & (seq >= 0)
-            at = p_rows[sent] * n_probe + seq[sent]
-            p_end = end[:k][sent]
-            recv_at[at] = p_end
-            delay_at[at] = p_end - hol_t[s[:k][sent]]
+                if track_queues:
+                    departed[ptr[s]] = end
+                # Station 0's packets come first (their flat index is
+                # their loop row).
+                k = int(s.searchsorted(n))
+                s0 = s[:k]
+                at = ptr[s0] - out_off[s0]
+                if train:
+                    done_flat[at] = (end[:k] if retry_limit is None
+                                     else np.where(solo[done][:k], end[:k],
+                                                   np.nan))
+                    head_flat[at] = hol_t[s0]
 
-            # Per-flow throughput accounting: a packet counts when its
-            # DATA frame ends inside the measurement window.  At most
-            # one success per repetition per iteration, so plain fancy
-            # indexing accumulates safely.
-            if window is not None:
-                counted = success & (end > w0) & (end <= w1)
-                c_sta, c_row = np.divmod(s[counted], n)
-                # Flows: probe 0, FIFO 1, cross station ``c`` is 1 + c;
-                # station 0's packets come first.
-                flow = c_sta + 1
-                p_in = counted[:k]
-                flow[:np.count_nonzero(p_in)] = seq[p_in] < 0
-                flow_bits[rows[c_row] * (n_stations + 1) + flow] += \
-                    size_bits[c_sta]
+                # Per-flow throughput accounting: a packet counts when
+                # its DATA frame ends inside the measurement window.  At
+                # most one success per repetition per iteration, so
+                # plain fancy indexing accumulates safely.
+                if window is not None:
+                    counted = (end > w0) & (end <= w1)
+                    if retry_limit is not None:
+                        counted &= solo[done]
+                    c_sta, c_row = np.divmod(s[counted], n)
+                    # Flows: probe 0, FIFO 1, cross station ``c`` is
+                    # 1 + c; station 0's packets come first.
+                    flow = c_sta + 1
+                    p_in = counted[:k]
+                    flow[:np.count_nonzero(p_in)] = tags[at[p_in]] < 0
+                    flow_bits[rows[c_row] * (n_stations + 1) + flow] += \
+                        size_bits[c_sta]
 
-            # Advance the served queues: the next packet, if it has
-            # arrived by ``end``, is promoted there and draws its backoff
-            # at once (the medium is busy); else its arrival pends.
-            # ``hol_t`` and ``rem`` are read only at the head of line.
-            after = served + 1
-            nxt[s] = after
-            stage[s] = 0
-            if retry_limit is not None:
-                attempts[s] = 0
-            head = np.where(after < count[s],
-                            cube[base[s] + np.minimum(after, width - 1)],
-                            np.inf)
-            promoted = head <= end + TIME_EPS
-            pend[s] = np.where(promoted, np.inf, head)
-            hol[s] = promoted
-            hol_t[s] = end
-            rem[s] = (u[s] * cw_span[0]).astype(np.int64)
-            cstart[s] = np.inf
+                # Advance the served queues: the next packet, if it has
+                # arrived by ``end``, is promoted there (its backoff is
+                # drawn: the medium is busy); else its arrival pends.
+                # ``hol_t`` and ``rem`` are read only at the head of
+                # line.
+                after = ptr[s] + 1
+                ptr[s] = after
+                if retry_limit is not None:
+                    attempts[s] = 0
+                head = cube[after]
+                promoted = head <= end + TIME_EPS
+                pend[s] = np.where(promoted, np.inf, head)
+                hol[s] = promoted
+                hol_t[s] = end
+                cstart[s] = np.inf
 
-            # Frozen countdown: losers consumed exactly the idle slots
-            # that elapsed before the winners' transmission started.
-            holding = hol.reshape(n_stations, n) & tx_event
-            lose = holding & ~win
-            starts = cstart.reshape(n_stations, n)
-            left = rem.reshape(n_stations, n)
-            elapsed = np.floor(
-                (safe_tx - np.where(lose, starts, 0.0)) / slot
-                + TIME_EPS).astype(np.int64)
-            left -= np.where(
-                lose, np.maximum(0, np.minimum(elapsed, left - 1)), 0)
+                # Frozen countdown: losers consumed exactly the idle
+                # slots that elapsed before the winners' transmission
+                # started.
+                holding = hol.reshape(n_stations, n) & tx_event
+                lose = holding > win
+                starts = cstart.reshape(n_stations, n)
+                left = rem.reshape(n_stations, n)
+                elapsed = np.floor((t_tx - starts) / slot + TIME_EPS)
+                np.minimum(elapsed, left - 1, out=elapsed)
+                np.maximum(elapsed, 0.0, out=elapsed)
+                np.subtract(left, np.where(lose, elapsed, 0.0), out=left)
 
-            idle_start = np.where(tx_event, busy_end, idle_start)
-            np.copyto(starts, busy_end + difs, where=holding)
+                idle_start = np.where(tx_event, busy_end, idle_start)
+                np.copyto(starts, busy_end + difs, where=holding)
 
-            if stop_time is None:
-                active = active & (nxt[:n] <= last_probe)
-    else:  # pragma: no cover - defensive
-        raise RuntimeError(
-            f"probe batch did not complete within {max_events} events")
+                if train:
+                    active &= ptr[:n] <= last_ptr
+        else:  # pragma: no cover - defensive
+            raise RuntimeError(
+                f"probe batch did not complete within {max_events} events")
 
     bits = None
     if window is not None:
@@ -1170,10 +1245,20 @@ def _resolve_batch(arr: np.ndarray, n_arr: np.ndarray,
                 bits_rows[:, 2:].copy())
     queues = None
     if track_queues:
-        queues = [QueueTraceBatch(arrivals=arr[:, 1 + c, :],
-                                  departures=departures[:, 1 + c, :])
+        queues = [QueueTraceBatch(arrivals=arr[:, 1 + c, :-1],
+                                  departures=departures[:, 1 + c, :-1])
                   for c in range(n_cross)]
-    return recv, delays, bits, queues
+    if not train:
+        return None, None, bits, queues
+    if n_tags == n_probe:
+        # Station 0 queues the probe packets alone, in tag order.
+        return (done_at, np.subtract(done_at, head_at, out=head_at),
+                bits, queues)
+    # FIFO packets share station 0's queue; the merge keeps the probe
+    # packets in tag order along each row.
+    probe = probe_seq >= 0
+    recv = done_at[probe].reshape(reps, n_probe)
+    return recv, recv - head_at[probe].reshape(reps, n_probe), bits, queues
 
 
 def _resolve_jit_batch(arr: np.ndarray, n_arr: np.ndarray,

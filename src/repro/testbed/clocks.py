@@ -11,7 +11,7 @@ a sender/receiver clock pair with exactly that error budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -45,21 +45,28 @@ class ClockModel:
                 f"jitter_std must be non-negative, got {self.jitter_std}")
 
     def timestamps(self, true_times: np.ndarray,
-                   rng: np.random.Generator) -> np.ndarray:
+                   rng: Optional[np.random.Generator] = None, *,
+                   normals: Optional[np.ndarray] = None) -> np.ndarray:
         """Timestamp an array of true event times.
 
-        Jitter can reorder timestamps of events closer together than a
-        few ``jitter_std``; like a real capture pipeline, the result is
-        re-sorted (packets are delivered in order, their timestamps are
-        monotonized by the capture path).
+        ``true_times`` is one train of instants or a ``(trains, n)``
+        matrix of them, stamped row by row.  The jitter scales
+        ``normals``, standard-normal draws of the same shape, or draws
+        them from ``rng`` in row order when none are given; a clock
+        without jitter draws nothing.  Jitter can reorder timestamps
+        of events closer together than a few ``jitter_std``; like a
+        real capture pipeline, each train is re-sorted (packets are
+        delivered in order, their timestamps are monotonized by the
+        capture path).
         """
         true_times = np.asarray(true_times, dtype=float)
         stamped = (true_times + self.offset
                    + self.drift_ppm * 1e-6 * true_times)
         if self.jitter_std > 0:
-            stamped = stamped + rng.normal(0.0, self.jitter_std,
-                                           size=true_times.shape)
-            stamped = np.maximum.accumulate(stamped)
+            if normals is None:
+                normals = rng.standard_normal(true_times.shape)
+            stamped = stamped + self.jitter_std * normals
+            stamped = np.maximum.accumulate(stamped, axis=-1)
         return stamped
 
 

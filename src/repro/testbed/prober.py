@@ -80,16 +80,27 @@ class Prober:
 
     # ------------------------------------------------------------------
 
-    def _stamp(self, send_times: np.ndarray, recv_times: np.ndarray,
-               size_bytes: int) -> TrainMeasurement:
-        """Apply the clock error models to one train's true instants."""
-        return TrainMeasurement(
-            send_times=self.sender_clock.timestamps(send_times,
-                                                    self._clock_rng),
-            recv_times=self.receiver_clock.timestamps(recv_times,
-                                                      self._clock_rng),
-            size_bytes=size_bytes,
-        )
+    def _stamp_trains(self, send_times: np.ndarray, recv_times: np.ndarray,
+                      size_bytes: int) -> List[TrainMeasurement]:
+        """Apply the clock error models to ``(trains, n)`` true instants.
+
+        One standard-normal block holds every jittering clock's draws,
+        in the order stamping train by train takes them: a train's send
+        instants, then its receive instants.
+        """
+        pairs = ((self.sender_clock, send_times),
+                 (self.receiver_clock, recv_times))
+        jittery = sum(clock.jitter_std > 0 for clock, _ in pairs)
+        normals = iter(self._clock_rng.standard_normal(
+            (len(send_times), jittery, send_times.shape[1]))
+            .transpose(1, 0, 2))
+        send, recv = (clock.timestamps(
+                          times, normals=next(normals)
+                          if clock.jitter_std > 0 else None)
+                      for clock, times in pairs)
+        return [TrainMeasurement(send_times=a, recv_times=d,
+                                 size_bytes=size_bytes)
+                for a, d in zip(send, recv)]
 
     def _measure(self, trains: Sequence[object],
                  point_seeds: Sequence[int],
@@ -193,18 +204,18 @@ def measure_points(probers: Sequence[Prober], trains: Sequence[object],
     backend, so a kernel backend resolves it in one call and its rows
     are exactly the one-point requests' rows.  ``repetitions``
     defaults to the probers' shared session value.  Each prober
-    stamps its own rows with its own clocks, in row order —
-    point-major — as a loop over its points would.
+    stamps its own points with its own clocks, in point order, one
+    jitter draw per point, as a loop over its points would.
     """
     reps = (repetitions if repetitions is not None
             else _shared(probers, "repetitions"))
     batch = send_scan([prober.channel for prober in probers], trains,
                       reps, point_seeds,
                       backend=_shared(probers, "backend"))
-    rows = [probers[r // reps]._stamp(send, recv, batch.size_bytes)
-            for r, (send, recv) in enumerate(zip(batch.send_times,
-                                                 batch.recv_times))]
-    return [rows[k * reps:(k + 1) * reps] for k in range(len(trains))]
+    return [prober._stamp_trains(batch.send_times[k * reps:(k + 1) * reps],
+                                 batch.recv_times[k * reps:(k + 1) * reps],
+                                 batch.size_bytes)
+            for k, prober in enumerate(probers)]
 
 
 def rate_scans(scans: Sequence[Tuple[Prober, Sequence[float], int]],

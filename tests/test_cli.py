@@ -261,6 +261,8 @@ _BAD_SWEEP_FLAGS = [
                  "exactly one --param", id="--adapt-two-axes"),
     pytest.param(("--metric", "mean_delay"), "--metric needs --adapt",
                  id="--metric-without-adapt"),
+    pytest.param(("--adapt", "2", "--metric", "no_such_series"),
+                 "unknown metric", id="--metric-unknown"),
 ]
 
 

@@ -333,6 +333,39 @@ class TestBitIdentityWithNumpyTier:
             warmup=0.05, rts_threshold=1000, seed=seed))
 
     @pytest.mark.parametrize("seed", seed_params(0, 7, 23))
+    def test_mixed_sizes_train_bit_identical(self, seed):
+        """Two frame sizes without RTS: every busy period takes the
+        general formula (the longest colliding DATA frame), as fig9's
+        trains do."""
+        _kernel_tiers_equal(lambda: simulate_probe_train_batch(
+            12, 0.0024, 6, cross=[PoissonCrossSpec(300, 500),
+                                  PoissonCrossSpec(250, L)],
+            warmup=0.05, seed=seed))
+
+    @pytest.mark.parametrize("seed", seed_params(0, 7, 23))
+    def test_mixed_sizes_steady_bit_identical(self, seed):
+        _kernel_tiers_equal(lambda: simulate_steady_state_batch(
+            np.array([2e6, 2e6, 5e6]), 3,
+            cross=[PoissonCrossSpec(300, 500)],
+            fifo_cross=PoissonCrossSpec(150, L), duration=0.2,
+            warmup=0.05, seed=seed))
+
+    @pytest.mark.parametrize("seed", seed_params(0, 7, 23))
+    def test_retry_drops_fifo_train_bit_identical(self, monkeypatch, seed):
+        """FIFO packets share the probe queue and every collision
+        drops (``retry_limit=0``): the numpy loop records station 0's
+        packets by queue position, NaN for a dropped one, and takes
+        the probe columns after the loop."""
+        numpy_raw, jit_raw = _raw_kernel_outputs(
+            monkeypatch, lambda: simulate_probe_train_batch(
+                16, 0.0024, 6, cross=[PoissonCrossSpec(400, L)] * 2,
+                fifo_cross=PoissonCrossSpec(300, L), retry_limit=0,
+                warmup=0.05, seed=seed))
+        assert np.isnan(numpy_raw[0]).any()
+        assert np.isfinite(numpy_raw[0]).any()
+        _arrays_equal(numpy_raw, jit_raw)
+
+    @pytest.mark.parametrize("seed", seed_params(0, 7, 23))
     def test_retry_drops_train_bit_identical(self, monkeypatch, seed):
         """Every collision drops (``retry_limit=0``), probe packets too:
         the public entry raises, so the raw outputs are compared."""

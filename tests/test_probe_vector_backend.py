@@ -30,6 +30,7 @@ from repro.mac.params import PhyParams
 from repro.runtime import executor, registry
 from repro.sim.probe_vector import (
     PoissonCrossSpec,
+    _arrival_cube,
     simulate_probe_train_batch,
 )
 from repro.testbed.channel import SimulatedFifoChannel, SimulatedWlanChannel
@@ -127,6 +128,23 @@ class TestKernelBasics:
         first = batch.access_delays[:, 0]
         assert np.any(first > airtime.data_airtime(L) + 1e-9)
         assert np.all(first >= airtime.data_airtime(L) - 1e-12)
+
+    def test_arrival_cube_ends_every_slot_with_inf(self):
+        """The event loop reads a station's next arrival one column
+        along without checking its count, so every station slot, the
+        widest included, is followed by at least one ``inf``."""
+        gens = [np.random.default_rng(seed) for seed in range(6)]
+        probe = np.cumsum(np.full((6, 12), 0.002), axis=1)
+        cross = [_spec(rate).sample_paths(gens, 0.3)
+                 for rate in (4e6, 0.5e6, 0.0)]
+        arr, n_arr = _arrival_cube(probe, np.full(6, 12), cross)
+        assert arr.shape == (6, 4, 1 + max(probe.shape[1],
+                                           *(t.shape[1] for t, _ in cross)))
+        assert np.all(n_arr < arr.shape[2])
+        for row, counts in zip(arr, n_arr):
+            for times, count in zip(row, counts):
+                assert np.all(np.isfinite(times[:count]))
+                assert np.all(np.isinf(times[count:]))
 
     def test_fifo_cross_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="probe size"):

@@ -1,11 +1,16 @@
 """Tests for the probing tool."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from repro.testbed.channel import SimulatedFifoChannel, SimulatedWlanChannel
-from repro.testbed.prober import Prober, ProbeSessionConfig
+from repro.testbed.channel import (SimulatedFifoChannel, SimulatedWlanChannel,
+                                   send_scan)
+from repro.testbed.clocks import ClockModel
+from repro.testbed.prober import Prober, ProbeSessionConfig, measure_points
 from repro.traffic.generators import PoissonGenerator
+from repro.traffic.probe import ProbeTrain
 
 
 @pytest.fixture
@@ -110,3 +115,54 @@ class TestSequenceAndChirpSupport:
         estimate = chirp_estimate(measurements, chirp)
         # An empty 10 Mb/s link queues once the chirp sweeps past C.
         assert 6e6 < estimate < 16e6
+
+
+def _stamped_train(clock, times, rng):
+    """The reference: one train stamped on its own, its jitter drawn
+    with ``rng.normal`` and monotonized along the train."""
+    stamped = times + clock.offset + clock.drift_ppm * 1e-6 * times
+    if clock.jitter_std > 0:
+        stamped = stamped + rng.normal(0.0, clock.jitter_std,
+                                       size=times.shape)
+        stamped = np.maximum.accumulate(stamped)
+    return stamped
+
+
+class TestPointStamping:
+    """``measure_points`` stamps each point with one jitter draw, bit
+    for bit as stamping its trains one by one."""
+
+    @pytest.mark.parametrize("clocks", ["ntp-pair", "ideal", "one-jitters"])
+    def test_matches_train_by_train_stamping(self, clocks):
+        channel = SimulatedWlanChannel(
+            [("cross", PoissonGenerator(2e6, 1500))], warmup=0.05)
+        probers = [Prober(channel, ProbeSessionConfig(
+                       repetitions=4, clock_seed=seed, backend="vector",
+                       ideal_clocks=clocks == "ideal"))
+                   for seed in (5, 6)]
+        if clocks == "one-jitters":
+            probers[0].sender_clock = ClockModel(offset=2e-3, drift_ppm=-4.0)
+            probers[0].receiver_clock = ClockModel(
+                offset=-1e-3, drift_ppm=3.0, jitter_std=5e-6)
+            probers[1].sender_clock = ClockModel(
+                offset=1e-3, drift_ppm=2.0, jitter_std=5e-6)
+            probers[1].receiver_clock = ClockModel(offset=-3e-3,
+                                                   drift_ppm=-1.0)
+        rngs = {id(prober): copy.deepcopy(prober._clock_rng)
+                for prober in probers}
+        points = [probers[0], probers[1], probers[0]]
+        trains = [ProbeTrain.at_rate(6, rate, 1500)
+                  for rate in (2e6, 4e6, 6e6)]
+        measured = measure_points(points, trains, [1, 2, 3])
+        truth = send_scan([channel] * 3, trains, 4, [1, 2, 3],
+                          backend="vector")
+        for k, prober in enumerate(points):
+            rng = rngs[id(prober)]
+            for r, measurement in enumerate(measured[k]):
+                row = 4 * k + r
+                send = _stamped_train(prober.sender_clock,
+                                      truth.send_times[row], rng)
+                recv = _stamped_train(prober.receiver_clock,
+                                      truth.recv_times[row], rng)
+                assert np.array_equal(measurement.send_times, send)
+                assert np.array_equal(measurement.recv_times, recv)
