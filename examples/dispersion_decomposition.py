@@ -19,6 +19,7 @@ Run:  python examples/dispersion_decomposition.py
 
 import numpy as np
 
+from repro.core.dispersion import decompose_output_gap
 from repro.queueing.trace import TraceDrivenQueue
 from repro.queueing.workload import intrusion_residual_recursive
 from repro.testbed import SimulatedWlanChannel
@@ -38,9 +39,10 @@ def main() -> None:
     measured_go = (raw.recv_times[-1] - raw.recv_times[0]) / (n - 1)
 
     residual = intrusion_residual_recursive(mu, train.gap)
-    reconstructed = (train.gap
-                     + residual[-1] / (n - 1)
-                     + (mu[-1] - mu[0]) / (n - 1))
+    # No FIFO cross-traffic shares the probe queue: both workload
+    # terms of equation (18) are zero.
+    reconstructed = decompose_output_gap(train.gap, mu, residual[-1],
+                                         0.0, 0.0)
 
     print(f"One {n}-packet train at {train.rate_bps / 1e6:.0f} Mb/s "
           f"against {cross_rate / 1e6:.0f} Mb/s contending cross-traffic\n")

@@ -87,10 +87,9 @@ def main() -> None:
     channel = SimulatedWlanChannel(
         [("cross", PoissonGenerator(cross_rate, 1500))])
     train = ProbeTrain.at_rate(20, 8e6)
-    raws = channel.send_trains(train, 80, seed=11)
-    measurements = [TrainMeasurement(r.send_times, r.recv_times,
-                                     r.size_bytes) for r in raws]
-    cut = mser_truncation_index(measurements, m=2)
+    batch = channel.send_trains_dense(train, 80, seed=11)
+    cut = mser_truncation_index(TrainMeasurement(
+        batch.send_times, batch.recv_times, batch.size_bytes), m=2)
     print(f"\nMSER-2 on 20-packet trains at 8 Mb/s truncates the first "
           f"{cut} dispersion samples\n(the transient it removes is "
           "exactly the acceleration shown above).")

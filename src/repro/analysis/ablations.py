@@ -27,6 +27,7 @@ from repro.analytic.bianchi import BianchiModel
 from repro.analytic.rate_response import complete_rate_response
 from repro.backends import BatchRequest, ScenarioSpec, dispatch
 from repro.core.correction import mser_corrected_rate
+from repro.core.dispersion import TrainMeasurement
 from repro.core.estimators import train_dispersion_rate
 from repro.core.transient import DelayMatrix, ks_profile
 from repro.mac.params import PhyParams
@@ -325,17 +326,13 @@ def ablation_truncation_heuristics(probe_rate_bps: float = 8e6,
     train = ProbeTrain.at_rate(n_packets, probe_rate_bps, size_bytes)
     batch = channel.send_trains_dense(train, repetitions, seed=seed,
                                       backend=backend)
-    from repro.core.dispersion import TrainMeasurement
-    measurements = [TrainMeasurement(batch.send_times[r],
-                                     batch.recv_times[r],
-                                     batch.size_bytes)
-                    for r in range(batch.repetitions)]
-    raw_rate = train_dispersion_rate(measurements)
-    mser2 = mser_corrected_rate(measurements, m=2)
-    mser1 = mser_corrected_rate(measurements, m=1)
-    gaps = np.vstack([m.output_gaps for m in measurements])
-    fixed_gap = float(np.mean(
-        fixed_truncation(gaps.mean(axis=0), fixed_cut).truncated))
+    measurement = TrainMeasurement(batch.send_times, batch.recv_times,
+                                   batch.size_bytes)
+    raw_rate = train_dispersion_rate(measurement)
+    mser2 = mser_corrected_rate(measurement, m=2)
+    mser1 = mser_corrected_rate(measurement, m=1)
+    fixed_gap = float(np.mean(fixed_truncation(
+        measurement.dispersions.mean(axis=0), fixed_cut).truncated))
     fixed_rate = size_bytes * 8 / fixed_gap
     steady = float(complete_rate_response(
         np.array([probe_rate_bps]), fair_share, 0.0)[0])

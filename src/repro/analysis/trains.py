@@ -72,8 +72,8 @@ def _short_train_curves(rates: np.ndarray,
     for n in train_lengths:
         scan = prober.measure_scan(
             n, rates, [seed + 101 * n + k for k in range(len(rates))])
-        curves[n] = np.array([train_dispersion_rate(measurements)
-                              for measurements in scan])
+        curves[n] = np.array([train_dispersion_rate(measurement)
+                              for measurement in scan])
     return curves
 
 
@@ -288,10 +288,10 @@ def fig17_mser(probe_rates_bps: Optional[Sequence[float]] = None,
                           repetitions=repetitions, backend=backend)
     scan = prober.measure_scan(n_packets, rates,
                                [seed + 53 * k for k in range(len(rates))])
-    raw = np.array([train_dispersion_rate(measurements)
-                    for measurements in scan])
-    corrected = np.array([mser_corrected_rate(measurements, m=mser_batch)
-                          for measurements in scan])
+    raw = np.array([train_dispersion_rate(measurement)
+                    for measurement in scan])
+    corrected = np.array([mser_corrected_rate(measurement, m=mser_batch)
+                          for measurement in scan])
     steady = _steady_series(rates, fair_share, 0.0)
     result = ExperimentResult(
         experiment="fig17",

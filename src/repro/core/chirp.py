@@ -112,9 +112,9 @@ class ChirpAnalysis:
     rates: np.ndarray
 
 
-def analyze_chirp(measurement: TrainMeasurement, chirp: ChirpTrain,
+def analyze_chirp(delays: np.ndarray, chirp: ChirpTrain,
                   departure_fraction: float = 0.15) -> ChirpAnalysis:
-    """Locate the chirp's turning point from one-way delays.
+    """Locate the chirp's turning point from one chirp's one-way delays.
 
     A simplified pathChirp detector.  Relative one-way delays are
     baselined at their minimum; the *departure level* is
@@ -125,12 +125,12 @@ def analyze_chirp(measurement: TrainMeasurement, chirp: ChirpTrain,
     delays are flat), the chirp's maximum rate is reported: the path
     absorbed the whole sweep.
     """
-    if measurement.n != chirp.n:
+    delays = np.asarray(delays, dtype=float)
+    if len(delays) != chirp.n:
         raise ValueError(
-            f"measurement has {measurement.n} packets, chirp {chirp.n}")
+            f"delays cover {len(delays)} packets, chirp {chirp.n}")
     if not 0 < departure_fraction < 1:
         raise ValueError("departure_fraction must be in (0, 1)")
-    delays = measurement.one_way_delays
     delays = delays - float(np.min(delays))
     rates = chirp.instantaneous_rates
     n_gaps = len(rates)
@@ -156,11 +156,10 @@ def analyze_chirp(measurement: TrainMeasurement, chirp: ChirpTrain,
     )
 
 
-def chirp_estimate(measurements: List[TrainMeasurement], chirp: ChirpTrain,
+def chirp_estimate(measurement: TrainMeasurement, chirp: ChirpTrain,
                    departure_fraction: float = 0.15) -> float:
-    """Average turning-point rate over repeated chirps."""
-    if len(measurements) == 0:
-        raise ValueError("need at least one measurement")
-    rates = [analyze_chirp(m, chirp, departure_fraction).turning_rate_bps
-             for m in measurements]
+    """Average turning-point rate over the measurement's chirps, one
+    :func:`analyze_chirp` per row of one-way delays."""
+    rates = [analyze_chirp(delays, chirp, departure_fraction)
+             .turning_rate_bps for delays in measurement.one_way_delays]
     return float(np.mean(rates))

@@ -1,37 +1,27 @@
 """Dispersion data model.
 
-A dispersion-based tool only ever sees two timestamp sequences: the
-send instants ``a_i`` (sender side) and the receive instants ``d_i``
-(receiver side).  :class:`TrainMeasurement` wraps one probing train's
-worth of those and exposes the output gap ``g_O = (d_n - d_1)/(n-1)``
-of section 5 (equation (16)), the per-packet dispersions and the
-one-way delays.
+A dispersion-based tool only ever sees two timestamp sequences per
+train: the send instants ``a_i`` (sender side) and the receive
+instants ``d_i`` (receiver side).  :class:`TrainMeasurement` holds
+those of the ``m`` trains sent at one probing point, as ``(m, n)``
+matrices, and exposes the per-train output gaps
+``g_O = (d_n - d_1)/(n-1)`` of section 5 (equation (16)), the
+per-packet dispersions and the one-way delays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 
-def output_gap(departures: Sequence[float]) -> float:
-    """Equation (16): g_O = (d_n - d_1) / (n - 1)."""
-    d = np.asarray(departures, dtype=float)
-    if len(d) < 2:
-        raise ValueError("need at least two departures")
-    if np.any(np.diff(d) < 0):
-        raise ValueError("departures must be non-decreasing")
-    return float((d[-1] - d[0]) / (len(d) - 1))
-
-
 def output_gaps_batch(departures: np.ndarray) -> np.ndarray:
-    """Equation (16) over a ``(repetitions, n)`` departure batch.
+    """Equation (16), ``g_O = (d_n - d_1)/(n - 1)``, over a
+    ``(repetitions, n)`` departure batch.
 
     Row ``r`` is one train's receive instants; the result is the
-    per-train output gap vector, computed in one array operation
-    instead of one :func:`output_gap` call per repetition.
+    per-train output gap vector.
     """
     d = np.asarray(departures, dtype=float)
     if d.ndim != 2:
@@ -45,18 +35,24 @@ def output_gaps_batch(departures: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainMeasurement:
-    """Timestamps of one probing train.
+    """Timestamps of the ``m`` trains sent at one probing point.
 
     Attributes
     ----------
     send_times:
-        Sender-side timestamps ``a_i`` (seconds).
+        ``(m, n)`` sender-side timestamps ``a_i`` (seconds), one train
+        per row.
     recv_times:
-        Receiver-side timestamps ``d_i``.  A constant clock offset
-        between the two hosts cancels out of every dispersion-based
-        quantity (only differences of same-host timestamps are used).
+        ``(m, n)`` receiver-side timestamps ``d_i``.  A constant clock
+        offset between the two hosts cancels out of every
+        dispersion-based quantity (only differences of same-host
+        timestamps are used).
     size_bytes:
         Probe packet size L.
+
+    Both matrices are stored C-ordered whatever layout they arrive
+    in: a per-index mean over the rows sums in memory order, so the
+    layout must not depend on the caller.
     """
 
     send_times: np.ndarray
@@ -64,35 +60,43 @@ class TrainMeasurement:
     size_bytes: int
 
     def __post_init__(self) -> None:
-        send = np.asarray(self.send_times, dtype=float)
-        recv = np.asarray(self.recv_times, dtype=float)
+        send = np.ascontiguousarray(self.send_times, dtype=float)
+        recv = np.ascontiguousarray(self.recv_times, dtype=float)
         object.__setattr__(self, "send_times", send)
         object.__setattr__(self, "recv_times", recv)
-        if send.shape != recv.shape or send.ndim != 1:
-            raise ValueError("timestamp arrays must be equal-length 1-D")
-        if len(send) < 2:
+        if send.shape != recv.shape or send.ndim != 2:
+            raise ValueError("timestamps must be equal-shape (m, n) arrays")
+        if send.shape[0] < 1:
+            raise ValueError("a measurement needs at least one train")
+        if send.shape[1] < 2:
             raise ValueError("a train needs at least two packets")
         if self.size_bytes <= 0:
             raise ValueError(f"size must be positive, got {self.size_bytes}")
-        if np.any(np.diff(send) < -1e-12):
+        if np.any(np.diff(send, axis=1) < -1e-12):
             raise ValueError("send times must be non-decreasing")
-        if np.any(np.diff(recv) < -1e-12):
+        if np.any(np.diff(recv, axis=1) < -1e-12):
             raise ValueError("receive times must be non-decreasing")
 
     @property
-    def n(self) -> int:
-        """Number of packets in the train."""
-        return len(self.send_times)
+    def repetitions(self) -> int:
+        """Number of trains m (rows)."""
+        return self.send_times.shape[0]
 
     @property
-    def output_gap(self) -> float:
-        """Equation (16): (d_n - d_1)/(n - 1)."""
-        return output_gap(self.recv_times)
+    def n(self) -> int:
+        """Number of packets per train (columns)."""
+        return self.send_times.shape[1]
 
     @property
     def output_gaps(self) -> np.ndarray:
-        """Per-packet dispersions d_{i+1} - d_i (MSER operates on these)."""
-        return np.diff(self.recv_times)
+        """Per-train output gaps g_O, equation (16)."""
+        return output_gaps_batch(self.recv_times)
+
+    @property
+    def dispersions(self) -> np.ndarray:
+        """Per-packet dispersions d_{i+1} - d_i, one row per train
+        (MSER operates on these)."""
+        return np.diff(self.recv_times, axis=1)
 
     @property
     def one_way_delays(self) -> np.ndarray:
@@ -107,8 +111,8 @@ def decompose_output_gap(input_gap: float, access_delays: np.ndarray,
 
     ``g_O = g_I + R_n/(n-1) + (W(a_n) - W(a_1))/(n-1) + (mu_n - mu_1)/(n-1)``
 
-    Used by the framework-consistency tests: the value must equal the
-    directly measured ``(d_n - d_1)/(n-1)`` on every sample path.
+    The value must equal the directly measured ``(d_n - d_1)/(n-1)``
+    on every sample path.
     """
     mu = np.asarray(access_delays, dtype=float)
     if len(mu) < 2:

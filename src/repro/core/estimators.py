@@ -14,35 +14,24 @@ paper analyzes:
 * :func:`achievable_throughput` — equation (2) applied to a measured
   curve.
 
-Every estimator consumes :class:`repro.core.dispersion.TrainMeasurement`
-objects — pure timestamp data — so the same code path runs on the DCF
-simulator, on the emulated testbed, or on timestamps captured by a real
-prober.
+Every estimator consumes one :class:`repro.core.dispersion.TrainMeasurement`
+— pure timestamp data, the ``m`` trains of one probing point — so the
+same code path runs on the DCF simulator, on the emulated testbed, or on
+timestamps captured by a real prober.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict
 
 import numpy as np
 
 from repro.core.dispersion import TrainMeasurement
 from repro.analytic.metrics import achievable_throughput_from_curve
 
-#: A repetition batch: one measurement per train.
-Measurements = Sequence[TrainMeasurement]
 
-
-def _check_measurements(measurements: Measurements) -> None:
-    if len(measurements) == 0:
-        raise ValueError("need at least one measurement")
-    sizes = {m.size_bytes for m in measurements}
-    if len(sizes) != 1:
-        raise ValueError(f"mixed probe sizes {sorted(sizes)}")
-
-
-def packet_pair_capacity(measurements: Measurements) -> float:
+def packet_pair_capacity(measurement: TrainMeasurement) -> float:
     """Packet-pair estimate ``L / E[dispersion]`` over many pairs.
 
     Accepts trains of any length but only uses the first two packets of
@@ -50,28 +39,24 @@ def packet_pair_capacity(measurements: Measurements) -> float:
     estimate equals the capacity C; on a CSMA/CA link it tracks — and
     overestimates — the achievable throughput B (figure 16).
     """
-    _check_measurements(measurements)
-    dispersions = [float(m.recv_times[1] - m.recv_times[0])
-                   for m in measurements]
-    mean_dispersion = float(np.mean(dispersions))
+    recv = measurement.recv_times
+    mean_dispersion = float(np.mean(recv[:, 1] - recv[:, 0]))
     if mean_dispersion <= 0:
         raise ValueError("mean pair dispersion must be positive")
-    return measurements[0].size_bytes * 8 / mean_dispersion
+    return measurement.size_bytes * 8 / mean_dispersion
 
 
-def train_dispersion_rate(measurements: Measurements) -> float:
+def train_dispersion_rate(measurement: TrainMeasurement) -> float:
     """``L / E[g_O]``: the dispersion rate at one probing rate.
 
     The expectation is the sample mean of the train-level output gaps
     over the ``m`` repetitions (the paper's limiting average
     ``E[g_O]``).
     """
-    _check_measurements(measurements)
-    gaps = [m.output_gap for m in measurements]
-    mean_gap = float(np.mean(gaps))
+    mean_gap = float(np.mean(measurement.output_gaps))
     if mean_gap <= 0:
         raise ValueError("mean output gap must be positive")
-    return measurements[0].size_bytes * 8 / mean_gap
+    return measurement.size_bytes * 8 / mean_gap
 
 
 @dataclass
@@ -109,35 +94,28 @@ class RateResponseCurve:
 
 
 def rate_response_from_measurements(
-        by_rate: Dict[float, Measurements]) -> RateResponseCurve:
+        by_rate: Dict[float, TrainMeasurement]) -> RateResponseCurve:
     """Assemble a :class:`RateResponseCurve` from grouped measurements.
 
     ``by_rate`` maps the nominal probing input rate (bit/s) to the
-    repeated train measurements taken at that rate.
+    trains measured at that rate.
     """
     if not by_rate:
         raise ValueError("no measurements")
     rates = sorted(by_rate)
-    outputs: List[float] = []
-    sizes = set()
-    counts = set()
-    for rate in rates:
-        measurements = by_rate[rate]
-        _check_measurements(measurements)
-        outputs.append(train_dispersion_rate(measurements))
-        sizes.add(measurements[0].size_bytes)
-        counts.add(len(measurements))
+    sizes = {by_rate[rate].size_bytes for rate in rates}
     if len(sizes) != 1:
         raise ValueError(f"mixed probe sizes {sorted(sizes)}")
     return RateResponseCurve(
         input_rates=np.array(rates, dtype=float),
-        output_rates=np.array(outputs, dtype=float),
+        output_rates=np.array([train_dispersion_rate(by_rate[rate])
+                               for rate in rates], dtype=float),
         size_bytes=sizes.pop(),
-        trains_per_rate=min(counts),
+        trains_per_rate=min(by_rate[rate].repetitions for rate in rates),
     )
 
 
-def achievable_throughput(by_rate: Dict[float, Measurements],
+def achievable_throughput(by_rate: Dict[float, TrainMeasurement],
                           tolerance: float = 0.05) -> float:
     """Equation (2) straight from grouped measurements."""
     return rate_response_from_measurements(by_rate).achievable_throughput(

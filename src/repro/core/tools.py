@@ -69,9 +69,9 @@ class IterativeProbeTool:
         self.disturbance_tolerance = disturbance_tolerance
 
     def _disturbed(self, rate_bps: float,
-                   measurements: Sequence[TrainMeasurement]) -> bool:
+                   measurement: TrainMeasurement) -> bool:
         """Whether the trains probed at ``rate_bps`` exceed the knee."""
-        output = train_dispersion_rate(measurements)
+        output = train_dispersion_rate(measurement)
         return output < (1 - self.disturbance_tolerance) * rate_bps
 
     def _steps(self, low_bps: float, high_bps: float,
@@ -157,10 +157,10 @@ def search_lockstep(tools: Sequence[IterativeProbeTool], low_bps: float,
                                 tools[i].prober.config.size_bytes)
              for i in live],
             [asks[i][1] for i in live], tools[0].repetitions)
-        for i, measurements in zip(live, measured):
+        for i, measurement in zip(live, measured):
             try:
                 asks[i] = searches[i].send(
-                    tools[i]._disturbed(asks[i][0], measurements))
+                    tools[i]._disturbed(asks[i][0], measurement))
             except StopIteration as done:
                 results[i] = done.value
         live = [i for i in live if results[i] is None]

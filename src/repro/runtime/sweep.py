@@ -454,14 +454,18 @@ def point_metric(result: ExperimentResult,
 
 def refine_candidates(xs: Sequence[float], ys: Sequence[float],
                       count: int,
-                      min_gap: Optional[float] = None) -> List[float]:
+                      min_gap: Optional[float] = None,
+                      stored: Sequence[float] = (),
+                      integer: bool = False) -> List[Value]:
     """Where to sample next: midpoints flanking high-curvature points.
 
     Curvature at each interior grid point is the second divided
     difference of ``ys`` over the (generally non-uniform) ``xs``;
     candidates are the midpoints of the two intervals flanking the
-    highest-curvature points, deduplicated and kept ``min_gap`` apart
-    (default: 1e-4 of the x span) so refinement converges instead of
+    highest-curvature points (rounded to ints on an ``integer`` axis),
+    kept ``min_gap`` apart (default: 1e-4 of the x span) from each
+    other, from ``xs`` and from ``stored`` (axis values already
+    sampled, error rows included), so refinement converges instead of
     stacking points on a singularity.  Returns at most ``count``
     values, best-scored first; empty when the curve is flat or has
     fewer than three points.
@@ -485,8 +489,8 @@ def refine_candidates(xs: Sequence[float], ys: Sequence[float],
                     + ys[i + 1] / (h2 * (h1 + h2)))
         scores.append((abs(d2), i))
     scores.sort(key=lambda item: (-item[0], item[1]))
-    chosen: List[float] = []
-    taken = list(xs)
+    chosen: List[Value] = []
+    taken = list(xs) + [float(x) for x in stored]
     for score, i in scores:
         if score == 0.0 or len(chosen) >= count:
             break
@@ -494,8 +498,9 @@ def refine_candidates(xs: Sequence[float], ys: Sequence[float],
                           (xs[i] + xs[i + 1]) / 2.0):
             if len(chosen) >= count:
                 break
+            candidate = round(candidate) if integer else float(candidate)
             if all(abs(candidate - other) > min_gap for other in taken):
-                chosen.append(float(candidate))
+                chosen.append(candidate)
                 taken.append(float(candidate))
     return chosen
 
@@ -541,7 +546,8 @@ def run_adaptive(experiment,
     Wave 0 is the declared grid; each later wave reads the response
     curve back from the store (axis value vs :func:`point_metric` of
     each ``done`` payload), asks :func:`refine_candidates` for up to
-    ``ceil(adapt / ADAPT_WAVES)`` new axis values, and executes them
+    ``ceil(adapt / ADAPT_WAVES)`` new axis values (none the store
+    holds in any status; ints on an all-int grid), and executes them
     as a fresh :class:`SweepPlan` — same fusion, same store, same
     journal, so an interrupted adaptive sweep resumes mid-wave like
     any other.  Stops after ``adapt`` added points, ``ADAPT_WAVES``
@@ -551,6 +557,7 @@ def run_adaptive(experiment,
         raise ValueError("adaptive refinement requires a sweep store "
                          "(the waves read the response curve from it)")
     axis, fixed = adapt_axis(specs, adapt)
+    integer = all(isinstance(value, int) for value in dict(specs)[axis])
     base_plan = SweepPlan(experiment, expand_grid(specs), scale=scale,
                           seed=seed, backend=backend)
     processed = 0
@@ -566,16 +573,18 @@ def run_adaptive(experiment,
             break
         frame = store.frame(columns=[axis, "status", "payload"],
                             where=dict(fixed) if fixed else None)
-        xs, ys = [], []
+        xs, ys, stored = [], [], []
         for x, status, blob in zip(frame[axis], frame["status"],
                                    frame["payload"]):
+            stored.append(float(x))
             if str(status) != "done" or not str(blob):
                 continue
             result = ExperimentResult.from_dict(json.loads(str(blob)))
             xs.append(float(x))
             ys.append(point_metric(result, metric))
         candidates = refine_candidates(xs, ys,
-                                       min(per_wave, adapt - added))
+                                       min(per_wave, adapt - added),
+                                       stored=stored, integer=integer)
         if not candidates:
             break
         overrides = [dict(fixed, **{axis: candidate})

@@ -346,6 +346,10 @@ class SimulatedWlanChannel(Channel):
         return self.warmup + self.start_jitter + train.duration + drain
 
     def send_train(self, train: ProbeTrain, seed: int) -> RawTrainResult:
+        """One repetition on the event engine: the train starts after
+        the warm-up (plus a uniform start jitter) while the cross
+        stations contend; the result carries the probe's access delays
+        and the scenario."""
         rng = np.random.default_rng(seed)
         start = self.warmup + (rng.uniform(0, self.start_jitter)
                                if self.start_jitter > 0 else 0.0)
@@ -589,6 +593,9 @@ class SimulatedFifoChannel(Channel):
                             cross_traffic=kind)
 
     def send_train(self, train: ProbeTrain, seed: int) -> RawTrainResult:
+        """One repetition through the FIFO hop: the train, started
+        after the warm-up (plus a uniform start jitter), merged with a
+        fresh draw of the cross-traffic schedule."""
         rng = np.random.default_rng(seed)
         start = self.warmup + (rng.uniform(0, self.start_jitter)
                                if self.start_jitter > 0 else 0.0)

@@ -81,7 +81,7 @@ class Prober:
     # ------------------------------------------------------------------
 
     def _stamp_trains(self, send_times: np.ndarray, recv_times: np.ndarray,
-                      size_bytes: int) -> List[TrainMeasurement]:
+                      size_bytes: int) -> TrainMeasurement:
         """Apply the clock error models to ``(trains, n)`` true instants.
 
         One standard-normal block holds every jittering clock's draws,
@@ -98,46 +98,44 @@ class Prober:
                           times, normals=next(normals)
                           if clock.jitter_std > 0 else None)
                       for clock, times in pairs)
-        return [TrainMeasurement(send_times=a, recv_times=d,
-                                 size_bytes=size_bytes)
-                for a, d in zip(send, recv)]
+        return TrainMeasurement(send_times=send, recv_times=recv,
+                                size_bytes=size_bytes)
 
     def _measure(self, trains: Sequence[object],
                  point_seeds: Sequence[int],
-                 repetitions: Optional[int]
-                 ) -> List[List[TrainMeasurement]]:
+                 repetitions: Optional[int]) -> List[TrainMeasurement]:
         """``repetitions`` copies of each train-shaped object, one
-        list of measurements per train: the :func:`measure_points`
-        whose every point names this prober."""
+        measurement per train: the :func:`measure_points` whose every
+        point names this prober."""
         return measure_points([self] * len(trains), trains, point_seeds,
                               repetitions)
 
     def measure_scan(self, n: int, rates_bps: Sequence[float],
                      point_seeds: Sequence[int],
                      repetitions: Optional[int] = None
-                     ) -> List[List[TrainMeasurement]]:
+                     ) -> List[TrainMeasurement]:
         """``repetitions`` trains of ``n`` packets at each rate, as one
         channel request; point ``k`` probes at ``rates_bps[k]`` from
-        ``point_seeds[k]``.  Returns one list of measurements per
-        point, in the order given."""
+        ``point_seeds[k]``.  Returns one measurement per point, in the
+        order given."""
         return self._measure(
             [ProbeTrain.at_rate(n, rate, self.config.size_bytes)
              for rate in rates_bps], point_seeds, repetitions)
 
     def measure_train(self, n: int, rate_bps: float,
                       repetitions: Optional[int] = None,
-                      seed: int = 0) -> List[TrainMeasurement]:
+                      seed: int = 0) -> TrainMeasurement:
         """Send ``repetitions`` trains of ``n`` packets at ``rate_bps``."""
         return self.measure_scan(n, [rate_bps], [seed], repetitions)[0]
 
     def measure_pairs(self, repetitions: Optional[int] = None,
-                      seed: int = 0) -> List[TrainMeasurement]:
+                      seed: int = 0) -> TrainMeasurement:
         """Send back-to-back packet pairs."""
         return self._measure([PacketPair(self.config.size_bytes)], [seed],
                              repetitions)[0]
 
     def measure_chirps(self, chirp, repetitions: Optional[int] = None,
-                       seed: int = 0) -> List[TrainMeasurement]:
+                       seed: int = 0) -> TrainMeasurement:
         """Send pathChirp-style chirps (any train-shaped object works:
         the channel only needs ``n``, ``duration``, ``size_bytes``,
         ``packets(start)`` and ``arrival_times(start)``)."""
@@ -194,9 +192,9 @@ def _shared(probers: Sequence[Prober], setting: str):
 def measure_points(probers: Sequence[Prober], trains: Sequence[object],
                    point_seeds: Sequence[int],
                    repetitions: Optional[int] = None
-                   ) -> List[List[TrainMeasurement]]:
+                   ) -> List[TrainMeasurement]:
     """``repetitions`` copies of each train-shaped object, each
-    through its point's prober; one list of measurements per point.
+    through its point's prober; one measurement per point.
 
     Point ``k`` sends ``trains[k]`` through ``probers[k].channel``
     from ``point_seeds[k]``; the whole scan is one channel request

@@ -53,7 +53,13 @@ class TestChirpTrain:
 
 def measurement_for(chirp, delays, start=0.0):
     send = chirp.arrival_times(start)
-    return TrainMeasurement(send, send + np.asarray(delays), chirp.size_bytes)
+    return TrainMeasurement([send], [send + np.asarray(delays)],
+                            chirp.size_bytes)
+
+
+def analyze(measurement, chirp, **kwargs):
+    """:func:`analyze_chirp` on a one-chirp measurement's delays."""
+    return analyze_chirp(measurement.one_way_delays[0], chirp, **kwargs)
 
 
 class TestAnalyzeChirp:
@@ -63,7 +69,7 @@ class TestAnalyzeChirp:
         # excursion starts at gap index ~4.
         delays = np.concatenate([np.full(5, 1e-3),
                                  1e-3 + np.linspace(1e-3, 8e-3, 5)])
-        analysis = analyze_chirp(measurement_for(chirp, delays), chirp)
+        analysis = analyze(measurement_for(chirp, delays), chirp)
         assert analysis.turning_index < len(analysis.rates)
         assert 3 <= analysis.turning_index <= 5
         assert analysis.turning_rate_bps == pytest.approx(
@@ -72,7 +78,7 @@ class TestAnalyzeChirp:
     def test_no_excursion_reports_max_rate(self):
         chirp = ChirpTrain(n=8, initial_gap=4e-3)
         delays = np.full(8, 1.2e-3)
-        analysis = analyze_chirp(measurement_for(chirp, delays), chirp)
+        analysis = analyze(measurement_for(chirp, delays), chirp)
         assert analysis.turning_index >= len(analysis.rates)
         assert analysis.turning_rate_bps == pytest.approx(
             chirp.instantaneous_rates[-1])
@@ -84,22 +90,22 @@ class TestAnalyzeChirp:
         # gradual so receive times stay monotone.
         delays = np.array([1.0, 1.0, 5.0, 3.0, 1.0, 1.0, 1.0, 1.0,
                            1.0, 1.0]) * 1e-3
-        analysis = analyze_chirp(measurement_for(chirp, delays), chirp)
+        analysis = analyze(measurement_for(chirp, delays), chirp)
         assert analysis.turning_index >= len(analysis.rates)
 
     def test_size_mismatch_rejected(self):
         chirp = ChirpTrain(n=6, initial_gap=2e-3)
         other = ChirpTrain(n=5, initial_gap=2e-3)
         with pytest.raises(ValueError):
-            analyze_chirp(measurement_for(other, np.full(5, 1e-3)), chirp)
+            analyze(measurement_for(other, np.full(5, 1e-3)), chirp)
 
     def test_departure_fraction_validation(self):
         chirp = ChirpTrain(n=5, initial_gap=2e-3)
         m = measurement_for(chirp, np.full(5, 1e-3))
         with pytest.raises(ValueError):
-            analyze_chirp(m, chirp, departure_fraction=0.0)
+            analyze(m, chirp, departure_fraction=0.0)
         with pytest.raises(ValueError):
-            analyze_chirp(m, chirp, departure_fraction=1.0)
+            analyze(m, chirp, departure_fraction=1.0)
 
 
 class TestChirpOnWlan:
@@ -113,8 +119,8 @@ class TestChirpOnWlan:
         prober = Prober(channel, ProbeSessionConfig(repetitions=30,
                                                     ideal_clocks=True))
         chirp = ChirpTrain.covering_rates(0.8e6, 12e6, spread_factor=1.3)
-        measurements = prober.measure_chirps(chirp, seed=5)
-        estimate = chirp_estimate(measurements, chirp)
+        measurement = prober.measure_chirps(chirp, seed=5)
+        estimate = chirp_estimate(measurement, chirp)
         bianchi = BianchiModel()
         capacity = bianchi.capacity()
         available = capacity - 4e6
@@ -126,4 +132,5 @@ class TestChirpOnWlan:
     def test_chirp_estimate_empty_rejected(self):
         chirp = ChirpTrain(n=5, initial_gap=1e-3)
         with pytest.raises(ValueError):
-            chirp_estimate([], chirp)
+            chirp_estimate(TrainMeasurement(np.empty((0, 5)),
+                                            np.empty((0, 5)), 1500), chirp)

@@ -16,7 +16,8 @@ import lint_docstrings  # noqa: E402  (needs the tools dir on the path)
 
 
 def test_default_paths_fully_documented():
-    """runtime, analysis, sim and mac — everything CI lints."""
+    """runtime, analysis, sim, mac, backends, core and testbed —
+    everything CI lints."""
     violations = lint_docstrings.run(
         [str(REPO_ROOT / path) for path in lint_docstrings.DEFAULT_PATHS])
     assert violations == []
@@ -25,6 +26,8 @@ def test_default_paths_fully_documented():
 def test_default_paths_cover_both_dcf_backends():
     assert "src/repro/sim" in lint_docstrings.DEFAULT_PATHS
     assert "src/repro/mac" in lint_docstrings.DEFAULT_PATHS
+    assert "src/repro/core" in lint_docstrings.DEFAULT_PATHS
+    assert "src/repro/testbed" in lint_docstrings.DEFAULT_PATHS
 
 
 def test_lint_flags_missing_docstrings(tmp_path):

@@ -13,57 +13,53 @@ from repro.core.estimators import (
 )
 
 
-def synthetic_measurement(gaps_out, gap_in=1e-3, size=1500):
-    """Build a measurement with prescribed output gaps."""
-    n = len(gaps_out) + 1
-    send = np.arange(n) * gap_in
-    recv = np.concatenate([[0.002], 0.002 + np.cumsum(gaps_out)])
+def synthetic_measurement(*gaps_out, gap_in=1e-3, size=1500):
+    """Build a measurement with one train per list of prescribed
+    output gaps."""
+    n = len(gaps_out[0]) + 1
+    send = np.tile(np.arange(n) * gap_in, (len(gaps_out), 1))
+    recv = np.array([np.concatenate([[0.002], 0.002 + np.cumsum(gaps)])
+                     for gaps in gaps_out])
     return TrainMeasurement(send, recv, size)
 
 
 class TestPacketPairCapacity:
     def test_deterministic_pair(self):
         m = synthetic_measurement([1e-3])
-        assert packet_pair_capacity([m]) == pytest.approx(12e6)
+        assert packet_pair_capacity(m) == pytest.approx(12e6)
 
     def test_average_over_pairs(self):
-        pairs = [synthetic_measurement([1e-3]),
-                 synthetic_measurement([3e-3])]
+        pairs = synthetic_measurement([1e-3], [3e-3])
         assert packet_pair_capacity(pairs) == pytest.approx(1500 * 8 / 2e-3)
 
     def test_uses_only_first_two_packets(self):
         train = synthetic_measurement([1e-3, 50e-3, 50e-3])
-        assert packet_pair_capacity([train]) == pytest.approx(12e6)
+        assert packet_pair_capacity(train) == pytest.approx(12e6)
 
     def test_fifo_pair_measures_capacity(self):
         """On an empty wired link, pair dispersion == service time."""
         from repro.testbed.channel import SimulatedFifoChannel
         from repro.traffic.probe import PacketPair
         channel = SimulatedFifoChannel(10e6)
-        raws = channel.send_trains(PacketPair(), 10, seed=1)
-        pairs = [TrainMeasurement(r.send_times, r.recv_times, r.size_bytes)
-                 for r in raws]
+        batch = channel.send_trains_dense(PacketPair(), 10, seed=1)
+        pairs = TrainMeasurement(batch.send_times, batch.recv_times,
+                                 batch.size_bytes)
         assert packet_pair_capacity(pairs) == pytest.approx(10e6, rel=1e-6)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            packet_pair_capacity([])
-
-    def test_mixed_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            packet_pair_capacity([synthetic_measurement([1e-3], size=1500),
-                                  synthetic_measurement([1e-3], size=40)])
+            packet_pair_capacity(TrainMeasurement(
+                np.empty((0, 2)), np.empty((0, 2)), 1500))
 
 
 class TestTrainDispersionRate:
     def test_single_train(self):
         m = synthetic_measurement([1e-3, 1e-3, 2e-3])
         expected = 1500 * 8 / np.mean([1e-3, 1e-3, 2e-3])
-        assert train_dispersion_rate([m]) == pytest.approx(expected)
+        assert train_dispersion_rate(m) == pytest.approx(expected)
 
     def test_averages_train_gaps(self):
-        trains = [synthetic_measurement([1e-3, 1e-3]),
-                  synthetic_measurement([3e-3, 3e-3])]
+        trains = synthetic_measurement([1e-3, 1e-3], [3e-3, 3e-3])
         assert train_dispersion_rate(trains) == pytest.approx(
             1500 * 8 / 2e-3)
 
@@ -94,8 +90,8 @@ class TestRateResponseCurve:
 class TestRateResponseAssembly:
     def test_grouping(self):
         by_rate = {
-            2e6: [synthetic_measurement([6e-3, 6e-3], gap_in=6e-3)],
-            6e6: [synthetic_measurement([3e-3, 3e-3], gap_in=2e-3)],
+            2e6: synthetic_measurement([6e-3, 6e-3], gap_in=6e-3),
+            6e6: synthetic_measurement([3e-3, 3e-3], gap_in=2e-3),
         }
         curve = rate_response_from_measurements(by_rate)
         assert list(curve.input_rates) == [2e6, 6e6]
@@ -104,8 +100,8 @@ class TestRateResponseAssembly:
 
     def test_achievable_from_grouped(self):
         by_rate = {
-            2e6: [synthetic_measurement([6e-3], gap_in=6e-3)],
-            6e6: [synthetic_measurement([3e-3], gap_in=2e-3)],
+            2e6: synthetic_measurement([6e-3], gap_in=6e-3),
+            6e6: synthetic_measurement([3e-3], gap_in=2e-3),
         }
         assert achievable_throughput(by_rate) == 2e6
 
@@ -115,8 +111,8 @@ class TestRateResponseAssembly:
 
     def test_mixed_sizes_rejected(self):
         by_rate = {
-            1e6: [synthetic_measurement([1e-3], size=1500)],
-            2e6: [synthetic_measurement([1e-3], size=40)],
+            1e6: synthetic_measurement([1e-3], size=1500),
+            2e6: synthetic_measurement([1e-3], size=40),
         }
         with pytest.raises(ValueError):
             rate_response_from_measurements(by_rate)

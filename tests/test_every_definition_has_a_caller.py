@@ -66,8 +66,6 @@ ALLOWED: Dict[str, str] = {
         "ROADMAP direction 1 reports check margins as intervals with it",
     "repro.analytic.bounds:output_gap_bounds":
         "the paper's eqs. (27)/(29)/(30); " + _DIRECTION_1,
-    "repro.core.dispersion:decompose_output_gap":
-        "the paper's eq. (18); " + _DIRECTION_1,
     "repro.core.batch:RepetitionBatch":
         "the batch protocol the kernels' batch classes conform to and "
         "their docstrings cite",

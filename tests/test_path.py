@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analytic.bianchi import BianchiModel
+from repro.core.dispersion import TrainMeasurement
 from repro.core.estimators import packet_pair_capacity
 from repro.path import NetworkPath, SimulatedPathChannel, WiredHop, WlanHop
 from repro.testbed.prober import Prober, ProbeSessionConfig
@@ -206,10 +207,10 @@ class TestPathVectorBackend:
 
     def test_packet_pairs_cross_the_chain(self):
         channel = SimulatedPathChannel(self._path())
-        pairs = channel.send_trains(PacketPair(1500), 10, seed=9,
-                                    backend="vector")
-        estimate = packet_pair_capacity(
-            [TrainMeasurementAdapter.measurement(r) for r in pairs])
+        pairs = channel.send_trains_dense(PacketPair(1500), 10, seed=9,
+                                          backend="vector")
+        estimate = packet_pair_capacity(TrainMeasurement(
+            pairs.send_times, pairs.recv_times, pairs.size_bytes))
         assert 1e6 < estimate < 20e6
 
     def test_registry_experiment_runs_on_vector(self):
@@ -220,17 +221,6 @@ class TestPathVectorBackend:
                        "probe_rates_bps": [1e6, 2e6, 3e6]})
         assert report.kwargs["backend"] == "vector"
         assert report.result.meta["backend"] == "vector"
-
-
-class TrainMeasurementAdapter:
-    """Tiny adapter: RawTrainResult -> TrainMeasurement."""
-
-    @staticmethod
-    def measurement(raw):
-        from repro.core.dispersion import TrainMeasurement
-        return TrainMeasurement(send_times=raw.send_times,
-                                recv_times=raw.recv_times,
-                                size_bytes=raw.size_bytes)
 
 
 class TestMixedFifoPath:

@@ -278,11 +278,10 @@ class TestChirps:
     def test_chirps_run_on_every_backend(self, backend):
         prober = Prober(self._channel(), ProbeSessionConfig(
             repetitions=4, ideal_clocks=True, backend=backend))
-        measurements = prober.measure_chirps(self.CHIRP, seed=3)
-        assert len(measurements) == 4
-        for m in measurements:
-            assert m.n == self.CHIRP.n
-            assert np.all(m.recv_times > m.send_times)
+        measurement = prober.measure_chirps(self.CHIRP, seed=3)
+        assert measurement.repetitions == 4
+        assert measurement.n == self.CHIRP.n
+        assert np.all(measurement.recv_times > measurement.send_times)
 
     def test_kernel_sends_the_chirp_schedule(self):
         batch = self._channel().send_trains_dense(self.CHIRP, 6, seed=5,
@@ -471,12 +470,12 @@ class TestBatchedEstimators:
     def test_train_dispersion_rate_batch_equals_list(self, raws, batch):
         """The dense batch's equation-(16) gaps give the estimator's
         rate over the per-train measurements."""
-        measurements = [TrainMeasurement(send_times=r.send_times,
-                                         recv_times=r.recv_times,
-                                         size_bytes=r.size_bytes)
-                        for r in raws]
+        measurement = TrainMeasurement(
+            send_times=np.vstack([r.send_times for r in raws]),
+            recv_times=np.vstack([r.recv_times for r in raws]),
+            size_bytes=raws[0].size_bytes)
         assert L * 8 / np.mean(batch.output_gaps) == pytest.approx(
-            train_dispersion_rate(measurements), rel=1e-12)
+            train_dispersion_rate(measurement), rel=1e-12)
 
     def test_output_gaps_batch_matches_scalar(self, raws):
         recv = np.vstack([r.recv_times for r in raws])

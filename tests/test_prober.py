@@ -29,20 +29,20 @@ def fifo_prober():
 
 class TestMeasurement:
     def test_measure_train_count(self, wlan_prober):
-        measurements = wlan_prober.measure_train(5, 2e6, repetitions=4)
-        assert len(measurements) == 4
-        assert all(m.n == 5 for m in measurements)
+        measurement = wlan_prober.measure_train(5, 2e6, repetitions=4)
+        assert measurement.repetitions == 4
+        assert measurement.n == 5
 
     def test_measure_pairs(self, wlan_prober):
         pairs = wlan_prober.measure_pairs(repetitions=3)
-        assert all(m.n == 2 for m in pairs)
+        assert pairs.n == 2
 
     def test_default_repetitions_from_config(self, wlan_prober):
-        assert len(wlan_prober.measure_pairs()) == 10
+        assert wlan_prober.measure_pairs().repetitions == 10
 
     def test_ideal_clocks_expose_true_gaps(self, fifo_prober):
-        m = fifo_prober.measure_train(5, 2e6, repetitions=1)[0]
-        assert m.output_gap == pytest.approx(1500 * 8 / 2e6, rel=1e-9)
+        m = fifo_prober.measure_train(5, 2e6, repetitions=1)
+        assert m.output_gaps == pytest.approx([1500 * 8 / 2e6], rel=1e-9)
 
     def test_noisy_clocks_perturb_timestamps(self):
         channel = SimulatedFifoChannel(10e6, start_jitter=0.0)
@@ -50,8 +50,8 @@ class TestMeasurement:
             repetitions=1, ideal_clocks=True))
         noisy = Prober(channel, ProbeSessionConfig(
             repetitions=1, ideal_clocks=False))
-        m_ideal = ideal.measure_train(5, 2e6)[0]
-        m_noisy = noisy.measure_train(5, 2e6)[0]
+        m_ideal = ideal.measure_train(5, 2e6)
+        m_noisy = noisy.measure_train(5, 2e6)
         assert not np.allclose(m_ideal.recv_times, m_noisy.recv_times)
 
     def test_clock_noise_does_not_bias_long_trains(self):
@@ -98,7 +98,7 @@ class TestSessionConfig:
 
     def test_prober_uses_size(self, fifo_prober):
         fifo_prober.config.size_bytes = 576
-        m = fifo_prober.measure_train(3, 1e6, repetitions=1)[0]
+        m = fifo_prober.measure_train(3, 1e6, repetitions=1)
         assert m.size_bytes == 576
 
 
@@ -111,8 +111,8 @@ class TestSequenceAndChirpSupport:
                         ProbeSessionConfig(repetitions=5,
                                            ideal_clocks=True))
         chirp = ChirpTrain.covering_rates(2e6, 20e6, spread_factor=1.4)
-        measurements = prober.measure_chirps(chirp, seed=3)
-        estimate = chirp_estimate(measurements, chirp)
+        measurement = prober.measure_chirps(chirp, seed=3)
+        estimate = chirp_estimate(measurement, chirp)
         # An empty 10 Mb/s link queues once the chirp sweeps past C.
         assert 6e6 < estimate < 16e6
 
@@ -158,11 +158,12 @@ class TestPointStamping:
                           backend="vector")
         for k, prober in enumerate(points):
             rng = rngs[id(prober)]
-            for r, measurement in enumerate(measured[k]):
+            assert measured[k].repetitions == 4
+            for r in range(4):
                 row = 4 * k + r
                 send = _stamped_train(prober.sender_clock,
                                       truth.send_times[row], rng)
                 recv = _stamped_train(prober.receiver_clock,
                                       truth.recv_times[row], rng)
-                assert np.array_equal(measurement.send_times, send)
-                assert np.array_equal(measurement.recv_times, recv)
+                assert np.array_equal(measured[k].send_times[r], send)
+                assert np.array_equal(measured[k].recv_times[r], recv)

@@ -488,6 +488,25 @@ class TestRefineCandidates:
         candidates = refine_candidates(xs, ys, count=2)
         assert all(2 < c < 8 for c in candidates)
 
+    def test_integer_axis_rounds_midpoints(self):
+        candidates = refine_candidates([50, 60, 70], [0.0, 0.0, 5.0],
+                                       count=2, integer=True)
+        assert candidates == [55, 65]
+        assert all(type(c) is int for c in candidates)
+
+    def test_integer_rounding_onto_a_sampled_value_is_dropped(self):
+        # 50.5 and 51.5 round onto 50 and 52 (half to even).
+        assert refine_candidates([50, 51, 52], [0.0, 3.0, 0.0], count=2,
+                                 integer=True) == []
+
+    def test_already_stored_value_not_proposed(self):
+        xs = [0.0, 1.0, 2.0, 3.0, 4.0]
+        ys = [0.0, 0.0, 4.0, 0.0, 0.0]
+        assert 1.5 in refine_candidates(xs, ys, count=2)
+        candidates = refine_candidates(xs, ys, count=2, stored=[1.5])
+        assert len(candidates) == 2
+        assert 1.5 not in candidates
+
 
 class TestAdaptAxis:
     def test_single_numeric_axis(self):
@@ -589,6 +608,27 @@ class TestSweepCli:
         assert "[wave 0]" in out and "[wave 1]" in out
         store = SweepStore.open(tmp_path / "cache" / "sweeps" / "test-knee")
         assert 6 < store.stats()["points"] <= 10
+
+    def test_adapt_on_an_integer_axis_stores_new_ints(
+            self, tmp_path, npz_only, monkeypatch, capsys):
+        """Refining ``n_packets`` proposes int midpoints the runner
+        accepts, and never an axis value the store already holds."""
+        from repro import cli
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        code = cli.main(["sweep", "fig6",
+                         "--param", "n_packets=50,60,70", "--scale", "0.05",
+                         "--adapt", "2", "--metric", "mean_access_delay_s",
+                         "--store", str(tmp_path / "S")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "5/5 points pass" in out and "ERROR" not in out
+        frame = SweepStore.open(tmp_path / "S").frame(
+            columns=["n_packets", "status"])
+        values = list(frame["n_packets"])
+        assert frame["n_packets"].dtype.kind == "i"
+        assert len(values) == 5 and len(set(values)) == 5
+        assert set(values) > {50, 60, 70}
+        assert list(frame["status"]) == ["done"] * 5
 
     def test_cache_stats_reports_store(self, tmp_path, npz_only,
                                        capsys):

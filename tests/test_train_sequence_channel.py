@@ -69,8 +69,9 @@ class TestSendTrainSequence:
         ind_raws = channel.send_trains(train, len(seq_raws), seed=99)
 
         def rate(raws):
-            measurements = [TrainMeasurement(r.send_times, r.recv_times,
-                                             r.size_bytes) for r in raws]
-            return train_dispersion_rate(measurements)
+            return train_dispersion_rate(TrainMeasurement(
+                np.vstack([r.send_times for r in raws]),
+                np.vstack([r.recv_times for r in raws]),
+                raws[0].size_bytes))
 
         assert rate(seq_raws) == pytest.approx(rate(ind_raws), rel=0.1)

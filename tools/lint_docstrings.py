@@ -2,8 +2,9 @@
 """Docstring-presence lint for the public API.
 
 Walks the given files/directories (default: ``src/repro/runtime``,
-``src/repro/analysis``, ``src/repro/sim``, ``src/repro/mac`` and
-``src/repro/backends``) and
+``src/repro/analysis``, ``src/repro/sim``, ``src/repro/mac``,
+``src/repro/backends``, ``src/repro/core`` and ``src/repro/testbed``)
+and
 reports every public module, class, function or method without a
 docstring.  Exit status 1 if anything is missing — CI runs this next
 to the test suite.
@@ -25,7 +26,8 @@ from typing import Iterator, List, Sequence
 
 DEFAULT_PATHS = ("src/repro/runtime", "src/repro/analysis",
                  "src/repro/sim", "src/repro/mac",
-                 "src/repro/backends")
+                 "src/repro/backends", "src/repro/core",
+                 "src/repro/testbed")
 
 _DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
